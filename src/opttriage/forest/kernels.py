@@ -1,155 +1,89 @@
-"""Hot loops of the forest: split scanning and batch tree routing.
+"""Hot loops of the forest: split search and batch tree routing, in numpy.
 
-Two interchangeable backends: numba-compiled kernels and a pure-numpy
-fallback. Set OPTTRIAGE_KERNELS=numpy (or =numba) to force one; the
-default is numba when importable. Both paths evaluate the same IEEE
-expressions in the same order, so results are bit-identical and models
-trained on either backend serialize to the same bytes.
+`split_scan` scores every cut of every candidate feature of one node in a
+single 2-D pass, so growing a tree costs one kernel call per node. Class
+counts are whole numbers, exact in float64, and every Gini term is
+evaluated in one fixed order, so the same rows, params and seed always
+give the same thresholds and the same model bytes.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Optional
 
 import numpy as np
 
-ENV_VAR = "OPTTRIAGE_KERNELS"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    _HAVE_NUMBA = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def active_backend() -> str:
-    """Backend selected by the environment, defaulting to the fastest available."""
-    name = os.environ.get(ENV_VAR, "").strip().lower()
-    if not name:
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"{ENV_VAR} must be 'numba' or 'numpy', not {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return name
-
-
 # ----------------------------------------------------------------- split scan
 #
-# Scan one feature column for the threshold with the largest Gini decrease.
-# Candidate thresholds are midpoints between consecutive distinct sorted
-# values; a cut is valid when both sides hold at least min_leaf rows.
-# Returns (found, threshold, decrease). Ties keep the lowest threshold via
-# the strict ``>`` update over an ascending scan.
+# A cut c of a column sorted ascending puts its c smallest rows on the left.
+# Its threshold is the midpoint between the values on either side, so a cut
+# is usable only where those values differ, and only when both sides hold at
+# least min_leaf rows: c in [min_leaf, n - min_leaf]. Cuts are compared in
+# feature-major order and the first maximum wins, so ties keep the lowest
+# candidate column, then the lowest threshold.
 
 
-def _split_scan_py(values, labels, min_leaf):
-    n = values.shape[0]
-    order = np.argsort(values)
-    sv = values[order]
-    sl = labels[order]
-    h_tot = 0
-    for i in range(n):
-        h_tot += sl[i]
-    e_tot = n - h_tot
-    pe = e_tot / n
-    ph = h_tot / n
-    g_parent = 1.0 - pe * pe - ph * ph
-    found = False
-    best_thr = 0.0
-    best_dec = 0.0
-    h_left = 0
-    for cut in range(1, n):
-        h_left += sl[cut - 1]
-        if sv[cut] == sv[cut - 1]:
-            continue
-        n_l = cut
-        n_r = n - cut
-        if n_l < min_leaf or n_r < min_leaf:
-            continue
-        h_l = h_left
-        e_l = n_l - h_l
-        h_r = h_tot - h_l
-        e_r = e_tot - e_l
-        pe_l = e_l / n_l
-        ph_l = h_l / n_l
-        g_l = 1.0 - pe_l * pe_l - ph_l * ph_l
-        pe_r = e_r / n_r
-        ph_r = h_r / n_r
-        g_r = 1.0 - pe_r * pe_r - ph_r * ph_r
-        w = (n_l * g_l + n_r * g_r) / n
-        dec = g_parent - w
-        if dec > best_dec:
-            found = True
-            best_dec = dec
-            best_thr = (sv[cut - 1] + sv[cut]) / 2.0
-    return found, best_thr, best_dec
+def split_scan(
+    block: np.ndarray, labels: np.ndarray, min_leaf: int
+) -> Optional[tuple[int, float, float]]:
+    """Best cut over a node's candidate columns.
 
-
-def _split_scan_np(values, labels, min_leaf):
-    n = values.shape[0]
-    order = np.argsort(values)
-    sv = values[order]
-    sl = labels[order].astype(np.int64)
-    h_tot = int(sl.sum())
+    block is f8[n, k], one column per candidate feature; labels is i1[n] of
+    0/1. Returns (column, threshold, decrease) for the cut with the largest
+    Gini decrease, or None when no usable cut strictly decreases impurity.
+    """
+    n, k = block.shape
+    lo, hi = max(min_leaf, 1), n - min_leaf
+    if lo > hi or k == 0:
+        return None
+    m = hi - lo + 1
+    order = block.argsort(axis=0)
+    sv = block[order, np.arange(k)]
+    h_tot = np.count_nonzero(labels)
     e_tot = n - h_tot
     pe = e_tot / n
     ph = h_tot / n
     g_parent = 1.0 - pe * pe - ph * ph
 
-    n_l = np.arange(1, n, dtype=np.int64)
-    n_r = n - n_l
-    h_l = np.cumsum(sl)[:-1]
-    usable = (sv[1:] != sv[:-1]) & (n_l >= min_leaf) & (n_r >= min_leaf)
-    if not usable.any():
-        return False, 0.0, 0.0
-    e_l = n_l - h_l
-    h_r = h_tot - h_l
-    e_r = e_tot - e_l
-    pe_l = e_l / n_l
-    ph_l = h_l / n_l
-    g_l = 1.0 - pe_l * pe_l - ph_l * ph_l
-    pe_r = e_r / n_r
-    ph_r = h_r / n_r
-    g_r = 1.0 - pe_r * pe_r - ph_r * ph_r
-    w = (n_l * g_l + n_r * g_r) / n
-    dec = g_parent - w
-    dec = np.where(usable, dec, -np.inf)
-    at = int(np.argmax(dec))  # first occurrence keeps the lowest threshold
-    best = float(dec[at])
+    # Axis 0 is the side of the cut: 0 left, 1 right.
+    size = np.empty((2, m, 1))  # rows on the side
+    size[0, :, 0] = np.arange(lo, hi + 1)
+    np.subtract(n, size[0], out=size[1])
+    hard = np.empty((2, m, k))  # hard rows on the side
+    hard[0] = labels[order].cumsum(axis=0)[lo - 1 : hi]
+    np.subtract(h_tot, hard[0], out=hard[1])
+    # gini = 1 - pe*pe - ph*ph per side, then weighted by the side's size
+    g = size - hard
+    g /= size
+    g *= g
+    np.subtract(1.0, g, out=g)
+    hard /= size
+    hard *= hard
+    g -= hard
+    g *= size
+    dec = g[0] + g[1]
+    dec /= n
+    np.subtract(g_parent, dec, out=dec)
+    np.putmask(dec, sv[lo : hi + 1] == sv[lo - 1 : hi], -np.inf)
+
+    col, r = divmod(int(dec.T.argmax()), m)
+    best = float(dec[r, col])
     if best <= 0.0:
-        return False, 0.0, 0.0
-    thr = (sv[at] + sv[at + 1]) / 2.0
-    return True, float(thr), best
+        return None
+    cut = lo + r
+    return col, float((sv[cut - 1, col] + sv[cut, col]) / 2.0), best
 
 
 # ---------------------------------------------------------------- tree routing
 #
 # Route rows through one tree laid out as parallel node arrays:
 # feature[i] < 0 marks a leaf whose class is label[i], otherwise compare
-# x[feature[i]] <= threshold[i] and continue left or right.
+# x[feature[i]] <= threshold[i] and continue left or right. All rows advance
+# one level per pass.
 
 
-def _route_py(feature, threshold, left, right, label, x_rows):
-    n = x_rows.shape[0]
-    out = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        node = 0
-        while feature[node] >= 0:
-            if x_rows[i, feature[node]] <= threshold[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = label[node]
-    return out
-
-
-def _route_np(feature, threshold, left, right, label, x_rows):
+def route_tree(feature, threshold, left, right, label, x_rows) -> np.ndarray:
+    """Leaf class (0/1) per row of x_rows for one array-layout tree."""
     n = x_rows.shape[0]
     node = np.zeros(n, dtype=np.int64)
     pending = feature[node] >= 0
@@ -160,42 +94,3 @@ def _route_np(feature, threshold, left, right, label, x_rows):
         node[rows] = np.where(goes_left, left[at], right[at])
         pending = feature[node] >= 0
     return label[node].astype(np.int8)
-
-
-if _HAVE_NUMBA:
-    _split_scan_jit = njit(cache=True, nogil=True)(_split_scan_py)
-    _route_jit = njit(cache=True, nogil=True)(_route_py)
-
-
-def split_scan(values, labels, min_leaf, backend=None):
-    """Best threshold for one feature column. values f8[:], labels i1[:] of 0/1."""
-    name = backend or active_backend()
-    if name == "numba":
-        return _split_scan_jit(values, labels, min_leaf)
-    return _split_scan_np(values, labels, min_leaf)
-
-
-def route_tree(feature, threshold, left, right, label, x_rows, backend=None):
-    """Leaf class (0/1) per row of x_rows for one array-layout tree."""
-    name = backend or active_backend()
-    if name == "numba":
-        return _route_jit(feature, threshold, left, right, label, x_rows)
-    return _route_np(feature, threshold, left, right, label, x_rows)
-
-
-def warm_up() -> None:
-    """Trigger one-time JIT compilation so later calls run at full speed."""
-    if not _HAVE_NUMBA:
-        return
-    vals = np.array([0.0, 1.0, 2.0, 3.0])
-    labs = np.array([0, 0, 1, 1], dtype=np.int8)
-    _split_scan_jit(vals, labs, 1)
-    one = np.array([0], dtype=np.int32)
-    _route_jit(
-        np.array([-1], dtype=np.int32),
-        np.array([0.0]),
-        one,
-        one,
-        np.array([1], dtype=np.int8),
-        np.zeros((1, 1)),
-    )

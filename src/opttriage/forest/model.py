@@ -2,8 +2,8 @@
 
 Determinism contract: training depends only on the rows, the params, and
 the seed. Tree t draws from numpy's default generator seeded with
-``rng_seed ^ t``, so worker count and kernel backend never change the
-result, and a trained model serializes to identical bytes across runs.
+``rng_seed ^ t``, so the worker count never changes the result, and a
+trained model serializes to identical bytes across runs.
 Every tie breaks the same way: equal split quality keeps the lower feature
 index then the lower threshold, and vote or leaf-count ties go to hard,
 the safe side for flag selection.
@@ -92,24 +92,20 @@ def best_split(
     y: np.ndarray,
     candidates: Sequence[int],
     min_samples_leaf: int,
-    backend: Optional[str] = None,
 ) -> Optional[Split]:
     """Exhaustive best split over the candidate features, or None.
 
     None means no candidate threshold both respects min_samples_leaf and
-    strictly reduces Gini impurity. Candidates are scanned in ascending
-    order and only a strictly better decrease replaces the incumbent, so
-    ties keep the lowest feature index (the per-feature scan already keeps
-    the lowest threshold).
+    strictly reduces Gini impurity. Candidates are scored in ascending
+    order in one kernel call, so ties keep the lowest feature index, then
+    the lowest threshold.
     """
-    best: Optional[Split] = None
-    for f in sorted(int(c) for c in candidates):
-        found, thr, dec = kernels.split_scan(
-            np.ascontiguousarray(x_rows[:, f]), y, min_samples_leaf, backend
-        )
-        if found and (best is None or dec > best.decrease):
-            best = Split(feature=f, threshold=float(thr), decrease=float(dec))
-    return best
+    cands = sorted(map(int, candidates))
+    found = kernels.split_scan(x_rows.take(cands, axis=1), y, min_samples_leaf)
+    if found is None:
+        return None
+    col, thr, dec = found
+    return Split(feature=cands[col], threshold=thr, decrease=dec)
 
 
 @dataclass
@@ -128,18 +124,17 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def route(self, x_rows: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+    def route(self, x_rows: np.ndarray) -> np.ndarray:
         return kernels.route_tree(
-            self.feature, self.threshold, self.left, self.right, self.label, x_rows, backend
+            self.feature, self.threshold, self.left, self.right, self.label, x_rows
         )
 
 
 class _TreeBuilder:
-    def __init__(self, params: ForestParams, width: int, rng: np.random.Generator, backend):
+    def __init__(self, params: ForestParams, width: int, rng: np.random.Generator):
         self.params = params
         self.width = width
         self.rng = rng
-        self.backend = backend
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -160,22 +155,23 @@ class _TreeBuilder:
         return node
 
     def grow(self, x_rows: np.ndarray, y: np.ndarray, depth: int) -> int:
-        n_hard = int(y.sum())
+        n_hard = int(np.count_nonzero(y))
         n_easy = len(y) - n_hard
         node = self._new_node(n_easy, n_hard)
         split = None
         if n_easy > 0 and n_hard > 0 and depth < self.params.max_tree_depth:
             k = self.params.features_per_split
             cands = np.sort(self.rng.choice(self.width, size=k, replace=False))
-            split = best_split(x_rows, y, cands, self.params.min_samples_leaf, self.backend)
+            split = best_split(x_rows, y, cands, self.params.min_samples_leaf)
         if split is None:
             self.label[node] = HARD if n_hard >= n_easy else EASY
             return node
         goes_left = x_rows[:, split.feature] <= split.threshold
+        goes_right = ~goes_left
         self.feature[node] = split.feature
         self.threshold[node] = split.threshold
         self.left[node] = self.grow(x_rows[goes_left], y[goes_left], depth + 1)
-        self.right[node] = self.grow(x_rows[~goes_left], y[~goes_left], depth + 1)
+        self.right[node] = self.grow(x_rows[goes_right], y[goes_right], depth + 1)
         return node
 
     def finish(self) -> Tree:
@@ -195,13 +191,12 @@ def build_tree(
     y: np.ndarray,
     params: ForestParams,
     tree_rng: np.random.Generator,
-    backend: Optional[str] = None,
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree on a bootstrap sample; returns the tree and the sample."""
     n, width = x_rows.shape
     sample_size = max(1, int(round(params.bootstrap_fraction * n)))
     sample = tree_rng.integers(0, n, size=sample_size)  # with replacement
-    builder = _TreeBuilder(params, width, tree_rng, backend)
+    builder = _TreeBuilder(params, width, tree_rng)
     builder.grow(x_rows[sample], y[sample], depth=0)
     return builder.finish(), sample
 
@@ -227,6 +222,18 @@ def _fingerprint(ids: Sequence[str], x_rows: np.ndarray, y: np.ndarray) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
+def _feature_rows(x_rows: np.ndarray, width: int) -> np.ndarray:
+    """x_rows as contiguous float64, checked for shape and finite values."""
+    x_rows = np.ascontiguousarray(x_rows, dtype=np.float64)
+    if x_rows.ndim != 2 or x_rows.shape[1] != width:
+        raise ValueError(f"expected rows of width {width}")
+    finite = np.isfinite(x_rows).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"row {bad} has a non-finite feature value")
+    return x_rows
+
+
 def train(
     x_rows: np.ndarray,
     y: np.ndarray,
@@ -234,13 +241,10 @@ def train(
     params: ForestParams = ForestParams(),
     ids: Optional[Sequence[str]] = None,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> RandomForestModel:
-    """Fit a forest. Rows are float64 feature vectors, y holds 0/1 labels."""
-    x_rows = np.ascontiguousarray(x_rows, dtype=np.float64)
+    """Fit a forest. Rows are finite float64 feature vectors, y holds 0/1 labels."""
+    x_rows = _feature_rows(x_rows, schema.width)
     y = np.asarray(y, dtype=np.int8)
-    if x_rows.ndim != 2 or x_rows.shape[1] != schema.width:
-        raise ValueError(f"expected rows of width {schema.width}")
     if len(y) != len(x_rows) or len(y) == 0:
         raise ValueError("need one label per row and at least one row")
     if not np.all((y == EASY) | (y == HARD)):
@@ -251,7 +255,7 @@ def train(
 
     def one_tree(t: int) -> Tree:
         rng = np.random.default_rng(params.rng_seed ^ t)
-        tree, _sample = build_tree(x_rows, y, params, rng, backend)
+        tree, _sample = build_tree(x_rows, y, params, rng)
         return tree
 
     if workers == 1:
@@ -273,35 +277,29 @@ def train(
 # ------------------------------------------------------------------ prediction
 
 
-def hard_votes(
-    model: RandomForestModel, x_rows: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
-    x_rows = np.ascontiguousarray(x_rows, dtype=np.float64)
-    if x_rows.ndim != 2 or x_rows.shape[1] != model.schema.width:
-        raise ValueError(f"expected rows of width {model.schema.width}")
+def hard_votes(model: RandomForestModel, x_rows: np.ndarray) -> np.ndarray:
+    x_rows = _feature_rows(x_rows, model.schema.width)
     votes = np.zeros(len(x_rows), dtype=np.int64)
     for tree in model.trees:
-        votes += tree.route(x_rows, backend)
+        votes += tree.route(x_rows)
     return votes
 
 
 def predict_batch(
-    model: RandomForestModel, x_rows: np.ndarray, backend: Optional[str] = None
+    model: RandomForestModel, x_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (labels, hard votes); a vote tie labels the row hard."""
-    votes = hard_votes(model, x_rows, backend)
+    votes = hard_votes(model, x_rows)
     labels = (2 * votes >= model.n_trees).astype(np.int8)
     return labels, votes
 
 
 def predict(
-    model: RandomForestModel,
-    x: Union[FeatureVector, np.ndarray],
-    backend: Optional[str] = None,
+    model: RandomForestModel, x: Union[FeatureVector, np.ndarray]
 ) -> tuple[str, dict[str, int]]:
     """Label one vector; returns ("easy"|"hard", per-class vote counts)."""
     values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    labels, votes = predict_batch(model, values.reshape(1, -1), backend)
+    labels, votes = predict_batch(model, values.reshape(1, -1))
     n_hard = int(votes[0])
     return LABEL_NAMES[int(labels[0])], {"easy": model.n_trees - n_hard, "hard": n_hard}
 
@@ -313,12 +311,7 @@ def _safe_ratio(num: int, den: int) -> float:
     return num / den if den else 0.0
 
 
-def evaluate(
-    model: RandomForestModel,
-    x_rows: np.ndarray,
-    y: np.ndarray,
-    backend: Optional[str] = None,
-) -> dict:
+def evaluate(model: RandomForestModel, x_rows: np.ndarray, y: np.ndarray) -> dict:
     """Accuracy, per-class precision/recall, and the confusion matrix.
 
     Confusion rows are the true class, columns the predicted class, in
@@ -326,7 +319,7 @@ def evaluate(
     report as 0.0.
     """
     y = np.asarray(y, dtype=np.int8)
-    predicted, _votes = predict_batch(model, x_rows, backend)
+    predicted, _votes = predict_batch(model, x_rows)
     confusion = [[0, 0], [0, 0]]
     for t, p in zip(y, predicted):
         confusion[int(t)][int(p)] += 1
@@ -357,7 +350,6 @@ def cross_validate(
     params: ForestParams = ForestParams(),
     k: int = 5,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> dict:
     """k-fold cross-validation, folds split by function id.
 
@@ -390,9 +382,9 @@ def cross_validate(
         model = train(
             x_rows[~test], y[~test], schema, params,
             ids=[ids[i] for i in np.nonzero(~test)[0]],
-            workers=workers, backend=backend,
+            workers=workers,
         )
-        metrics = evaluate(model, x_rows[test], y[test], backend)
+        metrics = evaluate(model, x_rows[test], y[test])
         folds.append(metrics)
     return {
         "k": k,
@@ -432,7 +424,7 @@ def dumps_model(model: RandomForestModel) -> str:
             for t in model.trees
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def save_model(model: RandomForestModel, path) -> None:
@@ -487,7 +479,7 @@ def loads_model(text: str) -> RandomForestModel:
             trees.append(tree)
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed model document: {e}") from e
     params.validate(schema.width)
     return RandomForestModel(
@@ -496,17 +488,38 @@ def loads_model(text: str) -> RandomForestModel:
 
 
 def _check_tree(tree: Tree, width: int) -> None:
+    """Reject a tree that is not a preorder layout routing can walk.
+
+    Every child comes after its parent and every node but the root has
+    exactly one parent, so each route ends at a leaf within n steps.
+    """
+
+    def reject(bad: np.ndarray, what: str, nodes: Optional[np.ndarray] = None) -> None:
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            raise ModelFormatError(f"node {at if nodes is None else int(nodes[at])} {what}")
+
     n = tree.n_nodes
-    for i in range(n):
-        f = int(tree.feature[i])
-        if f >= width:
-            raise ModelFormatError(f"node {i} tests out-of-range feature {f}")
-        if f >= 0:
-            l, r = int(tree.left[i]), int(tree.right[i])
-            if not (0 <= l < n and 0 <= r < n):
-                raise ModelFormatError(f"node {i} has out-of-range children")
-        elif int(tree.label[i]) not in (EASY, HARD):
-            raise ModelFormatError(f"leaf {i} has no class")
+    node = np.arange(n)
+    internal = tree.feature >= 0
+    leaf = ~internal
+    reject(tree.feature >= width, "tests an out-of-range feature")
+    reject(leaf & (tree.feature != -1), "has a negative feature other than -1")
+    reject(leaf & (tree.label != EASY) & (tree.label != HARD), "is a leaf with no class")
+    reject(internal & (tree.label != -1), "is an internal node with a class")
+    reject(~np.isfinite(tree.threshold), "has a non-finite threshold")
+    reject((tree.count_easy < 0) | (tree.count_hard < 0), "has a negative count")
+    for child in (tree.left, tree.right):
+        reject(internal & ((child <= node) | (child >= n)), "has a child not after it")
+
+    parent = node[internal]
+    left, right = tree.left[parent], tree.right[parent]
+    n_parents = np.bincount(np.concatenate((left, right)), minlength=n)
+    n_parents[0] = 1  # the root has none, and no child index can be 0
+    reject(n_parents != 1, "does not have exactly one parent")
+    for counts in (tree.count_easy, tree.count_hard):
+        sums = counts[left] + counts[right]
+        reject(counts[parent] != sums, "has counts other than its children's sum", parent)
 
 
 def load_model(path) -> RandomForestModel:

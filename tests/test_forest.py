@@ -1,5 +1,6 @@
 """Forest tests: split search vs brute force, training, serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from opttriage.forest import (
     save_model,
     train,
 )
+from opttriage.forest.kernels import split_scan
 
 
 def _leaf_tree(label: int) -> Tree:
@@ -85,6 +87,7 @@ def test_best_split_constant_feature_returns_none():
     x = np.array([[5.0], [5.0], [5.0], [5.0]])
     y = np.array([0, 1, 1, 0], dtype=np.int8)
     assert best_split(x, y, [0], 1) is None
+    assert best_split(x, y, [], 1) is None  # no candidates
 
 
 def test_best_split_respects_min_samples_leaf():
@@ -150,6 +153,55 @@ def test_best_split_matches_brute_force():
         assert got == want, f"trial {trial}"
 
 
+def _loop_scan(values, labels, min_leaf):
+    """Per-column reference: ascending cuts, strict improvement keeps the first."""
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    sv, sl = values[order], labels[order]
+    h_tot = int(sl.sum())
+    e_tot = n - h_tot
+    pe, ph = e_tot / n, h_tot / n
+    g_parent = 1.0 - pe * pe - ph * ph
+    best = None
+    h_left = 0
+    for cut in range(1, n):
+        h_left += int(sl[cut - 1])
+        if sv[cut] == sv[cut - 1] or cut < min_leaf or n - cut < min_leaf:
+            continue
+        n_l, n_r = cut, n - cut
+        e_l, h_r = n_l - h_left, h_tot - h_left
+        e_r = e_tot - e_l
+        pe_l, ph_l = e_l / n_l, h_left / n_l
+        pe_r, ph_r = e_r / n_r, h_r / n_r
+        g_l = 1.0 - pe_l * pe_l - ph_l * ph_l
+        g_r = 1.0 - pe_r * pe_r - ph_r * ph_r
+        dec = g_parent - (n_l * g_l + n_r * g_r) / n
+        if dec > 0.0 and (best is None or dec > best[1]):
+            best = ((float(sv[cut - 1]) + float(sv[cut])) / 2.0, dec)
+    return best
+
+
+def test_split_scan_matches_per_column_loop():
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        n = int(rng.integers(1, 120))
+        k = int(rng.integers(1, 7))
+        if trial % 3 == 0:
+            block = rng.integers(0, 5, size=(n, k)).astype(np.float64)
+        else:
+            block = rng.uniform(-1.0, 1.0, size=(n, k))
+        if trial % 4 == 0:
+            block[:, -1] = block[:, 0]  # an exact tie across columns
+        labels = rng.integers(0, 2, size=n).astype(np.int8)
+        min_leaf = int(rng.integers(1, max(2, n // 2 + 2)))
+        want = None
+        for col in range(k):
+            got = _loop_scan(block[:, col], labels, min_leaf)
+            if got is not None and (want is None or got[1] > want[2]):
+                want = (col, got[0], got[1])
+        assert split_scan(block, labels, min_leaf) == want, f"trial {trial}"
+
+
 # ------------------------------------------------------------------- training
 
 
@@ -199,6 +251,15 @@ def test_train_validates_inputs():
         train(x, y, FeatureSchema(1), ForestParams(), workers=0)
 
 
+def test_train_rejects_non_finite_rows():
+    x, y = _separable()
+    for bad in (np.nan, np.inf, -np.inf):
+        x2 = x.copy()
+        x2[7, 3] = bad
+        with pytest.raises(ValueError, match="row 7"):
+            train(x2, y, FeatureSchema(1), ForestParams(n_trees=2))
+
+
 def test_training_fingerprint_tracks_data():
     x, y = _separable()
     ids = [f"f{i}" for i in range(len(y))]
@@ -236,6 +297,45 @@ def test_build_tree_single_class_is_one_leaf():
     assert tree.n_nodes == 1
     assert tree.label[0] == EASY
     assert len(sample) == 5
+
+
+# --------------------------------------------------------------- golden bytes
+#
+# sha256 of dumps_model on two fixed seeded datasets. A change to the split
+# arithmetic, to the tie order (lowest feature, then lowest threshold) or
+# to the order of each tree's RNG draws changes these digests. They also
+# rest on numpy's Generator streams, which NEP 19 lets a numpy release change.
+
+
+def _golden_uniform():
+    rng = np.random.default_rng(20190530)
+    x = rng.uniform(0.0, 1.0, size=(400, 16))
+    y = (x[:, 1] + x[:, 9] + 0.4 * rng.uniform(size=400) > 1.2).astype(np.int8)
+    return x, y, ForestParams(n_trees=25, rng_seed=17)
+
+
+def _golden_ties():
+    # few distinct values, and columns 8..15 repeat columns 0..7, so equal
+    # decreases occur both across features and across thresholds
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 4, size=(300, 16)).astype(np.float64)
+    x[:, 8:] = x[:, :8]
+    y = (x[:, 2] + x[:, 5] + rng.integers(0, 3, size=300) >= 5).astype(np.int8)
+    return x, y, ForestParams(n_trees=12, min_samples_leaf=1, rng_seed=5)
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (_golden_uniform, "c2e3d5a9178a95d6fade9363d90e8bb7c1bf05ee556a8c1c64ab55b8865e8df8"),
+        (_golden_ties, "f2b53d381002f81723babe066c8cfc2fbe361190e162fcdf4bbd1033e0354cca"),
+    ],
+    ids=["uniform", "ties"],
+)
+def test_model_bytes_are_golden(make, digest):
+    x, y, params = make()
+    text = dumps_model(train(x, y, FeatureSchema(3), params))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------- prediction
@@ -279,6 +379,18 @@ def test_hard_votes_counts_tree_votes():
     model = _model_of_leaves([EASY, HARD, HARD])
     votes = hard_votes(model, np.zeros((4, 12)))
     assert votes.tolist() == [2, 2, 2, 2]
+
+
+def test_hard_votes_rejects_non_finite_rows():
+    model = _model_of_leaves([EASY, HARD, HARD])
+    rows = np.zeros((3, 12))
+    rows[1, :] = np.nan
+    with pytest.raises(ValueError, match="row 1"):
+        hard_votes(model, rows)
+    with pytest.raises(ValueError):
+        predict_batch(model, rows)
+    with pytest.raises(ValueError):
+        predict(model, np.full(12, np.inf))
 
 
 # -------------------------------------------------------------------- metrics
@@ -362,5 +474,62 @@ def test_loads_model_rejects_malformed_tree():
     model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
     doc = json.loads(dumps_model(model))
     doc["trees"][0]["left"] = doc["trees"][0]["left"][:-1]
+    with pytest.raises(ModelFormatError):
+        loads_model(json.dumps(doc))
+
+
+def test_dumps_model_rejects_non_finite_threshold():
+    x, y = _separable()
+    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
+    internal = int(np.flatnonzero(model.trees[0].feature >= 0)[0])
+    model.trees[0].threshold[internal] = np.nan
+    with pytest.raises(ValueError):
+        dumps_model(model)
+
+
+def _saved_tree_doc():
+    x, y = _separable()
+    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
+    doc = json.loads(dumps_model(model))
+    assert sum(f >= 0 for f in doc["trees"][0]["feature"]) >= 3  # room for every mutation
+    return doc
+
+
+def _leaf(tree):
+    return tree["feature"].index(-1)
+
+
+def _second_internal(tree):
+    return [i for i, f in enumerate(tree["feature"]) if f >= 0][1]
+
+
+# name: (array, node, new value); a callable node or value is applied to the tree
+TREE_MUTATIONS = {
+    "root-left-cycles-to-root": ("left", 0, 0),
+    "root-right-cycles-to-root": ("right", 0, 0),
+    "child-before-parent": ("right", _second_internal, 1),
+    "child-out-of-range": ("left", 0, 10_000),
+    "child-negative": ("right", 0, -1),
+    "child-with-two-parents": ("right", 0, lambda t: t["left"][0]),
+    "leaf-without-class": ("label", _leaf, -1),
+    "leaf-with-bad-class": ("label", _leaf, 7),
+    "leaf-with-feature-minus-two": ("feature", _leaf, -2),
+    "internal-with-class": ("label", 0, 1),
+    "feature-out-of-range": ("feature", 0, 12),
+    "feature-overflows-int32": ("feature", 0, 2**40),
+    "counts-do-not-add-up": ("count_easy", 0, lambda t: t["count_easy"][0] + 1),
+    "negative-count": ("count_hard", _leaf, -1),
+    "nan-threshold": ("threshold", 0, float("nan")),
+    "infinite-threshold": ("threshold", 0, float("inf")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(TREE_MUTATIONS))
+def test_loads_model_rejects_mutated_tree(mutation):
+    doc = _saved_tree_doc()
+    tree = doc["trees"][0]
+    key, node, value = TREE_MUTATIONS[mutation]
+    node = node(tree) if callable(node) else node
+    tree[key][node] = value(tree) if callable(value) else value
     with pytest.raises(ModelFormatError):
         loads_model(json.dumps(doc))

@@ -1,10 +1,25 @@
 """Property tests for the numeric invariants that hold on any input."""
 
+import copy
+import functools
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opttriage.forest import Split, best_split, gini
+from opttriage import FeatureSchema
+from opttriage.forest import (
+    ForestParams,
+    ModelFormatError,
+    Split,
+    best_split,
+    dumps_model,
+    gini,
+    loads_model,
+    predict_batch,
+    train,
+)
 from opttriage.labeler import TimingRecord, label_from_ratio
 from opttriage.manifest import ManifestRow
 
@@ -88,3 +103,48 @@ def test_best_split_equals_exhaustive_search(n, width, min_leaf, rnd):
 def test_manifest_row_round_trip(function_id, features):
     row = ManifestRow(function_id=function_id, feature_values=features)
     assert ManifestRow.from_dict(row.to_dict()) == row
+
+
+@functools.cache
+def _small_model_doc() -> dict:
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 4, size=(40, 12)).astype(np.float64)
+    y = (x[:, 0] + x[:, 5] >= 4).astype(np.int8)
+    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=1, rng_seed=3))
+    return json.loads(dumps_model(model))
+
+
+_TREE_KEYS = ("feature", "threshold", "left", "right", "label", "count_easy", "count_hard")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_TREE_KEYS), st.integers(0, 10_000), st.integers(-3, 40)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_mutated_model_is_rejected_or_every_route_ends(edits, probe_seed):
+    doc = copy.deepcopy(_small_model_doc())
+    raw = doc["trees"][0]
+    n = len(raw["feature"])
+    for key, at, value in edits:
+        raw[key][at % n] = value
+    try:
+        model = loads_model(json.dumps(doc))
+    except ModelFormatError:
+        return
+    tree = model.trees[0]
+    rows = np.random.default_rng(probe_seed).integers(-1, 5, size=(20, 12)).astype(np.float64)
+    for row in rows:
+        node = 0
+        for _ in range(tree.n_nodes):  # a walk longer than n nodes would revisit one
+            if tree.feature[node] < 0:
+                break
+            goes_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        assert tree.feature[node] < 0
+    labels, _votes = predict_batch(model, rows)
+    assert set(labels.tolist()) <= {0, 1}
