@@ -342,9 +342,7 @@ def _cmd_train(args) -> int:
     x_rows, y, ids = _training_table(man)
     try:
         params = _forest_params(args)
-        model = forest.train(
-            x_rows, y, man.schema, params, ids=ids, workers=args.workers
-        )
+        model = forest.train(x_rows, y, man.schema, params, ids=ids)
     except ValueError as e:
         raise _Fatal(str(e)) from e
     if not args.out:
@@ -365,8 +363,7 @@ def _cmd_eval(args) -> int:
     if args.cv is not None:
         try:
             report = forest.cross_validate(
-                x_rows, y, ids, man.schema, _forest_params(args), k=args.cv,
-                workers=args.workers,
+                x_rows, y, ids, man.schema, _forest_params(args), k=args.cv
             )
         except ValueError as e:
             raise _Fatal(str(e)) from e
@@ -402,7 +399,8 @@ def _cmd_classify(args) -> int:
         "easy": list(cfg.flags_basic),
         "hard": list(cfg.flags_aggr),
     }
-    functions = []
+    names = []
+    vectors = []
     quarantined = []
     source_files, _hashes, _meta = _input_files(args.sources)
     for path in source_files:
@@ -416,15 +414,21 @@ def _cmd_classify(args) -> int:
             except DepthError as e:
                 quarantined.append({"name": name, "reason": f"features: {e}"})
                 continue
-            label, votes = forest.predict(model, vec)
-            functions.append(
-                {
-                    "name": name,
-                    "label": label,
-                    "votes": votes,
-                    "recommended_flags": recommended[label],
-                }
-            )
+            names.append(name)
+            vectors.append(vec.values)
+    x_rows = np.array(vectors, dtype=np.float64).reshape(-1, model.schema.width)
+    labels, votes = forest.predict_batch(model, x_rows)
+    functions = []
+    for name, cls, n_hard in zip(names, labels.tolist(), votes.tolist()):
+        label = forest.LABEL_NAMES[cls]
+        functions.append(
+            {
+                "name": name,
+                "label": label,
+                "votes": {"easy": model.n_trees - n_hard, "hard": n_hard},
+                "recommended_flags": recommended[label],
+            }
+        )
     report = {
         "kind": "classification-report",
         "functions": functions,
@@ -495,7 +499,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--min-samples-leaf", type=int, default=2)
         p.add_argument("--features-per-split", type=int, default=None)
         p.add_argument("--bootstrap-fraction", type=float, default=1.0)
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("train", help="train a forest on a labeled manifest")
     common(p)

@@ -9,8 +9,6 @@ in-memory tie rule.
 
 from __future__ import annotations
 
-import numpy as np
-
 from opttriage.forest.model import RandomForestModel, Tree
 from opttriage.minic import ast, function_text
 
@@ -52,16 +50,3 @@ def export_decision_code(model: RandomForestModel, name: str = "classify_functio
     """Render the forest as one self-contained function, 1 = hard, 0 = easy."""
     return function_text(decision_function_ast(model, name))
 
-
-def decide(model: RandomForestModel, values: np.ndarray) -> int:
-    """Reference decision for one vector: what the exported code computes."""
-    votes = 0
-    for tree in model.trees:
-        node = 0
-        while tree.feature[node] >= 0:
-            if values[tree.feature[node]] <= tree.threshold[node]:
-                node = int(tree.left[node])
-            else:
-                node = int(tree.right[node])
-        votes += int(tree.label[node])
-    return 1 if 2 * votes >= model.n_trees else 0

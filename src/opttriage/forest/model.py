@@ -2,7 +2,7 @@
 
 Determinism contract: training depends only on the rows, the params, and
 the seed. Tree t draws from numpy's default generator seeded with
-``rng_seed ^ t``, so the worker count never changes the result, and a
+``rng_seed ^ t``, so each tree depends only on its own index, and a
 trained model serializes to identical bytes across runs.
 Every tie breaks the same way: equal split quality keeps the lower feature
 index then the lower threshold, and vote or leaf-count ties go to hard,
@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import ceil, sqrt
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from opttriage.features import FeatureSchema, FeatureVector
+from opttriage.features import FeatureSchema
 from opttriage.forest import kernels
 
 EASY, HARD = 0, 1
@@ -240,7 +239,6 @@ def train(
     schema: FeatureSchema,
     params: ForestParams = ForestParams(),
     ids: Optional[Sequence[str]] = None,
-    workers: int = 1,
 ) -> RandomForestModel:
     """Fit a forest. Rows are finite float64 feature vectors, y holds 0/1 labels."""
     x_rows = _feature_rows(x_rows, schema.width)
@@ -249,20 +247,11 @@ def train(
         raise ValueError("need one label per row and at least one row")
     if not np.all((y == EASY) | (y == HARD)):
         raise ValueError("labels must be 0 (easy) or 1 (hard)")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     params = params.resolved(schema.width)
-
-    def one_tree(t: int) -> Tree:
-        rng = np.random.default_rng(params.rng_seed ^ t)
-        tree, _sample = build_tree(x_rows, y, params, rng)
-        return tree
-
-    if workers == 1:
-        trees = [one_tree(t) for t in range(params.n_trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(one_tree, range(params.n_trees)))
+    trees = [
+        build_tree(x_rows, y, params, np.random.default_rng(params.rng_seed ^ t))[0]
+        for t in range(params.n_trees)
+    ]
 
     if ids is None:
         ids = [str(i) for i in range(len(x_rows))]
@@ -292,16 +281,6 @@ def predict_batch(
     votes = hard_votes(model, x_rows)
     labels = (2 * votes >= model.n_trees).astype(np.int8)
     return labels, votes
-
-
-def predict(
-    model: RandomForestModel, x: Union[FeatureVector, np.ndarray]
-) -> tuple[str, dict[str, int]]:
-    """Label one vector; returns ("easy"|"hard", per-class vote counts)."""
-    values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    labels, votes = predict_batch(model, values.reshape(1, -1))
-    n_hard = int(votes[0])
-    return LABEL_NAMES[int(labels[0])], {"easy": model.n_trees - n_hard, "hard": n_hard}
 
 
 # --------------------------------------------------------------------- metrics
@@ -349,7 +328,6 @@ def cross_validate(
     schema: FeatureSchema,
     params: ForestParams = ForestParams(),
     k: int = 5,
-    workers: int = 1,
 ) -> dict:
     """k-fold cross-validation, folds split by function id.
 
@@ -382,7 +360,6 @@ def cross_validate(
         model = train(
             x_rows[~test], y[~test], schema, params,
             ids=[ids[i] for i in np.nonzero(~test)[0]],
-            workers=workers,
         )
         metrics = evaluate(model, x_rows[test], y[test])
         folds.append(metrics)

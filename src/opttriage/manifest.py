@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -32,10 +33,6 @@ def canonical_json(obj) -> str:
 
 def config_digest(doc: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(doc).encode()).hexdigest()
-
-
-def file_digest(path: Union[str, Path]) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass
@@ -62,10 +59,14 @@ class ManifestRow:
     def from_dict(doc: dict) -> "ManifestRow":
         timing = doc.get("timing")
         features = doc.get("feature_values")
+        if features is not None:
+            features = [float(v) for v in features]
+            if not all(map(math.isfinite, features)):
+                raise ValueError("non-finite feature value")
         return ManifestRow(
             function_id=str(doc["function_id"]),
             source_path=doc.get("source_path"),
-            feature_values=None if features is None else [float(v) for v in features],
+            feature_values=features,
             timing=None if timing is None else TimingRecord.from_dict(timing),
             label=doc.get("label"),
             quarantine_reason=doc.get("quarantine_reason"),
@@ -150,24 +151,32 @@ def loads_manifest(text: str) -> CorpusManifest:
             f"unsupported manifest version {header.get('format_version')!r}"
         )
     raw_schema = header.get("schema")
-    schema = None if raw_schema is None else FeatureSchema(int(raw_schema["max_depth"]))
+    schema = None
+    if raw_schema is not None:
+        depth = raw_schema.get("max_depth") if isinstance(raw_schema, dict) else None
+        if type(depth) is not int or depth < 1:
+            raise ManifestFormatError(
+                f"line 1: header schema {raw_schema!r} needs an integer max_depth of at least 1"
+            )
+        schema = FeatureSchema(depth)
+    tables = {}
+    for key in ("config_hashes", "meta"):
+        value = header.get(key)
+        if value is not None and not isinstance(value, dict):
+            raise ManifestFormatError(f"line 1: header {key} is not an object")
+        tables[key] = dict(value or {})
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             doc = json.loads(line)
-            if doc.get("kind") != "row":
+            if not isinstance(doc, dict) or doc.get("kind") != "row":
                 raise ManifestFormatError(f"line {lineno}: expected a row record")
             rows.append(ManifestRow.from_dict(doc))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             if isinstance(e, ManifestFormatError):
                 raise
             raise ManifestFormatError(f"line {lineno}: malformed row: {e}") from e
-    manifest = CorpusManifest(
-        rows=rows,
-        schema=schema,
-        config_hashes=dict(header.get("config_hashes") or {}),
-        meta=dict(header.get("meta") or {}),
-    )
+    manifest = CorpusManifest(rows=rows, schema=schema, **tables)
     manifest.validate()
     return manifest
 

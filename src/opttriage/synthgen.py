@@ -13,12 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Optional
 
-import numpy as np
-
-from opttriage.features import FeatureSchema, compute_max_depth, extract
-from opttriage.minic import SourceUnit, ast, function_text, parse_unit
+from opttriage.minic import SourceUnit, ast, function_text
 
 SYMBOL_EXTENT = "N"  # macro-style size every driver binds
 
@@ -231,25 +227,3 @@ def generate(cfg: GenConfig) -> list[SourceUnit]:
         units.append(SourceUnit(path=f"{name}.c", text=function_text(fn)))
     return units
 
-
-def feature_census(corpus: list[SourceUnit], schema: Optional[FeatureSchema] = None) -> dict:
-    """Per-slot min/mean/max over the corpus's extracted feature vectors."""
-    units = []
-    for src in corpus:
-        fns, _diags = parse_unit(src, strict=True)
-        units.extend(fns)
-    if not units:
-        raise ValueError("empty corpus")
-    if schema is None:
-        schema = FeatureSchema(compute_max_depth(units))
-    rows = np.stack([extract(fn, schema).values for fn in units])
-    slots = [
-        {
-            "name": name,
-            "min": float(rows[:, j].min()),
-            "mean": float(rows[:, j].mean()),
-            "max": float(rows[:, j].max()),
-        }
-        for j, name in enumerate(schema.slot_names())
-    ]
-    return {"rows": int(rows.shape[0]), "max_depth": schema.max_depth, "slots": slots}

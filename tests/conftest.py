@@ -40,6 +40,24 @@ def schema3() -> FeatureSchema:
     return FeatureSchema(max_depth=3)
 
 
+def reference_decision(model, values) -> int:
+    """Walk each tree node by node and count votes: 1 (hard) on at least half.
+
+    This is what the exported decision code computes, written out plainly
+    as an oracle for `predict_batch`.
+    """
+    votes = 0
+    for tree in model.trees:
+        node = 0
+        while tree.feature[node] >= 0:
+            if values[tree.feature[node]] <= tree.threshold[node]:
+                node = int(tree.left[node])
+            else:
+                node = int(tree.right[node])
+        votes += int(tree.label[node])
+    return 1 if 2 * votes >= model.n_trees else 0
+
+
 def has_compiler() -> bool:
     return shutil.which("cc") is not None
 

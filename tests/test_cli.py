@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from opttriage import SourceUnit, extract, forest, parse_unit
 from opttriage.cli import main
 from opttriage.manifest import read_manifest
 
@@ -191,12 +193,12 @@ def test_train_eval_cycle(tmp_path, labeled):
     assert sum(sum(r) for r in doc["confusion"]) == 16
 
 
-def test_train_deterministic_across_workers(tmp_path, labeled):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    main(["train", "--manifest", str(labeled), "--seed", "3", "--workers", "1", "--out", str(a)])
-    main(["train", "--manifest", str(labeled), "--seed", "3", "--workers", "4", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def test_train_workers_flag_is_a_usage_error(tmp_path, labeled, capsys):
+    model = tmp_path / "m.json"
+    rc = main(["train", "--manifest", str(labeled), "--workers", "2", "--out", str(model)])
+    assert rc == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_train_without_labels_is_fatal(tmp_path, corpus):
@@ -255,6 +257,37 @@ def test_classify_report_shape(tmp_path, labeled, corpus):
         assert entry["recommended_flags"] == want
     counts = doc["summary"]
     assert counts["easy"] + counts["hard"] == 4
+
+
+def test_classify_batch_matches_predict_batch_in_input_order(tmp_path, labeled, corpus):
+    model_path = tmp_path / "model.json"
+    main(["train", "--manifest", str(labeled), "--seed", "3", "--out", str(model_path)])
+    model = forest.load_model(model_path)
+    first, last = sorted(corpus.glob("*.c"))[:2]
+    bad = tmp_path / "bad.c"
+    bad.write_text(
+        "void f(int n) { while (n) { n = n - 1; } }\n"
+        "void g(int n, float a[N]) { for (int i = 0; i < n; i++) a[i] = a[i] * 2.0; }\n"
+    )
+    report = tmp_path / "report.json"
+    assert main(["classify", "--model", str(model_path), str(first), str(bad), str(last),
+                 "--out", str(report)]) == 2
+    doc = json.loads(report.read_text())
+
+    names, rows = [], []
+    for path in (first, bad, last):
+        units, _ = parse_unit(SourceUnit(str(path), path.read_text()))
+        for fn in units:
+            names.append(f"{path.name}::{fn.name}")
+            rows.append(extract(fn, model.schema).values)
+    labels, votes = forest.predict_batch(model, np.array(rows))
+    assert names == [first.name + "::" + first.stem, "bad.c::g", last.name + "::" + last.stem]
+    assert [e["name"] for e in doc["functions"]] == names
+    for entry, label, n_hard in zip(doc["functions"], labels, votes):
+        assert entry["label"] == forest.LABEL_NAMES[label]
+        assert entry["votes"] == {"easy": model.n_trees - n_hard, "hard": n_hard}
+    assert [q["name"] for q in doc["quarantined"]] == ["bad.c::f"]
+    assert doc["summary"]["quarantined"] == 1
 
 
 def test_classify_unparseable_source_quarantines(tmp_path, labeled):
@@ -334,3 +367,19 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
             )
         )
     assert outputs[0] == outputs[1]
+
+
+def test_eval_model_on_non_finite_manifest_is_fatal(tmp_path, labeled, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--manifest", str(labeled), "--trees", "3", "--out", str(model)]) == 0
+    lines = labeled.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["feature_values"][0] = float("nan")
+    lines[1] = json.dumps(row)
+    poisoned = tmp_path / "poisoned.jsonl"
+    poisoned.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(poisoned), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:")
+    assert "Traceback" not in err

@@ -6,7 +6,6 @@ import pytest
 from opttriage import FeatureSchema
 from opttriage.forest import (
     ForestParams,
-    decide,
     export_decision_code,
     predict_batch,
     train,
@@ -15,7 +14,7 @@ from opttriage.minic.interp import call_function
 from opttriage.minic.lexer import tokenize
 from opttriage.minic.parser import parse_program
 
-from conftest import parse_ast
+from conftest import parse_ast, reference_decision
 
 
 def _toy_model(n_trees=9, seed=13, n=80):
@@ -70,7 +69,7 @@ def test_reference_walker_matches_predict():
     probes = rng.uniform(0.0, 4.0, size=(300, 12))
     labels, _ = predict_batch(model, probes)
     for i, row in enumerate(probes):
-        assert decide(model, row) == int(labels[i])
+        assert reference_decision(model, row) == int(labels[i])
 
 
 def test_exported_votes_respect_tie_rule():
@@ -79,7 +78,7 @@ def test_exported_votes_respect_tie_rule():
     fn = parse_ast(export_decision_code(model))
     probe = [0.0] * 12
     got = call_function(fn, [probe])
-    assert got == decide(model, np.zeros(12))
+    assert got == reference_decision(model, np.zeros(12))
 
 
 def test_threshold_boundary_goes_left():
@@ -91,7 +90,7 @@ def test_threshold_boundary_goes_left():
     probe[tree.feature[0]] = tree.threshold[0]  # exactly on the cut
     fn = parse_ast(export_decision_code(model))
     want = int(tree.label[tree.left[0]]) if tree.feature[tree.left[0]] < 0 else None
-    got_walk = decide(model, probe)
+    got_walk = reference_decision(model, probe)
     got_interp = call_function(fn, [[float(v) for v in probe]])
     assert got_walk == got_interp
     if want is not None:

@@ -24,7 +24,6 @@ from opttriage.forest import (
     hard_votes,
     load_model,
     loads_model,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -232,13 +231,6 @@ def test_train_seed_changes_forest():
     assert dumps_model(a) != dumps_model(b)
 
 
-def test_train_workers_do_not_change_model():
-    x, y = _separable()
-    a = train(x, y, FeatureSchema(1), ForestParams(n_trees=8, rng_seed=3), workers=1)
-    b = train(x, y, FeatureSchema(1), ForestParams(n_trees=8, rng_seed=3), workers=4)
-    assert dumps_model(a) == dumps_model(b)
-
-
 def test_train_validates_inputs():
     x, y = _separable()
     with pytest.raises(ValueError):
@@ -247,8 +239,6 @@ def test_train_validates_inputs():
         train(x, np.array([], dtype=np.int8), FeatureSchema(1), ForestParams())
     with pytest.raises(ValueError):
         train(x, y + 1, FeatureSchema(1), ForestParams())
-    with pytest.raises(ValueError):
-        train(x, y, FeatureSchema(1), ForestParams(), workers=0)
 
 
 def test_train_rejects_non_finite_rows():
@@ -353,26 +343,26 @@ def test_leaf_count_tie_votes_hard():
 
 def test_vote_tie_is_hard():
     model = _model_of_leaves([EASY, HARD])
-    label, votes = predict(model, np.zeros(12))
-    assert label == "hard"
-    assert votes == {"easy": 1, "hard": 1}
+    labels, votes = predict_batch(model, np.zeros((1, 12)))
+    assert labels.tolist() == [HARD]
+    assert votes.tolist() == [1]
 
 
 def test_majority_easy_wins():
     model = _model_of_leaves([EASY, EASY, HARD])
-    label, votes = predict(model, np.zeros(12))
-    assert label == "easy"
-    assert votes == {"easy": 2, "hard": 1}
+    labels, votes = predict_batch(model, np.zeros((1, 12)))
+    assert labels.tolist() == [EASY]
+    assert votes.tolist() == [1]
 
 
 def test_predict_batch_matches_single_predict():
     x, y = _separable(n=30)
     model = train(x, y, FeatureSchema(1), ForestParams(n_trees=7, rng_seed=1))
     labels, votes = predict_batch(model, x)
-    for i, row in enumerate(x):
-        name, row_votes = predict(model, row)
-        assert name == ("hard" if labels[i] else "easy")
-        assert row_votes["hard"] == votes[i]
+    for i in range(len(x)):
+        one_label, one_votes = predict_batch(model, x[i : i + 1])
+        assert one_label.tolist() == [labels[i]]
+        assert one_votes.tolist() == [votes[i]]
 
 
 def test_hard_votes_counts_tree_votes():
@@ -387,10 +377,10 @@ def test_hard_votes_rejects_non_finite_rows():
     rows[1, :] = np.nan
     with pytest.raises(ValueError, match="row 1"):
         hard_votes(model, rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 1"):
         predict_batch(model, rows)
-    with pytest.raises(ValueError):
-        predict(model, np.full(12, np.inf))
+    with pytest.raises(ValueError, match="row 0"):
+        predict_batch(model, np.full((1, 12), np.inf))
 
 
 # -------------------------------------------------------------------- metrics

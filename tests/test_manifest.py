@@ -13,7 +13,6 @@ from opttriage.manifest import (
     canonical_json,
     config_digest,
     dumps_manifest,
-    file_digest,
     function_id,
     loads_manifest,
     read_manifest,
@@ -64,14 +63,6 @@ def test_config_digest_is_stable_and_order_free():
     assert a == b
     assert a.startswith("sha256:")
     assert config_digest({"x": 1, "y": 3}) != a
-
-
-def test_file_digest(tmp_path):
-    p = tmp_path / "f.bin"
-    p.write_bytes(b"hello")
-    assert file_digest(p) == (
-        "sha256:2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824"
-    )
 
 
 def test_function_id_format():
@@ -168,3 +159,39 @@ def test_loads_rejects_garbage():
         loads_manifest('{"kind":"row"}\n')
     with pytest.raises(ManifestFormatError):
         loads_manifest('{"kind":"header","format":"other","format_version":1}\n')
+
+
+
+def _manifest_text(header=None, row=None) -> str:
+    """The fixture manifest with keys of its header and first row replaced."""
+    head, first, *rest = dumps_manifest(_manifest()).splitlines()
+    head = json.dumps({**json.loads(head), **(header or {})})
+    first = json.dumps({**json.loads(first), **(row or {})})
+    return "\n".join([head, first, *rest]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (_manifest_text(header={"schema": 5}), 1),
+        (_manifest_text(header={"schema": {}}), 1),
+        (_manifest_text(header={"schema": {"max_depth": "1"}}), 1),
+        (_manifest_text(header={"schema": {"max_depth": 1.5}}), 1),
+        (_manifest_text(header={"schema": {"max_depth": True}}), 1),
+        (_manifest_text(header={"schema": {"max_depth": 0}}), 1),
+        (_manifest_text(header={"config_hashes": ["sha256:00"]}), 1),
+        (_manifest_text(header={"meta": "fixture"}), 1),
+        (_manifest_text(row={"feature_values": [float("nan")] * 12}), 2),
+        (_manifest_text(row={"feature_values": [0.0] * 11 + [float("-inf")]}), 2),
+        (_manifest_text().replace('"feature_values": [0.0', '"feature_values": [1e999'), 2),
+        (_manifest_text().splitlines()[0] + "\n[1, 2]\n", 2),
+    ],
+    ids=[
+        "schema-not-object", "schema-no-depth", "depth-string", "depth-float",
+        "depth-bool", "depth-zero", "hashes-not-object", "meta-not-object",
+        "feature-nan", "feature-inf", "feature-overflow", "row-not-object",
+    ],
+)
+def test_loads_rejects_malformed_fields_naming_the_line(text, line):
+    with pytest.raises(ManifestFormatError, match=f"^line {line}:"):
+        loads_manifest(text)
