@@ -154,11 +154,8 @@ def _cmd_gen(args) -> int:
     rows = []
     for unit in units:
         (out_dir / unit.path).write_text(unit.text, encoding="utf-8")
-        fns, _ = parse_unit(unit, strict=True)
-        for fn in fns:
-            rows.append(
-                ManifestRow(function_id=function_id(unit.path, fn.name), source_path=unit.path)
-            )
+        name = Path(unit.path).stem  # generate() names each unit's one function after its file
+        rows.append(ManifestRow(function_id=function_id(unit.path, name), source_path=unit.path))
     man = CorpusManifest(
         rows=rows,
         config_hashes={"generator": config_digest(cfg.to_dict())},

@@ -61,8 +61,6 @@ class ManifestRow:
         features = doc.get("feature_values")
         if features is not None:
             features = [float(v) for v in features]
-            if not all(map(math.isfinite, features)):
-                raise ValueError("non-finite feature value")
         return ManifestRow(
             function_id=str(doc["function_id"]),
             source_path=doc.get("source_path"),
@@ -136,14 +134,25 @@ def write_manifest(manifest: CorpusManifest, path: Union[str, Path]) -> None:
     Path(path).write_text(dumps_manifest(manifest), encoding="utf-8")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):  # NaN, Infinity, or a literal such as 1e999
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
+# Decodes each manifest line; a non-finite number anywhere on it raises ValueError.
+_LINE_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def loads_manifest(text: str) -> CorpusManifest:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ManifestFormatError("empty manifest")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ManifestFormatError(f"bad header line: {e}") from e
+        header = _LINE_DECODER.decode(lines[0])
+    except ValueError as e:
+        raise ManifestFormatError(f"line 1: bad header: {e}") from e
     if not isinstance(header, dict) or header.get("format") != MANIFEST_FORMAT:
         raise ManifestFormatError("not a corpus manifest")
     if header.get("format_version") != MANIFEST_FORMAT_VERSION:
@@ -168,11 +177,11 @@ def loads_manifest(text: str) -> CorpusManifest:
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            doc = json.loads(line)
+            doc = _LINE_DECODER.decode(line)
             if not isinstance(doc, dict) or doc.get("kind") != "row":
                 raise ManifestFormatError(f"line {lineno}: expected a row record")
             rows.append(ManifestRow.from_dict(doc))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             if isinstance(e, ManifestFormatError):
                 raise
             raise ManifestFormatError(f"line {lineno}: malformed row: {e}") from e

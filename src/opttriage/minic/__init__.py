@@ -7,8 +7,8 @@ from opttriage.minic.analyze import (
     parse_unit,
 )
 from opttriage.minic.interp import EvalError, call_function
-from opttriage.minic.lexer import LexError, Token, tokenize
-from opttriage.minic.printer import expr_text, function_text, program_text
+from opttriage.minic.lexer import Token, tokenize
+from opttriage.minic.printer import expr_text, function_text
 from opttriage.minic.units import (
     Diagnostic,
     FunctionUnit,
@@ -24,7 +24,6 @@ __all__ = [
     "Diagnostic",
     "EvalError",
     "FunctionUnit",
-    "LexError",
     "LoopNest",
     "OpCounts",
     "ParamInfo",
@@ -39,6 +38,5 @@ __all__ = [
     "function_text",
     "parse_functions",
     "parse_unit",
-    "program_text",
     "tokenize",
 ]

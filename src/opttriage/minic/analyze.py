@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from opttriage.minic import ast
-from opttriage.minic.lexer import LexError, tokenize
+from opttriage.minic.lexer import tokenize
 from opttriage.minic.parser import Parser, ParseProblem, split_functions
 from opttriage.minic.printer import expr_text
 from opttriage.minic.units import (
@@ -68,6 +68,8 @@ class _UsageCounter:
         self.branches = 0
         self.subscripted: set[str] = set()
         self.bare: set[str] = set()
+        self.loop_vars: set[str] = set()  # of the nest tallied here; not scalars
+        self.min_extent = 0  # smallest extent covering every literal subscript
 
     def count_statement(self, exprs: Iterable[Optional[ast.Expr]]) -> None:
         seen: set[str] = set()  # canonical texts already counted in this statement
@@ -99,6 +101,7 @@ class _UsageCounter:
             return
         if isinstance(e, ast.Index):
             self.subscripted.add(e.base.ident)
+            self.min_extent = max(self.min_extent, _literal_extent(e))
             for s in e.subs:
                 self._walk(s, seen)
             return
@@ -119,9 +122,9 @@ class _UsageCounter:
             return
         raise TypeError(f"not an expression: {e!r}")
 
-    def finalize(self, declared_arrays: set[str], excluded: set[str]) -> OpCounts:
+    def finalize(self, declared_arrays: set[str]) -> OpCounts:
         arrays = self.subscripted | (self.bare & declared_arrays)
-        scalars = self.bare - declared_arrays - self.subscripted - excluded
+        scalars = self.bare - declared_arrays - self.subscripted - self.loop_vars
         return OpCounts(
             logical_ops=self.logical,
             arith_ops=self.arith,
@@ -129,6 +132,14 @@ class _UsageCounter:
             arrays=len(arrays),
             scalars=len(scalars),
         )
+
+
+def _literal_extent(e: ast.Index) -> int:
+    """Smallest array extent that keeps e's literal integer subscripts in bounds."""
+    return max(
+        (s.value + 1 for s in e.subs if isinstance(s, ast.Num) and isinstance(s.value, int)),
+        default=0,
+    )
 
 
 # ------------------------------------------------------------------ loop trees
@@ -202,118 +213,77 @@ class _FunctionScanner:
         elif isinstance(s, ast.For):
             self._collect_decls(s.body)
 
-    # region outside all loops: each For starts a nest, everything else tallies
     def scan(self) -> None:
-        self._scan_region(self.fn.body.items)
+        self._scan_region(self.fn.body.items, self.nonloop, None)
 
-    def _scan_region(self, stmts: Iterable[ast.Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, ast.For):
-                self.nests.append(self._build_nest(s))
-            elif isinstance(s, ast.Block):
-                self._scan_region(s.items)
-            elif isinstance(s, ast.If):
-                self.nonloop.count_if()
-                self.nonloop.count_statement([s.cond])
-                self._scan_region([s.then])
-                if s.orelse is not None:
-                    self._scan_region([s.orelse])
-            elif isinstance(s, ast.Assign):
-                self.nonloop.count_statement([s.target, s.value])
-            elif isinstance(s, ast.Return):
-                self.nonloop.count_statement([s.value])
-            elif isinstance(s, ast.Decl):
-                pass
-            else:
-                raise TypeError(f"not a statement: {s!r}")
-
-    def _build_nest(self, outer: ast.For) -> LoopNest:
-        counter = _UsageCounter()
-        nest_vars: set[str] = set()
-        root = self._build_loop(outer, counter, nest_vars)
-        return LoopNest(
-            depth=_loop_depth(root),
-            trip_counts=tuple(_trip_path(root)),
-            body_counts=counter.finalize(self.declared_arrays, nest_vars),
-        )
-
-    def _build_loop(self, node: ast.For, counter: _UsageCounter, nest_vars: set[str]) -> _Loop:
-        nest_vars.add(node.var)
-        self.loop_vars.add(node.var)
-        for header_expr in (node.init, node.bound, node.step):
-            self.header_names.update(_expr_names(header_expr))
-        hi = _const_int(node.bound)
-        if hi is not None:
-            self.min_extent = max(self.min_extent, hi + 1 if node.bound_op == "<=" else hi)
-        loop = _Loop(var=node.var, trip=_trip_count(node))
-        self._scan_loop_body([node.body], loop, counter, nest_vars)
-        return loop
-
-    def _scan_loop_body(
-        self,
-        stmts: Iterable[ast.Stmt],
-        loop: _Loop,
-        counter: _UsageCounter,
-        nest_vars: set[str],
+    def _scan_region(
+        self, stmts: Iterable[ast.Stmt], counter: _UsageCounter, loop: Optional[_Loop]
     ) -> None:
+        """Tally statements into counter. Outside all loops (loop is None) a
+        For starts a new nest; inside one it becomes a child of loop."""
         for s in stmts:
             if isinstance(s, ast.For):
-                loop.children.append(self._build_loop(s, counter, nest_vars))
+                if loop is None:
+                    self.nests.append(self._build_nest(s))
+                else:
+                    loop.children.append(self._build_loop(s, counter))
             elif isinstance(s, ast.Block):
-                self._scan_loop_body(s.items, loop, counter, nest_vars)
+                self._scan_region(s.items, counter, loop)
             elif isinstance(s, ast.If):
                 counter.count_if()
                 counter.count_statement([s.cond])
-                self._scan_loop_body([s.then], loop, counter, nest_vars)
+                self._scan_region([s.then], counter, loop)
                 if s.orelse is not None:
-                    self._scan_loop_body([s.orelse], loop, counter, nest_vars)
+                    self._scan_region([s.orelse], counter, loop)
             elif isinstance(s, ast.Assign):
                 counter.count_statement([s.target, s.value])
             elif isinstance(s, ast.Return):
                 counter.count_statement([s.value])
-            elif isinstance(s, ast.Decl):
-                pass
-            else:
+            elif not isinstance(s, ast.Decl):
                 raise TypeError(f"not a statement: {s!r}")
 
+    def _build_nest(self, outer: ast.For) -> LoopNest:
+        counter = _UsageCounter()
+        root = self._build_loop(outer, counter)
+        self.min_extent = max(self.min_extent, counter.min_extent)
+        return LoopNest(
+            depth=_loop_depth(root),
+            trip_counts=tuple(_trip_path(root)),
+            body_counts=counter.finalize(self.declared_arrays),
+        )
 
-def _expr_names(e: Optional[ast.Expr]) -> set[str]:
-    if e is None or isinstance(e, ast.Num):
-        return set()
-    if isinstance(e, ast.Name):
-        return {e.ident}
-    if isinstance(e, ast.Index):
-        names = {e.base.ident}
-        for s in e.subs:
-            names |= _expr_names(s)
-        return names
-    if isinstance(e, ast.Unary):
-        return _expr_names(e.operand)
-    if isinstance(e, ast.Binary):
-        return _expr_names(e.left) | _expr_names(e.right)
-    if isinstance(e, ast.Ternary):
-        return _expr_names(e.cond) | _expr_names(e.then) | _expr_names(e.orelse)
-    raise TypeError(f"not an expression: {e!r}")
+    def _build_loop(self, node: ast.For, counter: _UsageCounter) -> _Loop:
+        counter.loop_vars.add(node.var)
+        self.loop_vars.add(node.var)
+        for header_expr in (node.init, node.bound, node.step):
+            self._scan_header(header_expr)
+        hi = _const_int(node.bound)
+        if hi is not None:
+            self.min_extent = max(self.min_extent, hi + 1 if node.bound_op == "<=" else hi)
+        loop = _Loop(var=node.var, trip=_trip_count(node))
+        self._scan_region([node.body], counter, loop)
+        return loop
 
-
-def _max_literal_subscript(s) -> int:
-    """Largest literal subscript + 1 anywhere under a statement or expression."""
-    need = 0
-    if isinstance(s, ast.Index):
-        for sub in s.subs:
-            if isinstance(sub, ast.Num) and isinstance(sub.value, int):
-                need = max(need, sub.value + 1)
-            need = max(need, _max_literal_subscript(sub))
-        return need
-    for attr in ("items", "subs"):
-        for child in getattr(s, attr, ()) or ():
-            need = max(need, _max_literal_subscript(child))
-    for attr in ("cond", "then", "orelse", "left", "right", "operand", "target",
-                 "value", "init", "bound", "step", "body"):
-        child = getattr(s, attr, None)
-        if child is not None and not isinstance(child, (str, int, float)):
-            need = max(need, _max_literal_subscript(child))
-    return need
+    def _scan_header(self, e: ast.Expr) -> None:
+        """Record the names and literal subscripts of a loop-header expression."""
+        if isinstance(e, ast.Name):
+            self.header_names.add(e.ident)
+        elif isinstance(e, ast.Index):
+            self.header_names.add(e.base.ident)
+            self.min_extent = max(self.min_extent, _literal_extent(e))
+            for s in e.subs:
+                self._scan_header(s)
+        elif isinstance(e, ast.Unary):
+            self._scan_header(e.operand)
+        elif isinstance(e, ast.Binary):
+            self._scan_header(e.left)
+            self._scan_header(e.right)
+        elif isinstance(e, ast.Ternary):
+            self._scan_header(e.cond)
+            self._scan_header(e.then)
+            self._scan_header(e.orelse)
+        elif not isinstance(e, ast.Num):
+            raise TypeError(f"not an expression: {e!r}")
 
 
 def build_function_unit(fn: ast.Function, source_text: str = "") -> FunctionUnit:
@@ -326,15 +296,20 @@ def build_function_unit(fn: ast.Function, source_text: str = "") -> FunctionUnit
         name=fn.name,
         params=params,
         loop_nests=tuple(scanner.nests),
-        nonloop_counts=scanner.nonloop.finalize(scanner.declared_arrays, set()),
+        nonloop_counts=scanner.nonloop.finalize(scanner.declared_arrays),
         return_type=fn.return_type,
         source_text=source_text,
         bound_symbols=tuple(sorted(free)),
-        min_extent=max(scanner.min_extent, _max_literal_subscript(fn.body)),
+        min_extent=max(scanner.min_extent, scanner.nonloop.min_extent),
     )
 
 
 # ------------------------------------------------------------------ front door
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a text offset; only diagnostics need them."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def parse_functions(
@@ -345,26 +320,25 @@ def parse_functions(
         src = SourceUnit("<source>", src)
     diagnostics: list[Diagnostic] = []
 
-    def report(line: int, col: int, message: str, function: Optional[str]) -> None:
+    def report(offset: int, message: str, function: Optional[str]) -> None:
+        line, col = _line_col(src.text, offset)
         d = Diagnostic(line, col, message, "error", function=function, path=src.path)
         diagnostics.append(d)
         if strict:
             raise ParseError(d)
 
-    try:
-        tokens = tokenize(src.text)
-    except LexError as e:
-        report(e.line, e.col, e.message, None)
-        return [], diagnostics
-
+    tokens = tokenize(src.text)
     functions: list[ast.Function] = []
-    for chunk, first in split_functions(tokens):
+    for chunk, error in split_functions(tokens):
+        if error is not None:  # lexical errors name no function
+            report(error.offset, error.text, None)
+            continue
         guessed = chunk[1].text if len(chunk) > 1 and chunk[1].kind == "ident" else None
         parser = Parser(chunk + [tokens[-1]])
         try:
             functions.append(parser.parse_function())
         except ParseProblem as e:
-            report(e.line, e.col, e.message, guessed)
+            report(e.offset, e.message, guessed)
     return functions, diagnostics
 
 
@@ -385,8 +359,6 @@ def parse_unit(
     seen_names: set[str] = set()
     for fn in functions:
         start, end = fn.span
-        line = 1 + src.text.count("\n", 0, start)
-        col = start - (src.text.rfind("\n", 0, start) + 1) + 1
         problem: Optional[str] = None
         if fn.name in seen_names:
             problem = f"duplicate function name {fn.name!r}"
@@ -397,6 +369,7 @@ def parse_unit(
             except AnalysisProblem as e:
                 problem = e.message
         if problem is not None:
+            line, col = _line_col(src.text, start)
             d = Diagnostic(line, col, problem, "error", function=fn.name, path=src.path)
             diagnostics.append(d)
             if strict:

@@ -117,8 +117,3 @@ class Function:
     params: tuple[ParamDecl, ...]
     body: Block
     span: tuple[int, int] = field(default=(0, 0), compare=False)  # text offsets
-
-
-@dataclass(frozen=True)
-class Program:
-    functions: tuple[Function, ...]

@@ -1,6 +1,10 @@
-"""Tokenizer for the supported C subset."""
+"""Tokenizer for the supported C subset.
 
-from dataclasses import dataclass, field
+Sources are ASCII: any other character is reported as unexpected.
+"""
+
+import re
+from typing import NamedTuple, Optional, Union
 
 KEYWORDS = frozenset({"void", "int", "float", "for", "if", "else", "return"})
 
@@ -34,126 +38,58 @@ RESERVED_UNSUPPORTED = frozenset(
     }
 )
 
-_TWO_CHAR = (
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "++",
-    "--",
-    "->",
+_WORDS = KEYWORDS | RESERVED_UNSUPPORTED
+
+# One alternative per token class, tried in order at each position; the last
+# one matches any single character, so the matches tile the whole text.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n\f\v]+|//[^\n]*|/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[fF]?)
+    | (?P<word>[A-Za-z_]\w*)
+    | (?P<punct><=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=|\+\+|--|->|[-+*/%<>=!?:;,()\[\]{}&|^~.])
+    | (?P<quote>"(?:\\.|[^"\\\n])*"?|'(?:\\.|[^'\\\n])*'?)  # to its closing quote or line end
+    | (?P<other>.)
+    """,
+    re.ASCII | re.DOTALL | re.VERBOSE,
 )
-_ONE_CHAR = set("+-*/%<>=!?:;,()[]{}&|^~.")
 
 
-class LexError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "num" | "kw" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+class Token(NamedTuple):
+    kind: str  # "ident" | "num" | "kw" | "punct" | "error" | "eof"
+    text: str  # the lexeme; for "error" the message
     offset: int
-    value: object = field(default=None, compare=False)  # int or float for "num"
+    value: Optional[Union[int, float]] = None  # for "num"
 
 
 def tokenize(text: str) -> list[Token]:
-    """Split source text into tokens, skipping whitespace and comments."""
+    """Split source text into tokens, skipping whitespace and comments.
+
+    A character that starts no token becomes an "error" token and lexing
+    goes on, so the parser can quarantine just the function around it; an
+    unterminated comment ends the stream.
+    """
     toks: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n\f\v":
-            advance(1)
+    append = toks.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            advance((j if j != -1 else n) - i)
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j == -1:
-                raise LexError("unterminated comment", line, col)
-            advance(j + 2 - i)
-            continue
-        tok_line, tok_col, tok_off = line, col, i
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if (word in KEYWORDS or word in RESERVED_UNSUPPORTED) else "ident"
-            toks.append(Token(kind, word, tok_line, tok_col, tok_off))
-            advance(j - i)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            if j < n and text[j] in "fF":
-                is_float = True
-                lexeme = text[i:j]
-                j += 1
-            else:
-                lexeme = text[i:j]
-            value: object = float(lexeme) if is_float else int(lexeme)
-            toks.append(Token("num", text[i:j], tok_line, tok_col, tok_off, value))
-            advance(j - i)
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(Token("punct", two, tok_line, tok_col, tok_off))
-            advance(2)
-            continue
-        if ch in _ONE_CHAR:
-            toks.append(Token("punct", ch, tok_line, tok_col, tok_off))
-            advance(1)
-            continue
-        if ch in "\"'":
-            raise LexError("string and character literals are not supported", line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col, n))
+        lexeme = m.group()
+        if kind == "word":
+            append(Token("kw" if lexeme in _WORDS else "ident", lexeme, m.start()))
+        elif kind == "punct":
+            append(Token("punct", lexeme, m.start()))
+        elif kind == "num":
+            value = int(lexeme) if lexeme.isdigit() else float(lexeme.rstrip("fF"))
+            append(Token("num", lexeme, m.start(), value))
+        elif kind == "open_comment":
+            append(Token("error", "unterminated comment", m.start()))
+            break
+        elif kind == "quote":
+            append(Token("error", "string and character literals are not supported", m.start()))
+        else:
+            append(Token("error", f"unexpected character {lexeme!r}", m.start()))
+    append(Token("eof", "", len(text)))
     return toks

@@ -11,8 +11,11 @@ construct; there is no semantic checking.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from opttriage.minic import ast
-from opttriage.minic.lexer import KEYWORDS, RESERVED_UNSUPPORTED, Token
+from opttriage.minic.lexer import RESERVED_UNSUPPORTED, Token
+from opttriage.minic.printer import BIN_PREC
 
 _TYPE_WORDS = ("void", "int", "float")
 _COMPOUND_ASSIGN = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%"}
@@ -22,10 +25,9 @@ class ParseProblem(Exception):
     """Internal signal for a parse failure inside one function."""
 
     def __init__(self, message: str, token: Token):
-        super().__init__(f"{token.line}:{token.col}: {message}")
+        super().__init__(f"offset {token.offset}: {message}")
         self.message = message
-        self.line = token.line
-        self.col = token.col
+        self.offset = token.offset
 
 
 def _unsupported(what: str, token: Token) -> ParseProblem:
@@ -33,24 +35,31 @@ def _unsupported(what: str, token: Token) -> ParseProblem:
 
 
 class Parser:
+    # Blocks, if and for statements, expressions (parenthesized, subscripts,
+    # ternary arms), unary operators and each operator of a binary chain open
+    # one level. Capping them keeps both this recursive descent and the
+    # recursive walks over the tree it builds far from Python's stack limit.
+    MAX_NESTING = 100
+
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        self.toks = tokens  # ends with the "eof" token, which next() never passes
         self.pos = 0
+        self.depth = 0
 
     # ------------------------------------------------------------- utilities
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "kw")
+        # only punctuation and keyword tokens can carry these texts
+        return self.toks[self.pos].text == text
 
     def expect(self, text: str) -> Token:
         t = self.peek()
@@ -58,6 +67,12 @@ class Parser:
             shown = t.text if t.text else "end of input"
             raise ParseProblem(f"expected {text!r}, found {shown!r}", t)
         return self.next()
+
+    def nest(self, t: Token) -> None:
+        """Open one nesting level at token t; the caller closes it."""
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            raise _unsupported(f"nesting deeper than {self.MAX_NESTING} levels", t)
 
     def expect_ident(self) -> Token:
         t = self.peek()
@@ -82,10 +97,8 @@ class Parser:
         self.expect(")")
         if self.at(";"):
             raise _unsupported("function declaration without a body", self.peek())
-        open_tok = self.peek()
         body = self.parse_block()
         end = self.toks[self.pos - 1]
-        _ = open_tok
         return ast.Function(
             name=name.text,
             return_type=ret_tok.text,
@@ -136,13 +149,14 @@ class Parser:
     # ------------------------------------------------------------- statements
 
     def parse_block(self) -> ast.Block:
-        self.expect("{")
+        self.nest(self.expect("{"))
         items: list[ast.Stmt] = []
         while not self.at("}"):
             if self.peek().kind == "eof":
                 raise ParseProblem("unterminated block", self.peek())
             items.append(self.parse_statement())
         self.expect("}")
+        self.depth -= 1
         return ast.Block(tuple(items))
 
     def parse_statement(self) -> ast.Stmt:
@@ -212,7 +226,7 @@ class Parser:
         return ast.Assign(target=target, value=value)
 
     def parse_if(self) -> ast.If:
-        self.expect("if")
+        self.nest(self.expect("if"))
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -221,10 +235,11 @@ class Parser:
         if self.at("else"):
             self.next()
             orelse = self.parse_statement()
+        self.depth -= 1
         return ast.If(cond=cond, then=then, orelse=orelse)
 
     def parse_for(self) -> ast.For:
-        self.expect("for")
+        self.nest(self.expect("for"))
         self.expect("(")
         if self.at("int"):  # C99-style declarator in the header
             self.next()
@@ -246,6 +261,7 @@ class Parser:
         step = self.parse_for_step(var.text)
         self.expect(")")
         body = self.parse_statement()
+        self.depth -= 1
         return ast.For(
             var=var.text, init=init, bound_op=rel.text, bound=bound, step=step, body=body
         )
@@ -282,68 +298,39 @@ class Parser:
     # ------------------------------------------------------------ expressions
 
     def parse_expr(self) -> ast.Expr:
-        return self.parse_ternary()
-
-    def parse_ternary(self) -> ast.Expr:
-        cond = self.parse_or()
+        self.nest(self.peek())
+        e = self.parse_binary(1)  # 1: below every operator's precedence
         if self.at("?"):
             self.next()
             then = self.parse_expr()
             self.expect(":")
-            orelse = self.parse_ternary()
-            return ast.Ternary(cond=cond, then=then, orelse=orelse)
-        return cond
+            e = ast.Ternary(cond=e, then=then, orelse=self.parse_expr())
+        self.depth -= 1
+        return e
 
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.at("||"):
-            self.next()
-            left = ast.Binary("||", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> ast.Expr:
-        left = self.parse_equality()
-        while self.at("&&"):
-            self.next()
-            left = ast.Binary("&&", left, self.parse_equality())
-        return left
-
-    def parse_equality(self) -> ast.Expr:
-        left = self.parse_relational()
-        while self.peek().text in ("==", "!="):
-            op = self.next().text
-            left = ast.Binary(op, left, self.parse_relational())
-        return left
-
-    def parse_relational(self) -> ast.Expr:
-        left = self.parse_additive()
-        while self.peek().text in ("<", "<=", ">", ">="):
-            op = self.next().text
-            left = ast.Binary(op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            left = ast.Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> ast.Expr:
+    def parse_binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing over BIN_PREC; every operator is left-associative."""
+        depth = self.depth
         left = self.parse_unary()
-        while self.peek().text in ("*", "/", "%"):
-            op = self.next().text
-            left = ast.Binary(op, left, self.parse_unary())
+        while True:
+            op = self.peek()
+            prec = BIN_PREC.get(op.text, 0)
+            if prec < min_prec:
+                break
+            self.next()
+            self.nest(op)
+            left = ast.Binary(op.text, left, self.parse_binary(prec + 1))
+        self.depth = depth
         return left
 
     def parse_unary(self) -> ast.Expr:
         t = self.peek()
-        if t.text == "-":
+        if t.text in ("-", "!"):
             self.next()
-            return ast.Unary("-", self.parse_unary())
-        if t.text == "!":
-            self.next()
-            return ast.Unary("!", self.parse_unary())
+            self.nest(t)
+            e = ast.Unary(t.text, self.parse_unary())
+            self.depth -= 1
+            return e
         if t.text in ("&", "*", "~", "++", "--"):
             raise _unsupported(f"unary {t.text!r}", t)
         return self.parse_postfix()
@@ -386,12 +373,12 @@ class Parser:
         raise ParseProblem(f"expected an expression, found {shown!r}", t)
 
 
-def split_functions(tokens: list[Token]) -> list[tuple[list[Token], Token]]:
+def split_functions(tokens: list[Token]) -> list[tuple[list[Token], Optional[Token]]]:
     """Segment a token stream into per-function chunks by brace matching.
 
-    Returns (chunk tokens, first token) pairs. Chunks that never open a
-    body brace end at the next top-level type keyword so one malformed
-    definition cannot swallow the rest of the file.
+    Returns (chunk tokens, first "error" token of the chunk or None) pairs.
+    Chunks that never open a body brace end at the next top-level type
+    keyword so one malformed definition cannot swallow the rest of the file.
     """
     chunks = []
     i = 0
@@ -400,6 +387,7 @@ def split_functions(tokens: list[Token]) -> list[tuple[list[Token], Token]]:
         start = i
         depth = 0
         opened = False
+        error = None
         j = i
         while j < n and tokens[j].kind != "eof":
             t = tokens[j]
@@ -411,21 +399,11 @@ def split_functions(tokens: list[Token]) -> list[tuple[list[Token], Token]]:
                 if opened and depth == 0:
                     j += 1
                     break
+            elif t.kind == "error":
+                error = error or t
             elif not opened and j > start and t.text in _TYPE_WORDS and tokens[j - 1].text in (";", "}"):
                 break
             j += 1
-        chunks.append((tokens[start:j], tokens[start]))
+        chunks.append((tokens[start:j], error))
         i = j
     return chunks
-
-
-def parse_program(tokens: list[Token]) -> ast.Program:
-    """Parse a whole token stream, raising on the first problem."""
-    functions = []
-    for chunk, _first in split_functions(tokens):
-        p = Parser(chunk + [tokens[-1]])
-        functions.append(p.parse_function())
-        trailing = p.peek()
-        if trailing.kind != "eof" and p.pos < len(chunk):
-            raise ParseProblem(f"unexpected {trailing.text!r} after function", trailing)
-    return ast.Program(tuple(functions))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from opttriage.minic import ast
 
-_BIN_PREC = {
+BIN_PREC = {
     "||": 2,
     "&&": 3,
     "==": 4,
@@ -32,7 +32,7 @@ def _prec(e: ast.Expr) -> int:
     if isinstance(e, ast.Ternary):
         return 1
     if isinstance(e, ast.Binary):
-        return _BIN_PREC[e.op]
+        return BIN_PREC[e.op]
     if isinstance(e, ast.Unary):
         return 8
     return 9
@@ -60,10 +60,10 @@ def expr_text(e: ast.Expr) -> str:
         return e.op + inner
     if isinstance(e, ast.Binary):
         lhs = expr_text(e.left)
-        if _prec(e.left) < _BIN_PREC[e.op]:
+        if _prec(e.left) < BIN_PREC[e.op]:
             lhs = f"({lhs})"
         rhs = expr_text(e.right)
-        if _prec(e.right) <= _BIN_PREC[e.op]:
+        if _prec(e.right) <= BIN_PREC[e.op]:
             rhs = f"({rhs})"
         return f"{lhs} {e.op} {rhs}"
     if isinstance(e, ast.Ternary):
@@ -126,7 +126,3 @@ def function_text(f: ast.Function) -> str:
     params = ", ".join(_param_text(p) for p in f.params) or "void"
     header = f"{f.return_type} {f.name}({params})"
     return "\n".join([header] + _stmt_lines(f.body, 0)) + "\n"
-
-
-def program_text(p: ast.Program) -> str:
-    return "\n".join(function_text(f) for f in p.functions)

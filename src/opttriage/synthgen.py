@@ -216,6 +216,9 @@ class _FunctionBuilder:
 def generate(cfg: GenConfig) -> list[SourceUnit]:
     """Generate cfg.n_functions single-function source units, deterministically.
 
+    The function in ``kernel_0007.c`` is named ``kernel_0007``: each unit's
+    one function is named after its file stem.
+
     Each function gets an independent stream seeded by (cfg.seed, index),
     so corpora for disjoint index ranges can be produced concurrently.
     """

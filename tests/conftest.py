@@ -4,8 +4,7 @@ from pathlib import Path
 import pytest
 
 from opttriage import FeatureSchema, SourceUnit, parse_unit
-from opttriage.minic.lexer import tokenize
-from opttriage.minic.parser import parse_program
+from opttriage.minic import parse_functions
 
 DATA = Path(__file__).parent / "data"
 
@@ -20,9 +19,9 @@ def parse_one(text: str, path: str = "unit.c"):
 
 def parse_ast(text: str):
     """Parse a snippet down to a single raw syntax-tree function."""
-    program = parse_program(tokenize(text))
-    assert len(program.functions) == 1
-    return program.functions[0]
+    functions, _ = parse_functions(text, strict=True)
+    assert len(functions) == 1
+    return functions[0]
 
 
 @pytest.fixture(scope="session")

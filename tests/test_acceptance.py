@@ -21,9 +21,8 @@ from opttriage.cli import main
 from opttriage.forest import ForestParams, Split, best_split, gini
 from opttriage.labeler import LabelerConfig, label_corpus, label_from_ratio
 from opttriage.manifest import read_manifest
+from opttriage.minic import parse_functions
 from opttriage.minic.interp import call_function
-from opttriage.minic.lexer import tokenize
-from opttriage.minic.parser import parse_program
 from opttriage.synthgen import GenConfig, generate
 
 from conftest import DATA, has_compiler, parse_one, reference_decision
@@ -186,8 +185,7 @@ def test_acceptance_6_export_fidelity():
         y = ((x[:, 0] > 2.0) ^ (x[:, 5] > 1.5)).astype(np.int8)
         model = forest.train(x, y, FeatureSchema(1), ForestParams(n_trees=25, rng_seed=600))
         code = forest.export_decision_code(model)
-        program = parse_program(tokenize(code))
-        fn = program.functions[0]
+        (fn,), _ = parse_functions(code, strict=True)
         probes = rng.uniform(-1.0, 5.0, size=(1000, 12))
         labels, _ = forest.predict_batch(model, probes)
         for i, row in enumerate(probes):

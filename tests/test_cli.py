@@ -319,6 +319,52 @@ def test_classify_deep_nest_quarantines(tmp_path, labeled):
     assert doc["quarantined"][0]["reason"].startswith("features:")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "  x = \u00b2;\n",
+        "  x = \u0663;\n",
+        "  int \u00e9;\n",
+        "  x = " + "(" * 200 + "x" + ")" * 200 + ";\n",
+    ],
+    ids=["superscript-digit", "arabic-digit", "non-ascii-identifier", "200-parentheses"],
+)
+def test_classify_quarantines_only_the_bad_function(tmp_path, labeled, body):
+    model = tmp_path / "model.json"
+    main(["train", "--manifest", str(labeled), "--trees", "3", "--out", str(model)])
+    src = tmp_path / "mixed.c"
+    src.write_text(
+        "void first(int n, float a[N]) { for (int i = 0; i < n; i++) a[i] = 0.0; }\n"
+        "void bad(int x) {\n" + body + "}\n"
+        "void last(int n) { n = n + 1; }\n",
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.json"
+    assert main(["classify", "--model", str(model), str(src), "--out", str(report)]) == 2
+    doc = json.loads(report.read_text())
+    assert [f["name"] for f in doc["functions"]] == ["mixed.c::first", "mixed.c::last"]
+    assert len(doc["quarantined"]) == 1
+    assert doc["quarantined"][0]["reason"].startswith("parse: ")
+
+
+def test_label_rejects_non_finite_number_in_manifest(tmp_path, labeled, capsys):
+    lines = labeled.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["meta"]["note"] = float("nan")
+    row = json.loads(lines[1])
+    row["timing"]["t_aggr"] = float("nan")
+    for lineno, poisoned_lines in ((1, [json.dumps(header)] + lines[1:]),
+                                   (2, lines[:1] + [json.dumps(row)] + lines[2:])):
+        poisoned = tmp_path / "poisoned.jsonl"
+        poisoned.write_text("\n".join(poisoned_lines) + "\n")
+        capsys.readouterr()
+        assert main(["label", "--manifest", str(poisoned), "--fake-timer",
+                     str(tmp_path / "timer.json"), "--out", str(tmp_path / "out.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}:")
+        assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- export
 
 

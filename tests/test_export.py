@@ -10,9 +10,8 @@ from opttriage.forest import (
     predict_batch,
     train,
 )
+from opttriage.minic import parse_functions
 from opttriage.minic.interp import call_function
-from opttriage.minic.lexer import tokenize
-from opttriage.minic.parser import parse_program
 
 from conftest import parse_ast, reference_decision
 
@@ -116,5 +115,5 @@ def test_export_fidelity_sweep_over_forest_sizes():
 def test_exported_program_with_multiple_functions_parses():
     code = export_decision_code(_toy_model(n_trees=2), name="a") + "\n" + \
         export_decision_code(_toy_model(n_trees=3), name="b")
-    program = parse_program(tokenize(code))
-    assert [f.name for f in program.functions] == ["a", "b"]
+    functions, _ = parse_functions(code, strict=True)
+    assert [f.name for f in functions] == ["a", "b"]

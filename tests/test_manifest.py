@@ -185,11 +185,21 @@ def _manifest_text(header=None, row=None) -> str:
         (_manifest_text(row={"feature_values": [0.0] * 11 + [float("-inf")]}), 2),
         (_manifest_text().replace('"feature_values": [0.0', '"feature_values": [1e999'), 2),
         (_manifest_text().splitlines()[0] + "\n[1, 2]\n", 2),
+        (_manifest_text().replace('"feature_values": [0.0', '"feature_values": [1' + "0" * 400), 2),
+        (_manifest_text(header={"meta": {"note": float("nan")}}), 1),
+        (_manifest_text(header={"meta": {"runs": [1.0, float("inf")]}}), 1),
+        (_manifest_text(header={"config_hashes": {"generator": float("-inf")}}), 1),
+        (_manifest_text().replace('"note": "fixture"', '"note": 1e999'), 1),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "t_aggr": float("nan")}}), 2),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "ratio": float("inf")}}), 2),
+        (_manifest_text().replace('"samples_basic": [1.0', '"samples_basic": [1e999'), 2),
     ],
     ids=[
         "schema-not-object", "schema-no-depth", "depth-string", "depth-float",
         "depth-bool", "depth-zero", "hashes-not-object", "meta-not-object",
         "feature-nan", "feature-inf", "feature-overflow", "row-not-object",
+        "feature-int-overflow", "meta-nan", "meta-nested-inf", "hashes-inf", "meta-overflow",
+        "timing-nan", "timing-inf", "timing-overflow",
     ],
 )
 def test_loads_rejects_malformed_fields_naming_the_line(text, line):

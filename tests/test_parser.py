@@ -1,6 +1,13 @@
 """Front-end tests: lexer, parser, canonical printer, and the evaluator."""
 
+import dataclasses
+import hashlib
+import json
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opttriage.minic import (
     Diagnostic,
@@ -10,11 +17,12 @@ from opttriage.minic import (
 )
 from opttriage.minic import ast as A
 from opttriage.minic.interp import EvalError, call_function
-from opttriage.minic.lexer import LexError, tokenize
-from opttriage.minic.parser import split_functions
+from opttriage.minic.lexer import tokenize
+from opttriage.minic.parser import Parser, split_functions
 from opttriage.minic.printer import expr_text, function_text
+from opttriage.synthgen import GenConfig, generate
 
-from conftest import parse_ast, parse_one
+from conftest import DATA, parse_ast, parse_one
 
 
 # ---------------------------------------------------------------------- lexer
@@ -33,6 +41,17 @@ def test_tokenize_numbers():
     assert all(isinstance(v, float) for v in values[1:])
 
 
+def test_tokenize_number_and_operator_edges():
+    toks = tokenize("1e+3 2E-2f 1e+ x->y .5 1.f 0012 3.e2 a_1b")
+    assert [(t.kind, t.text, t.value) for t in toks] == [
+        ("num", "1e+3", 1000.0), ("num", "2E-2f", 0.02), ("num", "1", 1),
+        ("ident", "e", None), ("punct", "+", None), ("ident", "x", None),
+        ("punct", "->", None), ("ident", "y", None), ("num", ".5", 0.5),
+        ("num", "1.f", 1.0), ("num", "0012", 12), ("num", "3.e2", 300.0),
+        ("ident", "a_1b", None), ("eof", "", None),
+    ]
+
+
 def test_tokenize_two_char_operators():
     toks = tokenize("<= >= == != && || += -= *= /= %= ++ --")
     texts = [t.text for t in toks if t.kind != "eof"]
@@ -40,8 +59,9 @@ def test_tokenize_two_char_operators():
 
 
 def test_tokenize_rejects_strings():
-    with pytest.raises(LexError):
-        tokenize('printf("hi")')
+    toks = tokenize('printf("hi")')
+    assert [t.kind for t in toks] == ["ident", "punct", "error", "punct", "eof"]
+    assert toks[2] == ("error", "string and character literals are not supported", 7, None)
 
 
 # --------------------------------------------------------------------- parser
@@ -134,6 +154,96 @@ def test_diagnostic_carries_position():
     assert "x.c" in d.render()
 
 
+NON_ASCII_BODIES = {
+    "superscript-digit": "  x = \u00b2;\n",  # int("²") used to raise ValueError
+    "arabic-digit": "  x = \u0663;\n",  # used to lex as the integer 3
+    "identifier": "  int \u00e9;\n",  # used to parse
+}
+
+
+@pytest.mark.parametrize("body", NON_ASCII_BODIES.values(), ids=NON_ASCII_BODIES.keys())
+def test_non_ascii_character_quarantines_only_its_function(body):
+    text = (
+        "void before(int n) { n = 1; }\n"
+        "void bad(int x) {\n" + body + "}\n"
+        "void after(int n) { n = 2; }\n"
+    )
+    units, diagnostics = parse_unit(SourceUnit("x.c", text))
+    assert [u.name for u in units] == ["before", "after"]
+    assert len(diagnostics) == 1
+    assert diagnostics[0].message == f"unexpected character {body.strip()[-2]!r}"
+    assert (diagnostics[0].line, diagnostics[0].col) == (3, len(body) - 2)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_unit(SourceUnit("x.c", text), strict=True)
+
+
+@pytest.mark.parametrize("literal", ["'{'", '"}{"', "'\\''", '"{ unterminated'])
+def test_literal_quarantines_only_its_function(literal):
+    text = "void f(int n) {\n  n = %s;\n}\nvoid g(int n) { n = 1; }\n" % literal
+    units, diagnostics = parse_unit(SourceUnit("x.c", text))
+    assert [u.name for u in units] == ["g"]
+    assert [(d.line, d.col, d.message) for d in diagnostics] == [
+        (2, 7, "string and character literals are not supported")
+    ]
+
+
+NESTING_DEPTH = 1000
+DEEP_BODIES = {
+    "parentheses": "  n = " + "(" * NESTING_DEPTH + "n" + ")" * NESTING_DEPTH + ";\n",
+    "if": "  " + "if (n) " * NESTING_DEPTH + "n = 1;\n",
+    "block": "  " + "{" * NESTING_DEPTH + "n = 1;" + "}" * NESTING_DEPTH + "\n",
+    "for": "  " + "for (int i = 0; i < n; i++) " * NESTING_DEPTH + "n = 1;\n",
+    "unary": "  n = " + "- " * NESTING_DEPTH + "n;\n",
+    "binary-chain": "  n = " + " + ".join(["n"] * NESTING_DEPTH) + ";\n",
+}
+
+
+@pytest.mark.parametrize("body", DEEP_BODIES.values(), ids=DEEP_BODIES.keys())
+def test_deep_nesting_is_one_diagnostic(body):
+    text = "void deep(int n) {\n" + body + "}\nvoid next(int n) { n = 1; }\n"
+    units, diagnostics = parse_unit(SourceUnit("x.c", text))
+    assert [u.name for u in units] == ["next"]
+    assert len(diagnostics) == 1
+    limit = Parser.MAX_NESTING
+    assert diagnostics[0].message == (
+        f"unsupported construct: nesting deeper than {limit} levels"
+    )
+    assert diagnostics[0].function == "deep"
+    assert diagnostics[0].line == 2
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_unit(SourceUnit("x.c", text), strict=True)
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = Parser.MAX_NESTING - 2  # the body block and the statement's expression
+    text = "void f(int n) { n = " + "(" * depth + "n" + ")" * depth + "; }"
+    units, diagnostics = parse_unit(SourceUnit("x.c", text))
+    assert [u.name for u in units] == ["f"] and not diagnostics
+
+
+def test_sequential_constructs_do_not_add_up_to_nesting():
+    statement = (
+        "{ n = 1; } if (n) n = 2; for (int i = 0; i < n; i++) n = 3; "
+        "n = (n) + -n * !n; n = n ? n : n; n = a[n];"
+    )
+    text = "void f(int n, int a[N]) { %s }" % (statement * (Parser.MAX_NESTING + 1))
+    units, diagnostics = parse_unit(SourceUnit("x.c", text))
+    assert [u.name for u in units] == ["f"] and not diagnostics
+
+
+_FUZZ_ALPHABET = list("(){}[];,+-*/%<>=!?:&|^~.'\"@#_ \t\r\n\u00b2\u0663")
+_FUZZ_ALPHABET += list(string.ascii_letters + string.digits)
+_FUZZ_WORDS = ["void ", "int ", "float ", "for ", "if ", "else ", "return ", "while ", "/*", "*/"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FUZZ_ALPHABET + _FUZZ_WORDS), max_size=80).map("".join))
+def test_non_strict_parse_never_raises(text):
+    units, diagnostics = parse_unit(SourceUnit("fuzz.c", text))
+    for d in diagnostics:
+        assert d.line >= 1 and d.col >= 1
+
+
 # -------------------------------------------------------------------- printer
 
 
@@ -214,3 +324,103 @@ def test_interp_2d_array():
         "  }\n  return s;\n}"
     )
     assert call_function(fn, [2, [[1.0, 2.0], [3.0, 4.0]]]) == 10.0
+
+
+# ------------------------------------------------------ golden front-end output
+
+# Recorded before the tokenizer was rewritten; any change to a FunctionUnit
+# field (bound_symbols and min_extent included), a diagnostic message or a
+# diagnostic line or column changes one of these digests.
+GOLDEN_UNITS_SHA256 = "db782410d37f95d4b0f4284b3ae5ae88f563bcbb96e9b9b06b82d0f2e885d987"
+GOLDEN_DIAGNOSTICS_SHA256 = "b88e4a5fea382d4b90198131e586edd5209cc646c78b890b491bbaa2dd4f327d"
+GOLDEN_TOKENS_SHA256 = "a60b11b8a7d32e96319a40dd6c4ece2d5203f28955d2fffb6907d332af743ead"
+
+BROKEN_SOURCES = [
+    ("comment.c", "void f(int n) {\n  n = 1; /* never closed\n}\n"),
+    ("comment_tab.c", "void f(int n) {\n\t\t/* open\n}\n"),
+    ("string.c", 'void f(int n) {\n\tn = "x";\n}\n'),
+    ("char.c", "void f(int n) {\n  n = 'a';\n}\n"),
+    ("stray.c", "void f(int n) {\n  n = n @ 1;\n}\n"),
+    ("tabs.c", "void f(int n) {\n\t\twhile (n) {\n\t\t\tn = n - 1;\n\t\t}\n}\n"),
+    ("tab_mid.c", "void f(int n) {\n\tint\ta[4];\n}\n"),
+    ("crlf.c", "void f(int n) {\r\n  n = 1;\r\n\tg(n);\r\n}\r\n"),
+    ("crlf_lex.c", "void f(int n) {\r\n\r\n  n = n $ 2;\r\n}\r\n"),
+    ("crlf_only.c", "void f(int n) {\r  n = 1;\r  while (n) { }\r}\r"),
+    ("eof_block.c", "void f(int n) {\n  n = 1;"),
+    ("eof_expr.c", "void f(int n) { n = "),
+    ("eof_header.c", "void f(int n)"),
+    ("eof_comment.c", "void f(int n) { }\n/*"),
+    ("empty_after.c", "void f(int n) { }\n\n\n}"),
+    (
+        "later.c",
+        "void ok(int n) { }\n\nvoid g(int n) {\n  int x;\n  x = n;\n"
+        "  for (int i = n; i > 0; i--) { }\n}\n\n"
+        "void h(int n, float a[N]) {\n  for (int i = 0; i < n; i += 0) a[i] = 0.0;\n}\n\n"
+        "void ok(int n) { }\n",
+    ),
+    (
+        "later_mixed.c",
+        "void a(int n) { }\nint b(int n) {\n  return sizeof(n);\n}\n"
+        "void c(int n) {\n  struct s;\n}\nfloat d(float x) {\n    x = x . y;\n}\n"
+        "void e(int n) {\n  n = &n;\n}\nvoid f(int n) {\n  n = 1.5.2;\n}\n"
+        "double g(int n) { }\nint x;\nvoid h(int n);\nvoid i(float *p) { }\n"
+        "void j(int n, float m[2][3][4]) { }\nvoid k(int n) { for (float t = 0; t < 1; t++) { } }\n"
+        "void l(int n, float a[N]) {\n  for (int i = 0; i < n; i = j + 1) a[i] = 1e3f;\n}\n",
+    ),
+    ("numbers.c", "void f(int n) {\n  n = 1e+;\n}\nvoid g(int n) {\n  n = 12abc;\n}\n"),
+]
+
+
+def _golden_sources():
+    sources = list(generate(GenConfig(seed=1, n_functions=500)))
+    for path in sorted(DATA.glob("*.c")):
+        sources.append(SourceUnit(path.name, path.read_text(encoding="utf-8")))
+    return sources
+
+
+def _golden_units():
+    units = []
+    for source in _golden_sources():
+        fns, _ = parse_unit(source, strict=True)
+        units.extend(dataclasses.asdict(fn) for fn in fns)
+    return units
+
+
+def _golden_renders():
+    lines = []
+    for path, text in BROKEN_SOURCES:
+        _, diagnostics = parse_unit(SourceUnit(path, text))
+        lines.extend(d.render() for d in diagnostics)
+        with pytest.raises(ParseError) as info:
+            parse_unit(SourceUnit(path, text), strict=True)
+        lines.append(str(info.value))
+    return lines
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_function_units_are_golden():
+    units = _golden_units()
+    assert len(units) == 500 + 9
+    text = json.dumps(units, sort_keys=True, separators=(",", ":"))
+    assert _sha256(text) == GOLDEN_UNITS_SHA256
+
+
+def test_token_streams_are_golden():
+    texts = [source.text for source in _golden_sources()]
+    texts.extend(text for _, text in BROKEN_SOURCES)
+    lines = []
+    for text in texts:
+        tokens = tokenize(text)
+        if any(t.kind == "error" for t in tokens):
+            continue
+        lines.extend(f"{t.kind} {t.text} {t.offset} {t.value!r}" for t in tokens)
+    assert _sha256("\n".join(lines)) == GOLDEN_TOKENS_SHA256
+
+
+def test_diagnostics_are_golden():
+    lines = _golden_renders()
+    assert len(lines) > 2 * len(BROKEN_SOURCES)
+    assert _sha256("\n".join(lines)) == GOLDEN_DIAGNOSTICS_SHA256

@@ -1,6 +1,8 @@
 """Generator tests: every emitted function must parse cleanly and the
 whole corpus must be a pure function of its config."""
 
+from pathlib import Path
+
 import pytest
 
 from opttriage import SourceUnit, compute_max_depth, parse_unit
@@ -17,6 +19,7 @@ def _parse_all(units: list[SourceUnit]):
         fns, diagnostics = parse_unit(unit, strict=True)
         assert not diagnostics
         assert len(fns) == 1
+        assert fns[0].name == Path(unit.path).stem  # what `opttriage gen` relies on
         out.append(fns[0])
     return out
 
