@@ -53,7 +53,7 @@ class LabelerConfig:
     flags_basic: tuple[str, ...] = ("-O1",)
     flags_aggr: tuple[str, ...] = ("-O3",)
     repetitions: int = 7
-    timeout_s: float = 60.0
+    timeout_s: float = 60.0  # per compile, and per binary launch: calibration plus all repetitions
     min_runtime_s: float = 0.2
     array_extent: int = 512
     rng_seed: int = 20260814
@@ -194,8 +194,12 @@ def synthesize_driver(fn: FunctionUnit, cfg: LabelerConfig) -> str:
     The driver binds every symbolic array extent and loop bound to one
     concrete size, fills arrays from a seeded generator, prints a checksum
     computed from a single verification call (so it does not depend on how
-    far the timing loop scales), then reports per-call seconds from a
-    repetition loop auto-scaled to run at least cfg.min_runtime_s.
+    far the timing loop scales), then calibrates once, doubling its call
+    count until a batch runs at least cfg.min_runtime_s. That calibration
+    is the warm-up; the driver then times cfg.repetitions batches of the
+    calibrated count in the same process and prints, per batch, the
+    per-call seconds and a checksum of the buffers taken after the clock
+    stopped.
     """
     if fn.name in ("main", "rng_next", "now_seconds", "init_data", "checksum_data"):
         raise DriverError(f"function name {fn.name!r} collides with the driver")
@@ -203,7 +207,7 @@ def synthesize_driver(fn: FunctionUnit, cfg: LabelerConfig) -> str:
         raise DriverError("function has no source text to embed")
     # known literal bounds may exceed the configured extent; size up so every
     # in-bounds subscript of the original code stays in bounds here
-    extent = max(cfg.array_extent, getattr(fn, "min_extent", 0))
+    extent = max(cfg.array_extent, fn.min_extent)
     defines = {name: extent for name in fn.bound_symbols}
 
     lines = [_DRIVER_PRELUDE]
@@ -241,7 +245,7 @@ def synthesize_driver(fn: FunctionUnit, cfg: LabelerConfig) -> str:
             fills.append(f"    {open_loops}{ref} = {cast};")
             sums.append(f"    {open_loops}sum += (double){ref};")
 
-    proto = f"{_c_return_type(fn)} {fn.name}({', '.join(proto_params) or 'void'})"
+    proto = f"{fn.return_type} {fn.name}({', '.join(proto_params) or 'void'})"
     lines.append(proto + " __attribute__((noinline));")
     lines.append("")
     lines.append(fn.source_text.rstrip())
@@ -264,13 +268,24 @@ def synthesize_driver(fn: FunctionUnit, cfg: LabelerConfig) -> str:
     lines.append("")
 
     call = f"{fn.name}({', '.join(call_args)})"
-    nonvoid = _c_return_type(fn) != "void"
+    nonvoid = fn.return_type != "void"
     if nonvoid:
         lines.append("static volatile double g_sink;")
         lines.append("")
         timed_call = f"g_sink = (double){call};"
     else:
         timed_call = f"{call};"
+    # one timed batch of `calls` calls on freshly initialized data; the
+    # calibration and every repetition run this same code
+    batch = [
+        "        init_data();",
+        "        double start = now_seconds();",
+        "        for (long c = 0; c < calls; c++) {",
+        f"            {timed_call}",
+        '            __asm__ __volatile__("" ::: "memory");',
+        "        }",
+        "        double elapsed = now_seconds() - start;",
+    ]
 
     lines.append("int main(void)")
     lines.append("{")
@@ -284,28 +299,22 @@ def synthesize_driver(fn: FunctionUnit, cfg: LabelerConfig) -> str:
     lines.append('    printf("checksum %.6e\\n", check);')
     lines.append("")
     lines.append("    long calls = 1;")
-    lines.append("    double elapsed = 0.0;")
     lines.append("    for (;;) {")
-    lines.append("        init_data();")
-    lines.append("        double start = now_seconds();")
-    lines.append("        for (long c = 0; c < calls; c++) {")
-    lines.append(f"            {timed_call}")
-    lines.append('            __asm__ __volatile__("" ::: "memory");')
-    lines.append("        }")
-    lines.append("        elapsed = now_seconds() - start;")
+    lines.extend(batch)
     lines.append(f"        if (elapsed >= {cfg.min_runtime_s!r} || calls >= (1L << 30))")
     lines.append("            break;")
     lines.append("        calls *= 2;")
     lines.append("    }")
-    lines.append('    printf("per_call_seconds %.9e\\n", elapsed / (double)calls);')
     lines.append('    printf("calls %ld\\n", calls);')
+    lines.append("")
+    lines.append(f"    for (int rep = 0; rep < {cfg.repetitions}; rep++) {{")
+    lines.extend(batch)
+    lines.append('        printf("per_call_seconds %.9e\\n", elapsed / (double)calls);')
+    lines.append('        printf("rep_checksum %.6e\\n", checksum_data());')
+    lines.append("    }")
     lines.append("    return 0;")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _c_return_type(fn: FunctionUnit) -> str:
-    return fn.return_type
 
 
 def _stem(fn_id: str, tag: str) -> str:
@@ -356,41 +365,42 @@ class MeasureResult:
     checksum: str  # textual checksum, compared verbatim across variants
 
 
-def _run_binary(binary: Path, cfg: LabelerConfig) -> tuple[float, str]:
+def measure(binary: Union[str, Path], cfg: LabelerConfig) -> MeasureResult:
+    """One launch: the driver calibrates, then times cfg.repetitions batches.
+
+    Raises RunError when the launch fails or times out, when its output does
+    not hold one checksum and exactly cfg.repetitions samples, or when the
+    per-repetition checksums differ.
+    """
     try:
         proc = subprocess.run(
             [str(binary)], capture_output=True, text=True, timeout=cfg.timeout_s
         )
     except subprocess.TimeoutExpired as e:
         raise RunError(f"run timed out after {cfg.timeout_s}s") from e
+    except OSError as e:
+        raise RunError(f"cannot run binary {str(binary)!r}: {e}") from e
     if proc.returncode != 0:
         raise RunError(f"binary exited with {proc.returncode}: {proc.stderr.strip()[:200]}")
-    checksum = None
-    per_call = None
+    fields: dict[str, list[str]] = {"checksum": [], "per_call_seconds": [], "rep_checksum": []}
     for line in proc.stdout.splitlines():
         parts = line.split()
-        if len(parts) == 2 and parts[0] == "checksum":
-            checksum = parts[1]
-        elif len(parts) == 2 and parts[0] == "per_call_seconds":
-            per_call = float(parts[1])
-    if checksum is None or per_call is None:
-        raise RunError(f"malformed driver output: {proc.stdout[:200]!r}")
-    return per_call, checksum
-
-
-def measure(binary: Union[str, Path], cfg: LabelerConfig) -> MeasureResult:
-    """One untimed warmup then cfg.repetitions strictly serial runs."""
-    binary = Path(binary)
-    _run_binary(binary, cfg)  # warmup, discarded
-    samples = []
-    checksums = set()
-    for _ in range(cfg.repetitions):
-        per_call, checksum = _run_binary(binary, cfg)
-        samples.append(per_call)
-        checksums.add(checksum)
-    if len(checksums) != 1:
-        raise RunError(f"checksum varies across runs of one binary: {sorted(checksums)}")
-    return MeasureResult(samples=tuple(samples), checksum=checksums.pop())
+        if len(parts) == 2 and parts[0] in fields:
+            fields[parts[0]].append(parts[1])
+    checksums, per_call, rep_checksums = fields.values()
+    malformed = RunError(f"malformed driver output: {proc.stdout[:200]!r}")
+    reps = cfg.repetitions
+    if len(checksums) != 1 or len(per_call) != reps or len(rep_checksums) != reps:
+        raise malformed
+    try:
+        samples = tuple(float(v) for v in per_call)
+    except ValueError:
+        raise malformed from None
+    if len(set(rep_checksums)) != 1:
+        raise RunError(
+            f"checksum varies across runs of one binary: {sorted(set(rep_checksums))}"
+        )
+    return MeasureResult(samples=samples, checksum=checksums[0])
 
 
 # ------------------------------------------------------------------- pipeline
@@ -410,17 +420,36 @@ Timer = Callable[[str, FunctionUnit], Optional[tuple[float, float]]]
 
 
 def _label_one(fn_id: str, fn: FunctionUnit, cfg: LabelerConfig, workdir: Path) -> LabelResult:
+    """Compile both variants, then time basic and aggr in turn.
+
+    The first failure quarantines the function, checked in this order:
+    driver, compile[basic], compile[aggr], run[basic], run[aggr], then a
+    checksum mismatch between the variants.
+    """
     try:
         driver = synthesize_driver(fn, cfg)
     except DriverError as e:
         return LabelResult(fn_id, quarantine_reason=f"driver: {e}")
-    results = {}
-    for tag, flags in (("basic", cfg.flags_basic), ("aggr", cfg.flags_aggr)):
+    # imported here: only real labeling needs it, and every CLI command
+    # imports this module
+    from concurrent.futures import ThreadPoolExecutor
+
+    # compiling is not timed, so both variants build at once; leaving the
+    # pool waits for both, and timing below stays serial
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        builds = {
+            tag: pool.submit(compile_variant, driver, flags, cfg, workdir, stem=_stem(fn_id, tag))
+            for tag, flags in (("basic", cfg.flags_basic), ("aggr", cfg.flags_aggr))
+        }
+    binaries = {}
+    for tag, build in builds.items():
         try:
-            binary = compile_variant(driver, flags, cfg, workdir, stem=_stem(fn_id, tag))
+            binaries[tag] = build.result()
         except CompileError as e:
             detail = f"; {e.stderr.splitlines()[-1]}" if e.stderr else ""
             return LabelResult(fn_id, quarantine_reason=f"compile[{tag}]: {e}{detail}")
+    results = {}
+    for tag, binary in binaries.items():
         try:
             results[tag] = measure(binary, cfg)
         except RunError as e:

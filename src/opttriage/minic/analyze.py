@@ -59,6 +59,16 @@ class AnalysisProblem(Exception):
         self.message = message
 
 
+INT_MAX = 2**31 - 1
+
+
+def _check_int_literal(value: Union[int, float]) -> None:
+    """Integer literals must fit a C int: features turn them into floats and
+    the timing driver into array sizes."""
+    if isinstance(value, int) and value > INT_MAX:
+        raise AnalysisProblem("unsupported construct: integer literal out of int range")
+
+
 class _UsageCounter:
     """Accumulates op and identifier usage for one region of code."""
 
@@ -95,6 +105,7 @@ class _UsageCounter:
 
     def _walk(self, e: ast.Expr, seen: set[str]) -> None:
         if isinstance(e, ast.Num):
+            _check_int_literal(e.value)
             return
         if isinstance(e, ast.Name):
             self.bare.add(e.ident)
@@ -282,11 +293,16 @@ class _FunctionScanner:
             self._scan_header(e.cond)
             self._scan_header(e.then)
             self._scan_header(e.orelse)
-        elif not isinstance(e, ast.Num):
+        elif isinstance(e, ast.Num):
+            _check_int_literal(e.value)
+        else:
             raise TypeError(f"not an expression: {e!r}")
 
 
 def build_function_unit(fn: ast.Function, source_text: str = "") -> FunctionUnit:
+    for p in fn.params:
+        for x in p.extents:
+            _check_int_literal(x)  # a symbolic extent is a str and passes
     scanner = _FunctionScanner(fn)
     scanner.scan()
     extent_names = {x for p in fn.params for x in p.extents if isinstance(x, str)}

@@ -121,6 +121,22 @@ def test_extract_parse_failure_quarantines(tmp_path):
     assert "while" in reasons["bad.c::f"]
 
 
+def test_extract_out_of_int_range_literal_quarantines(tmp_path):
+    src = tmp_path / "big.c"
+    src.write_text(
+        "void f(int n, float a[N]) {\n"
+        "  for (int i = 0; i < 1" + "0" * 400 + "; i++) a[i] = 0.0;\n}\n"
+        "void g(int n, float a[N]) { for (int i = 0; i < n; i++) a[i] = 0.0; }\n"
+    )
+    out = tmp_path / "o.jsonl"
+    assert main(["extract", str(src), "--max-depth", "2", "--out", str(out)]) == 2
+    reasons = {r.function_id: r.quarantine_reason for r in read_manifest(out).rows}
+    assert reasons == {
+        "big.c::f": "parse: unsupported construct: integer literal out of int range",
+        "big.c::g": None,
+    }
+
+
 def test_extract_strict_flag_is_fatal(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("void f(int n) { while (n) { n = n - 1; } }\n")
@@ -326,8 +342,15 @@ def test_classify_deep_nest_quarantines(tmp_path, labeled):
         "  x = \u0663;\n",
         "  int \u00e9;\n",
         "  x = " + "(" * 200 + "x" + ")" * 200 + ";\n",
+        "  x = 4000000000;\n",
     ],
-    ids=["superscript-digit", "arabic-digit", "non-ascii-identifier", "200-parentheses"],
+    ids=[
+        "superscript-digit",
+        "arabic-digit",
+        "non-ascii-identifier",
+        "200-parentheses",
+        "out-of-int-range-literal",
+    ],
 )
 def test_classify_quarantines_only_the_bad_function(tmp_path, labeled, body):
     model = tmp_path / "model.json"

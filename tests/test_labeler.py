@@ -4,14 +4,20 @@ Everything except the integration block runs without a compiler by
 injecting a timer.
 """
 
+import itertools
 import statistics
+import subprocess
+import threading
+from pathlib import Path
 
 import pytest
 
+from opttriage import labeler
 from opttriage.labeler import (
     CompileError,
     DriverError,
     LabelerConfig,
+    RunError,
     TimingRecord,
     compile_variant,
     label_corpus,
@@ -135,6 +141,14 @@ def test_driver_contains_measurement_guards():
     assert "checksum" in code
     assert "rng_next" in code  # deterministic data fill
     assert "CLOCK_MONOTONIC" in code
+    # one calibration, then every repetition timed in the same process
+    assert code.count("for (;;)") == 1
+    assert code.count("calls *= 2;") == 1
+    assert code.count(f"for (int rep = 0; rep < {FAST_CFG.repetitions}; rep++)") == 1
+    assert code.count("for (int rep") == 1
+    assert code.count('printf("per_call_seconds') == 1
+    assert code.count('printf("rep_checksum %.6e\\n", checksum_data());') == 1
+    assert code.count('printf("checksum') == 1
 
 
 def test_driver_defines_symbolic_extent():
@@ -230,7 +244,149 @@ def test_label_corpus_delta_changes_labels():
     assert high[0].label == "hard"
 
 
+# -------------------------------------------------------------------- measure
+
+
+def _fake_binary(tmp_path, stdout, exit_code=0):
+    """An executable shell script standing in for a compiled driver."""
+    script = tmp_path / "fake.bin"
+    script.write_text(f"#!/bin/sh\ncat <<'EOF'\n{stdout}EOF\nexit {exit_code}\n")
+    script.chmod(0o755)
+    return script
+
+
+def _driver_output(
+    samples=(1e-6, 2e-6, 3e-6), rep_checksums=("4.0e+02",) * 3, checksums=("1.5e+01",)
+):
+    lines = [f"checksum {c}" for c in checksums] + ["calls 1024"]
+    for s, c in itertools.zip_longest(samples, rep_checksums):
+        lines += [f"per_call_seconds {s!r}"] if s is not None else []
+        lines += [f"rep_checksum {c}"] if c is not None else []
+    return "\n".join(lines) + "\n"
+
+
+def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monkeypatch):
+    binary = _fake_binary(tmp_path, _driver_output())
+    launches = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        launches.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr("opttriage.labeler.subprocess.run", counting_run)
+    result = measure(binary, FAST_CFG)
+    assert result.samples == (1e-6, 2e-6, 3e-6)
+    assert result.checksum == "1.5e+01"
+    assert launches == [[str(binary)]]
+
+
+@pytest.mark.parametrize(
+    "stdout, exit_code, message",
+    [
+        (_driver_output(samples=(1e-6, 2e-6)), 0, "malformed driver output"),
+        (_driver_output(samples=(1e-6,) * 5), 0, "malformed driver output"),
+        (_driver_output(checksums=()), 0, "malformed driver output"),
+        (_driver_output(checksums=("1.5e+01", "1.6e+01")), 0, "malformed driver output"),
+        (_driver_output(rep_checksums=("4.0e+02",) * 2), 0, "malformed driver output"),
+        (_driver_output(samples=(1e-6, "fast", 3e-6)), 0, "malformed driver output"),
+        (
+            _driver_output(rep_checksums=("4.0e+02", "4.0e+02", "4.1e+02")),
+            0,
+            r"checksum varies across runs of one binary: \['4.0e\+02', '4.1e\+02'\]",
+        ),
+        (_driver_output(), 3, "binary exited with 3"),
+    ],
+    ids=[
+        "fewer-samples",
+        "more-samples",
+        "no-checksum",
+        "two-checksums",
+        "fewer-rep-checksums",
+        "unparseable-sample",
+        "rep-checksums-differ",
+        "non-zero-exit",
+    ],
+)
+def test_measure_rejects_bad_driver_runs(tmp_path, stdout, exit_code, message):
+    with pytest.raises(RunError, match=message):
+        measure(_fake_binary(tmp_path, stdout, exit_code), FAST_CFG)
+
+
+def test_measure_times_out_the_one_launch(tmp_path):
+    script = tmp_path / "slow.bin"
+    script.write_text("#!/bin/sh\nexec sleep 30\n")
+    script.chmod(0o755)
+    cfg = LabelerConfig(repetitions=3, timeout_s=0.2)
+    with pytest.raises(RunError, match="run timed out after 0.2s"):
+        measure(script, cfg)
+
+
+def test_measure_reports_a_binary_that_cannot_start(tmp_path):
+    not_executable = tmp_path / "plain.bin"
+    not_executable.write_text(_driver_output())
+    with pytest.raises(RunError, match="cannot run binary"):
+        measure(not_executable, FAST_CFG)
+
+
+# Quarantine order of one function: compile[basic], compile[aggr], run[basic],
+# run[aggr]. Both variants are compiled before either is timed.
+@pytest.mark.parametrize(
+    "failing, reason",
+    [
+        ({"compile basic", "compile aggr"}, "compile[basic]: "),
+        ({"compile aggr", "run basic"}, "compile[aggr]: "),
+        ({"run basic", "run aggr"}, "run[basic]: "),
+        ({"run aggr"}, "run[aggr]: "),
+    ],
+)
+def test_label_quarantine_order(tmp_path, monkeypatch, failing, reason):
+    calls = []
+
+    def fake_compile(source, flags, cfg, workdir, stem):
+        tag = stem.rsplit("_", 1)[-1]
+        calls.append(f"compile {tag}")
+        if f"compile {tag}" in failing:
+            raise CompileError(f"{tag} failed")
+        return Path(workdir) / tag
+
+    def fake_measure(binary, cfg):
+        calls.append(f"run {binary.name}")
+        if f"run {binary.name}" in failing:
+            raise RunError(f"{binary.name} failed")
+        return labeler.MeasureResult(samples=(1.0,) * cfg.repetitions, checksum="1")
+
+    monkeypatch.setattr(labeler, "compile_variant", fake_compile)
+    monkeypatch.setattr(labeler, "measure", fake_measure)
+    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
+    (result,) = label_corpus([("a.c::f", _simple_fn("f"))], cfg)
+    assert result.quarantine_reason.startswith(reason)
+    assert sorted(calls[:2]) == ["compile aggr", "compile basic"]
+    runs = calls[2:]
+    assert runs == ["run basic", "run aggr"][: len(runs)]  # timing stays serial
+    if reason.startswith("compile"):
+        assert runs == []
+
+
 # ---------------------------------------------------------------- integration
+
+
+def test_label_compiles_both_variants_at_once(tmp_path, monkeypatch):
+    both_compiling = threading.Barrier(2, timeout=10)  # broken if compiles run serially
+
+    def fake_compile(source, flags, cfg, workdir, stem):
+        both_compiling.wait()
+        return Path(workdir) / stem
+
+    def fake_measure(binary, cfg):
+        return labeler.MeasureResult(samples=(1.0,) * cfg.repetitions, checksum="1")
+
+    monkeypatch.setattr(labeler, "compile_variant", fake_compile)
+    monkeypatch.setattr(labeler, "measure", fake_measure)
+    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
+    (result,) = label_corpus([("a.c::f", _simple_fn("f"))], cfg)
+    assert result.quarantine_reason is None
+    assert not both_compiling.broken
 
 
 @pytest.mark.integration
@@ -265,3 +421,20 @@ def test_label_corpus_real_compiler_end_to_end(tmp_path):
     assert res.label in ("easy", "hard")
     assert res.timing.ratio > 0.0
     assert len(res.timing.samples_basic) == 3
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_label_corpus_quarantines_a_failing_aggressive_compile(tmp_path):
+    cfg = LabelerConfig(
+        repetitions=3,
+        min_runtime_s=0.01,
+        array_extent=64,
+        flags_aggr=("-fno-such-flag",),
+        workdir=str(tmp_path),
+    )
+    (res,) = label_corpus([("saxpy.c::saxpy", _simple_fn())], cfg)
+    assert res.quarantine_reason.startswith("compile[aggr]: "), res.quarantine_reason
+    assert "no-such-flag" in res.quarantine_reason
+    assert (tmp_path / "saxpy.c_saxpy_basic.bin").exists()  # basic compiled
+    assert not (tmp_path / "saxpy.c_saxpy_aggr.bin").exists()

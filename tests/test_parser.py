@@ -187,6 +187,56 @@ def test_literal_quarantines_only_its_function(literal):
     ]
 
 
+BIG = "1" + "0" * 400  # too large even for a float
+OUT_OF_RANGE_LITERALS = {
+    "loop-bound": "  for (int i = 0; i < %s; i++) a[i] = 0.0;\n" % BIG,
+    "loop-bound-past-int-max": "  for (int i = 0; i <= 4000000000; i++) a[i] = 0.0;\n",
+    "loop-step": "  for (int i = 0; i < n; i += 2147483648) a[i] = 0.0;\n",
+    "header-subscript": "  for (int i = 0; i < a[2147483648]; i++) a[i] = 0.0;\n",
+    "statement": "  n = n + 2147483648;\n",
+    "negated": "  n = -2147483648;\n",
+    "subscript": "  a[4000000000] = 1.0;\n",
+    "condition": "  if (n < %s) n = 1;\n" % BIG,
+    "return": "  return;\n  n = 2147483648;\n",
+}
+
+
+@pytest.mark.parametrize(
+    "body", OUT_OF_RANGE_LITERALS.values(), ids=OUT_OF_RANGE_LITERALS.keys()
+)
+def test_integer_literal_out_of_int_range_quarantines_only_its_function(body):
+    text = (
+        "void before(int n) { n = 1; }\n"
+        "void bad(int n, float a[N]) {\n" + body + "}\n"
+        "void after(int n) { n = 2; }\n"
+    )
+    units, diagnostics = parse_unit(SourceUnit("x.c", text))
+    assert [u.name for u in units] == ["before", "after"]
+    assert [(d.line, d.col, d.function, d.message) for d in diagnostics] == [
+        (2, 1, "bad", "unsupported construct: integer literal out of int range")
+    ]
+    with pytest.raises(ParseError, match="integer literal out of int range"):
+        parse_unit(SourceUnit("x.c", text), strict=True)
+
+
+def test_integer_literal_out_of_int_range_in_parameter_extent():
+    units, diagnostics = parse_unit("void f(float a[2147483648]) { }\nvoid g(int n) { }\n")
+    assert [u.name for u in units] == ["g"]
+    assert [d.message for d in diagnostics] == [
+        "unsupported construct: integer literal out of int range"
+    ]
+
+
+def test_integer_literal_at_int_max_is_accepted():
+    (unit,), _ = parse_unit(
+        "void f(int n, float a[2147483647]) {\n"
+        "  for (int i = 0; i < 2147483647; i++) a[i] = a[2147483647 - 1] + 2147483647;\n"
+        "}",
+        strict=True,
+    )
+    assert unit.min_extent == 2147483647
+
+
 NESTING_DEPTH = 1000
 DEEP_BODIES = {
     "parentheses": "  n = " + "(" * NESTING_DEPTH + "n" + ")" * NESTING_DEPTH + ";\n",
