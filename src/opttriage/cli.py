@@ -22,7 +22,7 @@ import numpy as np
 from opttriage import forest
 from opttriage.features import DepthError, FeatureSchema, compute_max_depth, extract
 from opttriage.forest import ForestParams, ModelFormatError
-from opttriage.labeler import LabelerConfig, label_corpus
+from opttriage.labeler import LabelerConfig, LabelResult, label_corpus
 from opttriage.manifest import (
     CorpusManifest,
     ManifestFormatError,
@@ -98,11 +98,7 @@ def _input_files(inputs: list[str]) -> tuple[list[Path], dict, dict]:
                 files.append((p.parent / row.source_path))
         else:
             files.append(p)
-    deduped = []
-    for f in files:
-        if f not in deduped:
-            deduped.append(f)
-    return deduped, hashes, meta
+    return list(dict.fromkeys(files)), hashes, meta
 
 
 def _parse_source_file(
@@ -247,55 +243,37 @@ def _cmd_label(args) -> int:
     base = Path(args.manifest).parent
     units_by_file: dict[str, dict[str, FunctionUnit]] = {}
     targets: list[tuple[str, FunctionUnit]] = []
-    pre_quarantined: dict[str, str] = {}
+    outcomes: dict[str, LabelResult] = {}  # function_id -> its new timing, label or quarantine
     for row in man.rows:
         if row.quarantine_reason is not None:
             continue
         if row.source_path is None:
-            pre_quarantined[row.function_id] = "label: row has no source_path"
-            continue
-        if row.source_path not in units_by_file:
-            path = base / row.source_path
-            try:
-                units, _bad = _parse_source_file(path, strict=False)
-            except _Fatal as e:
-                units = []
-                _warn(str(e))
-            units_by_file[row.source_path] = {u.name: u for u in units}
-        name = row.function_id.split("::", 1)[-1]
-        unit = units_by_file[row.source_path].get(name)
-        if unit is None:
-            pre_quarantined[row.function_id] = "label: function not found or unparseable"
+            reason = "label: row has no source_path"
         else:
-            targets.append((row.function_id, unit))
-
-    results = {}
+            if row.source_path not in units_by_file:
+                try:
+                    units, _bad = _parse_source_file(base / row.source_path, strict=False)
+                except _Fatal as e:
+                    units = []
+                    _warn(str(e))
+                units_by_file[row.source_path] = {u.name: u for u in units}
+            unit = units_by_file[row.source_path].get(row.function_id.split("::", 1)[-1])
+            if unit is not None:
+                targets.append((row.function_id, unit))
+                continue
+            reason = "label: function not found or unparseable"
+        outcomes[row.function_id] = LabelResult(row.function_id, quarantine_reason=reason)
     if targets:
-        for res in label_corpus(targets, cfg, timer=timer):
-            results[res.function_id] = res
+        outcomes.update((res.function_id, res) for res in label_corpus(targets, cfg, timer=timer))
 
-    out_rows = []
-    n_labeled = n_quarantined = 0
-    for row in man.rows:
-        new = ManifestRow(
-            function_id=row.function_id,
-            source_path=row.source_path,
-            feature_values=row.feature_values,
-            quarantine_reason=row.quarantine_reason,
-        )
-        if row.quarantine_reason is None:
-            if row.function_id in pre_quarantined:
-                new.quarantine_reason = pre_quarantined[row.function_id]
-            else:
-                res = results[row.function_id]
-                new.timing = res.timing
-                new.label = res.label
-                new.quarantine_reason = res.quarantine_reason
-        if new.quarantine_reason is not None:
-            n_quarantined += 1
-        elif new.label is not None:
-            n_labeled += 1
-        out_rows.append(new)
+    out_rows = [
+        replace(row, timing=res.timing, label=res.label, quarantine_reason=res.quarantine_reason)
+        if (res := outcomes.get(row.function_id))
+        else row
+        for row in man.rows
+    ]
+    n_quarantined = sum(row.quarantine_reason is not None for row in out_rows)
+    n_labeled = sum(row.label is not None for row in out_rows)
 
     out_man = CorpusManifest(
         rows=out_rows,
@@ -342,8 +320,6 @@ def _cmd_train(args) -> int:
         model = forest.train(x_rows, y, man.schema, params, ids=ids)
     except ValueError as e:
         raise _Fatal(str(e)) from e
-    if not args.out:
-        raise _Fatal("train needs --out for the model file")
     forest.save_model(model, args.out)
     _say(
         f"trained {model.n_trees} trees on {len(y)} rows "
@@ -376,10 +352,7 @@ def _cmd_eval(args) -> int:
         metrics = forest.evaluate(model, x_rows, y)
         report = {"kind": "eval-report", **metrics}
         _say(f"accuracy {metrics['accuracy']:.4f} on {metrics['n_rows']} rows")
-    if args.out:
-        _emit(_report_text(report), args.out)
-    else:
-        sys.stdout.write(_report_text(report))
+    _emit(_report_text(report), args.out)
     return OK
 
 
@@ -457,30 +430,40 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
+_SHARED_OPTIONS = {
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--config": dict(default=None, help="JSON config file"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--strict": dict(action="store_true", help="fail on the first parse problem"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opttriage", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--strict", action="store_true", help="fail on the first parse problem")
+    def command(name: str, fn, summary: str, *shared: str, out_required: bool = False) -> _Parser:
+        """A subcommand with only the shared options its handler reads."""
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_OPTIONS[flag])
+        if out_required:
+            p.add_argument("--out", required=True, help="output path")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen", help="generate a synthetic training corpus")
-    common(p)
+    p = command("gen", _cmd_gen, "generate a synthetic training corpus",
+                "--seed", "--config", out_required=True)
     p.add_argument("--count", type=int, default=None, help="override n_functions")
-    p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("extract", help="extract feature vectors from sources")
-    common(p)
+    p = command("extract", _cmd_extract, "extract feature vectors from sources",
+                "--out", "--strict")
     p.add_argument("sources", nargs="+", help="source files or a corpus manifest (.jsonl)")
     p.add_argument("--max-depth", type=int, default=None, help="feature schema depth")
     p.add_argument("--fit-schema", action="store_true", help="size the schema from the corpus")
-    p.set_defaults(fn=_cmd_extract)
 
-    p = sub.add_parser("label", help="time and label the functions of a manifest")
-    common(p)
+    p = command("label", _cmd_label, "time and label the functions of a manifest",
+                "--seed", "--config", "--out")
     p.add_argument("--manifest", required=True, help="input manifest (from gen or extract)")
     p.add_argument("--delta", type=float, default=None, help="override the easy/hard ratio bound")
     p.add_argument(
@@ -488,39 +471,31 @@ def _build_parser() -> _Parser:
         default=None,
         help="JSON table {function_id: [t_basic, t_aggr]}; skips compiling entirely",
     )
-    p.set_defaults(fn=_cmd_label)
 
     def train_flags(p: _Parser) -> None:
+        p.add_argument("--manifest", required=True)
         p.add_argument("--trees", type=int, default=25)
         p.add_argument("--max-tree-depth", type=int, default=12)
         p.add_argument("--min-samples-leaf", type=int, default=2)
         p.add_argument("--features-per-split", type=int, default=None)
         p.add_argument("--bootstrap-fraction", type=float, default=1.0)
 
-    p = sub.add_parser("train", help="train a forest on a labeled manifest")
-    common(p)
-    p.add_argument("--manifest", required=True)
+    p = command("train", _cmd_train, "train a forest on a labeled manifest",
+                "--seed", out_required=True)
     train_flags(p)
-    p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model or cross-validate")
-    common(p)
-    p.add_argument("--manifest", required=True)
+    p = command("eval", _cmd_eval, "evaluate a model or cross-validate", "--seed", "--out")
+    train_flags(p)
     p.add_argument("--model", default=None)
     p.add_argument("--cv", type=int, default=None, help="k-fold cross-validation")
-    train_flags(p)
-    p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("classify", help="label functions of a source file with a model")
-    common(p)
+    p = command("classify", _cmd_classify, "label functions of a source file with a model",
+                "--config", "--out", "--strict")
     p.add_argument("--model", required=True)
     p.add_argument("sources", nargs="+", help="source files to classify")
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("export", help="emit a model as standalone decision code")
-    common(p)
+    p = command("export", _cmd_export, "emit a model as standalone decision code", "--out")
     p.add_argument("--model", required=True)
-    p.set_defaults(fn=_cmd_export)
 
     return parser
 

@@ -11,14 +11,16 @@ pipeline can run hermetically.
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 import statistics
 import subprocess
 import tempfile
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from opttriage.minic import FunctionUnit
 
@@ -92,31 +94,42 @@ class LabelerConfig:
         return LabelerConfig(**clean)
 
 
+def _timings(values: Sequence[float]) -> tuple[float, ...]:
+    """The one check on measured seconds: at least one, each finite and positive."""
+    seconds = tuple(float(v) for v in values)
+    if not seconds:
+        raise ValueError("no timing samples")
+    if not all(math.isfinite(s) for s in seconds):
+        raise ValueError("timings must be finite")
+    if min(seconds) <= 0:
+        raise ValueError("timings must be positive")
+    return seconds
+
+
 @dataclass(frozen=True)
 class TimingRecord:
-    t_basic: float
-    t_aggr: float
-    ratio: float
+    """Per-repetition seconds of both variants; medians and ratio derive from them."""
+
     samples_basic: tuple[float, ...]
     samples_aggr: tuple[float, ...]
 
     def __post_init__(self):
-        if self.t_basic <= 0 or self.t_aggr <= 0:
-            raise ValueError("timings must be positive")
+        object.__setattr__(self, "samples_basic", _timings(self.samples_basic))
+        object.__setattr__(self, "samples_aggr", _timings(self.samples_aggr))
+        if not math.isfinite(self.ratio):
+            raise ValueError("timing ratio is not finite")
 
-    @staticmethod
-    def from_samples(samples_basic: Sequence[float], samples_aggr: Sequence[float]) -> "TimingRecord":
-        t_basic = statistics.median(samples_basic)
-        t_aggr = statistics.median(samples_aggr)
-        if t_basic <= 0 or t_aggr <= 0:
-            raise ValueError("timings must be positive")
-        return TimingRecord(
-            t_basic=t_basic,
-            t_aggr=t_aggr,
-            ratio=t_aggr / t_basic,
-            samples_basic=tuple(samples_basic),
-            samples_aggr=tuple(samples_aggr),
-        )
+    @property
+    def t_basic(self) -> float:
+        return statistics.median(self.samples_basic)
+
+    @property
+    def t_aggr(self) -> float:
+        return statistics.median(self.samples_aggr)
+
+    @property
+    def ratio(self) -> float:
+        return self.t_aggr / self.t_basic
 
     def to_dict(self) -> dict:
         return {
@@ -129,19 +142,20 @@ class TimingRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "TimingRecord":
-        return TimingRecord(
-            t_basic=float(doc["t_basic"]),
-            t_aggr=float(doc["t_aggr"]),
-            ratio=float(doc["ratio"]),
-            samples_basic=tuple(float(x) for x in doc["samples_basic"]),
-            samples_aggr=tuple(float(x) for x in doc["samples_aggr"]),
-        )
+        """Rebuilds the record from its samples; stored derived values must agree."""
+        record = TimingRecord(doc["samples_basic"], doc["samples_aggr"])
+        for key in ("t_basic", "t_aggr", "ratio"):
+            derived = getattr(record, key)
+            if float(doc[key]) != derived:
+                raise ValueError(
+                    f"timing {key} {doc[key]!r} disagrees with its samples ({derived!r})"
+                )
+        return record
 
 
 def label_from_ratio(t_basic: float, t_aggr: float, delta: float) -> str:
     """Easy iff t_aggr/t_basic > delta (strict); the boundary itself is hard."""
-    if t_basic <= 0 or t_aggr <= 0:
-        raise ValueError("timings must be positive")
+    t_basic, t_aggr = _timings((t_basic, t_aggr))
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
     return EASY_NAME if t_aggr / t_basic > delta else HARD_NAME
@@ -393,7 +407,7 @@ def measure(binary: Union[str, Path], cfg: LabelerConfig) -> MeasureResult:
     if len(checksums) != 1 or len(per_call) != reps or len(rep_checksums) != reps:
         raise malformed
     try:
-        samples = tuple(float(v) for v in per_call)
+        samples = _timings(per_call)
     except ValueError:
         raise malformed from None
     if len(set(rep_checksums)) != 1:
@@ -418,18 +432,34 @@ class LabelResult:
 # seconds, or None to say it has no entry for that function.
 Timer = Callable[[str, FunctionUnit], Optional[tuple[float, float]]]
 
+# What a sample source gives per function: (samples_basic, samples_aggr),
+# or the quarantine reason of the first step that failed.
+Samples = Union[tuple[Sequence[float], Sequence[float]], str]
 
-def _label_one(fn_id: str, fn: FunctionUnit, cfg: LabelerConfig, workdir: Path) -> LabelResult:
-    """Compile both variants, then time basic and aggr in turn.
 
-    The first failure quarantines the function, checked in this order:
+def _timer_samples(timer: Timer, fn_id: str, fn: FunctionUnit, repetitions: int) -> Samples:
+    """The fake source: one timer reading stands in for every repetition."""
+    try:
+        times = timer(fn_id, fn)
+        if times is None:
+            return "timer: no timing entry"
+        t_basic, t_aggr = times
+    except Exception as e:  # a broken entry must not sink the corpus
+        return f"timer: {e}"
+    return (t_basic,) * repetitions, (t_aggr,) * repetitions
+
+
+def _measured_samples(fn_id: str, fn: FunctionUnit, cfg: LabelerConfig, workdir: Path) -> Samples:
+    """The real source: compile both variants at once, then time basic and aggr in turn.
+
+    The first failure is the quarantine reason, checked in this order:
     driver, compile[basic], compile[aggr], run[basic], run[aggr], then a
     checksum mismatch between the variants.
     """
     try:
         driver = synthesize_driver(fn, cfg)
     except DriverError as e:
-        return LabelResult(fn_id, quarantine_reason=f"driver: {e}")
+        return f"driver: {e}"
     # imported here: only real labeling needs it, and every CLI command
     # imports this module
     from concurrent.futures import ThreadPoolExecutor
@@ -447,27 +477,40 @@ def _label_one(fn_id: str, fn: FunctionUnit, cfg: LabelerConfig, workdir: Path) 
             binaries[tag] = build.result()
         except CompileError as e:
             detail = f"; {e.stderr.splitlines()[-1]}" if e.stderr else ""
-            return LabelResult(fn_id, quarantine_reason=f"compile[{tag}]: {e}{detail}")
+            return f"compile[{tag}]: {e}{detail}"
     results = {}
     for tag, binary in binaries.items():
         try:
             results[tag] = measure(binary, cfg)
         except RunError as e:
-            return LabelResult(fn_id, quarantine_reason=f"run[{tag}]: {e}")
-    if results["basic"].checksum != results["aggr"].checksum:
-        return LabelResult(
-            fn_id,
-            quarantine_reason=(
-                "checksum mismatch between variants: "
-                f"basic={results['basic'].checksum} aggr={results['aggr'].checksum}"
-            ),
-        )
-    timing = TimingRecord.from_samples(results["basic"].samples, results["aggr"].samples)
-    return LabelResult(
-        fn_id,
-        timing=timing,
-        label=label_from_ratio(timing.t_basic, timing.t_aggr, cfg.delta),
-    )
+            return f"run[{tag}]: {e}"
+    basic, aggr = results["basic"], results["aggr"]
+    if basic.checksum != aggr.checksum:
+        return f"checksum mismatch between variants: basic={basic.checksum} aggr={aggr.checksum}"
+    return basic.samples, aggr.samples
+
+
+@contextmanager
+def _workdir(cfg: LabelerConfig) -> Iterator[Path]:
+    """cfg.workdir, created when missing, or a temp dir removed afterwards."""
+    if cfg.workdir is not None:
+        Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
+        yield Path(cfg.workdir)
+    else:
+        with tempfile.TemporaryDirectory(prefix="opttriage-") as tmp:
+            yield Path(tmp)
+
+
+def _label(fn_id: str, source: str, samples: Samples, delta: float) -> LabelResult:
+    """The shared step: samples to TimingRecord to label, or a quarantine."""
+    if isinstance(samples, str):
+        return LabelResult(fn_id, quarantine_reason=samples)
+    try:
+        timing = TimingRecord(*samples)
+    except (TypeError, ValueError) as e:
+        return LabelResult(fn_id, quarantine_reason=f"{source}: {e}")
+    label = label_from_ratio(timing.t_basic, timing.t_aggr, delta)
+    return LabelResult(fn_id, timing=timing, label=label)
 
 
 def label_corpus(
@@ -478,49 +521,18 @@ def label_corpus(
     """Label functions by measured timing ratio; failures become quarantines.
 
     With ``timer`` set, compilation and measurement are skipped entirely:
-    the timer supplies (t_basic, t_aggr) per function and the rest of the
-    pipeline (median bookkeeping, the ratio rule, quarantining) runs
-    unchanged, which keeps the whole flow deterministic and hermetic.
+    the timer supplies (t_basic, t_aggr) per function, which keeps the flow
+    deterministic and hermetic. The samples of either source go through the
+    same step, ``_label``.
     """
     if not functions:
         raise ValueError("no functions to label")
-    results: list[LabelResult] = []
-    if timer is not None:
+    results = []
+    with nullcontext() if timer is not None else _workdir(cfg) as workdir:
         for fn_id, fn in functions:
-            try:
-                times = timer(fn_id, fn)
-            except Exception as e:  # a broken entry must not sink the corpus
-                results.append(LabelResult(fn_id, quarantine_reason=f"timer: {e}"))
-                continue
-            if times is None:
-                results.append(
-                    LabelResult(fn_id, quarantine_reason="timer: no timing entry")
-                )
-                continue
-            t_basic, t_aggr = times
-            try:
-                timing = TimingRecord.from_samples(
-                    (float(t_basic),) * cfg.repetitions, (float(t_aggr),) * cfg.repetitions
-                )
-            except ValueError as e:
-                results.append(LabelResult(fn_id, quarantine_reason=f"timer: {e}"))
-                continue
-            results.append(
-                LabelResult(
-                    fn_id,
-                    timing=timing,
-                    label=label_from_ratio(timing.t_basic, timing.t_aggr, cfg.delta),
-                )
-            )
-        return results
-
-    if cfg.workdir is not None:
-        workdir = Path(cfg.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-        for fn_id, fn in functions:
-            results.append(_label_one(fn_id, fn, cfg, workdir))
-    else:
-        with tempfile.TemporaryDirectory(prefix="opttriage-") as tmp:
-            for fn_id, fn in functions:
-                results.append(_label_one(fn_id, fn, cfg, Path(tmp)))
+            if timer is not None:
+                source, samples = "timer", _timer_samples(timer, fn_id, fn, cfg.repetitions)
+            else:
+                source, samples = "run", _measured_samples(fn_id, fn, cfg, workdir)
+            results.append(_label(fn_id, source, samples, cfg.delta))
     return results

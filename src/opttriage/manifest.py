@@ -106,12 +106,6 @@ class CorpusManifest:
                     f"schema width is {self.schema.width}"
                 )
 
-    def labeled_rows(self) -> list[ManifestRow]:
-        return [r for r in self.rows if r.label is not None]
-
-    def quarantined_rows(self) -> list[ManifestRow]:
-        return [r for r in self.rows if r.quarantine_reason is not None]
-
     def header_dict(self) -> dict:
         return {
             "kind": "header",

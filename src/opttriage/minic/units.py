@@ -57,9 +57,6 @@ class TripCount:
     def symbolic() -> "TripCount":
         return TripCount(None)
 
-    def render(self) -> str:
-        return "S" if self.is_symbolic else str(self.value)
-
 
 @dataclass(frozen=True)
 class OpCounts:

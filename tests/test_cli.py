@@ -75,6 +75,11 @@ def test_gen_seed_flag_overrides_config(tmp_path):
     assert man.meta["generator_config"]["seed"] == 99
 
 
+def test_gen_without_out_is_a_usage_error(capsys):
+    assert main(["gen", "--count", "2"]) == 1
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
 def test_gen_bad_config_is_fatal(tmp_path):
     cfg = _write_json(tmp_path / "gen.json", {"n_functions": 0})
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -137,6 +142,17 @@ def test_extract_out_of_int_range_literal_quarantines(tmp_path):
     }
 
 
+def test_extract_reads_a_file_named_twice_once_in_first_seen_order(tmp_path, corpus):
+    manifest = corpus / "manifest.jsonl"
+    sources = [corpus / r.source_path for r in read_manifest(manifest).rows]
+    out = tmp_path / "o.jsonl"
+    assert main(["extract", str(sources[5]), str(manifest), str(sources[0]), "--fit-schema",
+                 "--out", str(out)]) == 0
+    ids = [r.function_id for r in read_manifest(out).rows]
+    want = [sources[5]] + [p for p in sources if p != sources[5]]
+    assert ids == [f"{p.name}::{p.stem}" for p in want]
+
+
 def test_extract_strict_flag_is_fatal(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("void f(int n) { while (n) { n = n - 1; } }\n")
@@ -149,8 +165,9 @@ def test_extract_strict_flag_is_fatal(tmp_path):
 
 def test_label_writes_timings_and_labels(labeled):
     man = read_manifest(labeled)
-    assert len(man.labeled_rows()) == 16
-    for row in man.labeled_rows():
+    labeled_rows = [r for r in man.rows if r.label is not None]
+    assert len(labeled_rows) == 16
+    for row in labeled_rows:
         assert row.label in ("easy", "hard")
         assert row.timing.ratio > 0
         assert row.feature_values is not None  # features survive labeling
@@ -167,7 +184,7 @@ def test_label_delta_override_recorded(tmp_path, corpus):
     assert man.meta["labeler_config"]["delta"] == 0.6
     assert "labeler" in man.config_hashes
     assert "generator" in man.config_hashes
-    assert all(r.label == "easy" for r in man.labeled_rows())
+    assert all(r.label == "easy" for r in man.rows if r.label is not None)
 
 
 def test_label_missing_timer_entry_quarantines(tmp_path, corpus):
@@ -179,8 +196,8 @@ def test_label_missing_timer_entry_quarantines(tmp_path, corpus):
     assert main(["label", "--manifest", str(features), "--fake-timer", timer,
                  "--out", str(out)]) == 2
     man = read_manifest(out)
-    assert len(man.labeled_rows()) == 1
-    assert len(man.quarantined_rows()) == 15
+    assert len([r for r in man.rows if r.label is not None]) == 1
+    assert len([r for r in man.rows if r.quarantine_reason is not None]) == 15
 
 
 def test_label_gen_manifest_directly(tmp_path, corpus):
@@ -189,7 +206,25 @@ def test_label_gen_manifest_directly(tmp_path, corpus):
     assert main(["label", "--manifest", str(corpus / "manifest.jsonl"),
                  "--fake-timer", timer, "--out", str(out)]) == 0
     man = read_manifest(out)
-    assert all(r.label == "hard" for r in man.labeled_rows())
+    assert all(r.label == "hard" for r in man.rows if r.label is not None)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "0", "-1.0"])
+def test_label_bad_fake_timer_entry_quarantines_only_its_row(tmp_path, corpus, capsys, token):
+    features = tmp_path / "f.jsonl"
+    main(["extract", str(corpus / "manifest.jsonl"), "--fit-schema", "--out", str(features)])
+    bad = read_manifest(features).rows[3].function_id
+    timer = tmp_path / "t.json"
+    timer.write_text('{"default": [1.0, 0.5], "%s": [1.0, %s]}' % (bad, token))
+    out = tmp_path / "l.jsonl"
+    capsys.readouterr()
+    assert main(["label", "--manifest", str(features), "--fake-timer", str(timer),
+                 "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    reasons = {r.function_id: r.quarantine_reason for r in read_manifest(out).rows}
+    assert reasons.pop(bad) in ("timer: timings must be finite", "timer: timings must be positive")
+    assert set(reasons.values()) == {None}  # every neighbour is labeled
+    assert len(reasons) == 15
 
 
 # ---------------------------------------------------------------- train/eval
@@ -215,6 +250,42 @@ def test_train_workers_flag_is_a_usage_error(tmp_path, labeled, capsys):
     assert rc == 1
     assert "usage:" in capsys.readouterr().err
     assert not model.exists()
+
+
+def test_train_without_out_is_a_usage_error_before_training(labeled, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(forest, "train", lambda *a, **k: trained.append(a))
+    assert main(["train", "--manifest", str(labeled)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--out" in err
+    assert trained == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--out", "corpus", "--strict"], "--strict"),
+        (["extract", "a.c", "--fit-schema", "--seed", "3"], "--seed 3"),
+        (["extract", "a.c", "--fit-schema", "--config", "x.json"], "--config x.json"),
+        (["label", "--manifest", "m.jsonl", "--strict"], "--strict"),
+        (["train", "--manifest", "m.jsonl", "--out", "m.json", "--config", "x.json"],
+         "--config x.json"),
+        (["train", "--manifest", "m.jsonl", "--out", "m.json", "--strict"], "--strict"),
+        (["eval", "--manifest", "m.jsonl", "--cv", "3", "--config", "x.json"], "--config x.json"),
+        (["eval", "--manifest", "m.jsonl", "--cv", "3", "--strict"], "--strict"),
+        (["classify", "--model", "m.json", "a.c", "--seed", "3"], "--seed 3"),
+        (["export", "--model", "m.json", "--seed", "3"], "--seed 3"),
+        (["export", "--model", "m.json", "--config", "x.json"], "--config x.json"),
+        (["export", "--model", "m.json", "--strict"], "--strict"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v.split()[0],
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(argv, flag, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"error: unrecognized arguments: {flag}" in err
 
 
 def test_train_without_labels_is_fatal(tmp_path, corpus):

@@ -86,7 +86,7 @@ def test_label_from_ratio_validates():
 def test_timing_record_uses_median():
     basic = [3.0, 1.0, 2.0]
     aggr = [0.9, 1.1, 1.0]
-    rec = TimingRecord.from_samples(basic, aggr)
+    rec = TimingRecord(basic, aggr)
     assert rec.t_basic == statistics.median(basic) == 2.0
     assert rec.t_aggr == 1.0
     assert rec.ratio == 0.5
@@ -94,13 +94,37 @@ def test_timing_record_uses_median():
 
 
 def test_timing_record_round_trip():
-    rec = TimingRecord.from_samples([1.0, 2.0, 3.0], [0.5, 0.6, 0.7])
+    rec = TimingRecord([1.0, 2.0, 3.0], [0.5, 0.6, 0.7])
     assert TimingRecord.from_dict(rec.to_dict()) == rec
 
 
 def test_timing_record_rejects_nonpositive():
     with pytest.raises(ValueError):
-        TimingRecord.from_samples([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        TimingRecord([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "basic, aggr, message",
+    [
+        ([1.0, float("nan"), 1.0], [1.0], "timings must be finite"),
+        ([1.0], [float("inf")], "timings must be finite"),
+        ([1.0, -1.0, 2.0], [1.0], "timings must be positive"),
+        ([], [1.0], "no timing samples"),
+        ([1e-300], [1e300], "timing ratio is not finite"),
+    ],
+    ids=["nan-sample", "inf-sample", "negative-sample", "no-samples", "ratio-overflow"],
+)
+def test_timing_record_checks_every_sample(basic, aggr, message):
+    with pytest.raises(ValueError, match=message):
+        TimingRecord(basic, aggr)
+
+
+@pytest.mark.parametrize("key", ["t_basic", "t_aggr", "ratio"])
+def test_timing_record_from_dict_rejects_stored_values_its_samples_disagree_with(key):
+    doc = TimingRecord([1.0, 2.0, 3.0], [0.5, 0.6, 0.7]).to_dict()
+    doc[key] = 123.0
+    with pytest.raises(ValueError, match=f"timing {key} 123.0 disagrees with its samples"):
+        TimingRecord.from_dict(doc)
 
 
 # --------------------------------------------------------------------- config
@@ -224,6 +248,22 @@ def test_label_corpus_bad_timing_values_quarantine():
     assert results[0].quarantine_reason is not None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_label_corpus_non_finite_timer_reading_quarantines(bad):
+    fns = [("a.c::f", _simple_fn("f")), ("b.c::g", _simple_fn("g")), ("c.c::h", _simple_fn("h"))]
+    results = label_corpus(
+        fns, FAST_CFG, timer=lambda i, f: (1.0, bad) if i == "b.c::g" else (1.0, 0.5)
+    )
+    assert [r.label for r in results] == ["hard", None, "hard"]
+    assert results[1].timing is None
+    assert results[1].quarantine_reason == "timer: timings must be finite"
+
+
+def test_label_corpus_timer_reading_of_the_wrong_shape_quarantines():
+    (res,) = label_corpus([("a.c::f", _simple_fn("f"))], FAST_CFG, timer=lambda i, f: (1.0,))
+    assert res.quarantine_reason == "timer: not enough values to unpack (expected 2, got 1)"
+
+
 def test_label_corpus_preserves_order_and_ids():
     fns = [(f"x.c::k{i}", _simple_fn(f"k{i}")) for i in range(5)]
     results = label_corpus(fns, FAST_CFG, timer=lambda i, f: (1.0, 1.0))
@@ -296,6 +336,10 @@ def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monk
             r"checksum varies across runs of one binary: \['4.0e\+02', '4.1e\+02'\]",
         ),
         (_driver_output(), 3, "binary exited with 3"),
+        (_driver_output(samples=(1e-6, float("nan"), 3e-6)), 0, "malformed driver output"),
+        (_driver_output(samples=(1e-6, float("inf"), 3e-6)), 0, "malformed driver output"),
+        (_driver_output(samples=(1e-6, 0.0, 3e-6)), 0, "malformed driver output"),
+        (_driver_output(samples=(1e-6, -2e-6, 3e-6)), 0, "malformed driver output"),
     ],
     ids=[
         "fewer-samples",
@@ -306,6 +350,10 @@ def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monk
         "unparseable-sample",
         "rep-checksums-differ",
         "non-zero-exit",
+        "nan-sample",
+        "inf-sample",
+        "zero-sample",
+        "negative-sample",
     ],
 )
 def test_measure_rejects_bad_driver_runs(tmp_path, stdout, exit_code, message):
@@ -366,6 +414,22 @@ def test_label_quarantine_order(tmp_path, monkeypatch, failing, reason):
     assert runs == ["run basic", "run aggr"][: len(runs)]  # timing stays serial
     if reason.startswith("compile"):
         assert runs == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0])
+@pytest.mark.parametrize("tag", ["basic", "aggr"])
+def test_label_corpus_quarantines_a_bad_driver_sample(tmp_path, monkeypatch, bad, tag):
+    def fake_compile(source, flags, cfg, workdir, stem):
+        samples = (1e-6, bad, 1e-6) if stem == f"a.c_f_{tag}" else (1e-6, 2e-6, 3e-6)
+        (Path(workdir) / stem).mkdir()
+        return _fake_binary(Path(workdir) / stem, _driver_output(samples=samples))
+
+    monkeypatch.setattr(labeler, "compile_variant", fake_compile)
+    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
+    bad_fn, good_fn = label_corpus([("a.c::f", _simple_fn("f")), ("b.c::g", _simple_fn("g"))], cfg)
+    assert bad_fn.label is None and bad_fn.timing is None
+    assert bad_fn.quarantine_reason.startswith(f"run[{tag}]: malformed driver output")
+    assert good_fn.label == "easy" and good_fn.timing.ratio == 1.0
 
 
 # ---------------------------------------------------------------- integration

@@ -21,7 +21,7 @@ from opttriage.manifest import (
 
 
 def _timing() -> TimingRecord:
-    return TimingRecord.from_samples([1.0, 1.2, 1.1], [0.5, 0.4, 0.6])
+    return TimingRecord([1.0, 1.2, 1.1], [0.5, 0.4, 0.6])
 
 
 def _manifest() -> CorpusManifest:
@@ -103,8 +103,8 @@ def test_file_round_trip(tmp_path):
 
 def test_labeled_and_quarantined_views():
     man = _manifest()
-    assert [r.function_id for r in man.labeled_rows()] == ["a.c::f"]
-    assert [r.function_id for r in man.quarantined_rows()] == ["b.c::g"]
+    assert [r.function_id for r in man.rows if r.label is not None] == ["a.c::f"]
+    assert [r.function_id for r in man.rows if r.quarantine_reason is not None] == ["b.c::g"]
 
 
 def test_validate_rejects_duplicate_ids():
@@ -193,13 +193,27 @@ def _manifest_text(header=None, row=None) -> str:
         (_manifest_text(row={"timing": {**_timing().to_dict(), "t_aggr": float("nan")}}), 2),
         (_manifest_text(row={"timing": {**_timing().to_dict(), "ratio": float("inf")}}), 2),
         (_manifest_text().replace('"samples_basic": [1.0', '"samples_basic": [1e999'), 2),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "samples_aggr": []}}), 2),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "t_basic": 1.2}}), 2),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "t_aggr": 123}}), 2),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "ratio": 7.5}}), 2),
+        (
+            _manifest_text(
+                row={"timing": {**_timing().to_dict(), "samples_basic": [], "t_aggr": 123,
+                                "ratio": 7.5}}
+            ),
+            2,
+        ),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "samples_basic": [0.0] * 3}}), 2),
     ],
     ids=[
         "schema-not-object", "schema-no-depth", "depth-string", "depth-float",
         "depth-bool", "depth-zero", "hashes-not-object", "meta-not-object",
         "feature-nan", "feature-inf", "feature-overflow", "row-not-object",
         "feature-int-overflow", "meta-nan", "meta-nested-inf", "hashes-inf", "meta-overflow",
-        "timing-nan", "timing-inf", "timing-overflow",
+        "timing-nan", "timing-inf", "timing-overflow", "timing-no-samples",
+        "timing-t-basic-tampered", "timing-t-aggr-tampered", "timing-ratio-tampered",
+        "timing-all-tampered", "timing-zero-samples",
     ],
 )
 def test_loads_rejects_malformed_fields_naming_the_line(text, line):

@@ -50,8 +50,8 @@ def test_label_matches_displayed_formula(t_basic, t_aggr, delta):
     st.lists(finite_times, min_size=1, max_size=9).filter(lambda s: len(s) % 2 == 1),
 )
 def test_timing_record_median_is_order_free(basic, aggr):
-    a = TimingRecord.from_samples(basic, aggr)
-    b = TimingRecord.from_samples(sorted(basic), sorted(aggr))
+    a = TimingRecord(basic, aggr)
+    b = TimingRecord(sorted(basic), sorted(aggr))
     assert a.t_basic == b.t_basic
     assert a.t_aggr == b.t_aggr
     assert a.ratio == b.ratio
