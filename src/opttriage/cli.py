@@ -22,7 +22,7 @@ import numpy as np
 from opttriage import forest
 from opttriage.features import DepthError, FeatureSchema, compute_max_depth, extract
 from opttriage.forest import ForestParams, ModelFormatError
-from opttriage.labeler import LabelerConfig, LabelResult, label_corpus
+from opttriage.labeler import LabelerConfig, LabelResult, label_corpus, number_list
 from opttriage.manifest import (
     CorpusManifest,
     ManifestFormatError,
@@ -222,6 +222,8 @@ def _load_fake_timer(path: str):
         entry = table.get(fn_id, table.get("default"))
         if entry is None:
             return None
+        if len(number_list(entry, "entry")) != 2:
+            raise ValueError("entry must be a list of two numbers")
         t_basic, t_aggr = entry
         return float(t_basic), float(t_aggr)
 

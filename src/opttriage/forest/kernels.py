@@ -1,4 +1,4 @@
-"""Hot loops of the forest: split search and batch tree routing, in numpy.
+"""Hot loops of the forest: split search and batch forest routing, in numpy.
 
 `split_scan` scores every cut of every candidate feature of one node in a
 single 2-D pass, so growing a tree costs one kernel call per node. Class
@@ -74,23 +74,31 @@ def split_scan(
     return col, float((sv[cut - 1, col] + sv[cut, col]) / 2.0), best
 
 
-# ---------------------------------------------------------------- tree routing
+# -------------------------------------------------------------- forest routing
 #
-# Route rows through one tree laid out as parallel node arrays:
-# feature[i] < 0 marks a leaf whose class is label[i], otherwise compare
-# x[feature[i]] <= threshold[i] and continue left or right. All rows advance
-# one level per pass.
+# Route rows through every tree of a forest at once. The forest's nodes sit
+# in one set of arrays, tree after tree, each tree in preorder:
+# feature[i] < 0 marks a leaf; otherwise compare x[feature[i]] <= threshold[i]
+# and continue at i + 1 (left) or at right[i]. Each (row, tree) pair is one
+# entry of a rows x trees node matrix, and every entry still at an internal
+# node advances one level per pass.
 
 
-def route_tree(feature, threshold, left, right, label, x_rows) -> np.ndarray:
-    """Leaf class (0/1) per row of x_rows for one array-layout tree."""
-    n = x_rows.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    pending = feature[node] >= 0
-    while pending.any():
-        rows = np.nonzero(pending)[0]
-        at = node[rows]
-        goes_left = x_rows[rows, feature[at]] <= threshold[at]
-        node[rows] = np.where(goes_left, left[at], right[at])
-        pending = feature[node] >= 0
-    return label[node].astype(np.int8)
+def route_forest(feature, threshold, right, roots, x_rows) -> np.ndarray:
+    """Leaf reached by each row in each tree: int64[rows, trees] of node indices.
+
+    right and roots hold indices into the forest's node arrays; x_rows is a
+    C-contiguous f8[rows, width].
+    """
+    n_rows, width = x_rows.shape
+    node = np.tile(roots, n_rows)  # row-major: every tree of row 0, then of row 1, ...
+    row_start = np.repeat(np.arange(n_rows) * width, len(roots))
+    x_flat = x_rows.ravel()
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        goes_left = x_flat[row_start[active] + feature[at]] <= threshold[at]
+        at = np.where(goes_left, at + 1, right[at])
+        node[active] = at
+        active = active[feature[at] >= 0]
+    return node.reshape(n_rows, len(roots))

@@ -11,9 +11,11 @@ the safe side for flag selection.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import ceil, sqrt
 from typing import Optional, Sequence
 
@@ -26,7 +28,7 @@ EASY, HARD = 0, 1
 LABEL_NAMES = ("easy", "hard")
 
 MODEL_FORMAT = "opttriage-forest"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -109,7 +111,10 @@ def best_split(
 
 @dataclass
 class Tree:
-    """One decision tree in contiguous-array layout, nodes in preorder."""
+    """One decision tree in contiguous-array layout, nodes in preorder.
+
+    A model's trees are views into its `NodeTable`.
+    """
 
     feature: np.ndarray  # int32, -1 at leaves
     threshold: np.ndarray  # float64, 0.0 at leaves
@@ -123,10 +128,120 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def route(self, x_rows: np.ndarray) -> np.ndarray:
-        return kernels.route_tree(
-            self.feature, self.threshold, self.left, self.right, self.label, x_rows
+
+_TREE_DTYPES = {
+    "feature": np.int32,
+    "threshold": np.float64,
+    "left": np.int32,
+    "right": np.int32,
+    "label": np.int8,
+    "count_easy": np.int64,
+    "count_hard": np.int64,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Every node of a forest in one set of arrays: tree after tree, each in preorder.
+
+    Two fields of `Tree` are derived, not stored: an internal node's left
+    child is the node after it, and a leaf's class is hard iff
+    count_hard >= count_easy. `check` holds every invariant routing relies on.
+    """
+
+    feature: np.ndarray  # int32, -1 at leaves
+    threshold: np.ndarray  # float64, 0.0 at leaves
+    right: np.ndarray  # int32, index within the node's own tree, -1 at leaves
+    count_easy: np.ndarray  # int64, training rows reaching the node
+    count_hard: np.ndarray  # int64
+    sizes: np.ndarray  # int64, nodes per tree, each at least 1
+
+    @staticmethod
+    def from_trees(trees: Sequence[Tree]) -> "NodeTable":
+        """Concatenate per-tree arrays whose left and label are the derived ones."""
+        for tree in trees:
+            n = tree.n_nodes
+            if n == 0 or any(getattr(tree, key).shape != (n,) for key in _TREE_DTYPES):
+                raise ModelFormatError("tree arrays are inconsistent")
+
+        def joined(key: str) -> np.ndarray:
+            arrays = [getattr(tree, key) for tree in trees]
+            return np.concatenate(arrays).astype(_TREE_DTYPES[key], copy=False)
+
+        table = NodeTable(
+            feature=joined("feature"),
+            threshold=joined("threshold"),
+            right=joined("right"),
+            count_easy=joined("count_easy"),
+            count_hard=joined("count_hard"),
+            sizes=np.array([tree.n_nodes for tree in trees], dtype=np.int64),
         )
+        table._reject(joined("left") != table.left, "has a left child other than the next node")
+        table._reject(joined("label") != table.label, "has a class other than its counts give")
+        return table
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Table index of each tree's root."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
+    def tree_root(self) -> np.ndarray:
+        """Per node, the table index of its tree's root."""
+        return np.repeat(self.roots, self.sizes)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """int32 index within the tree: the next node, or -1 at leaves."""
+        local = np.arange(len(self.feature)) - self.tree_root
+        return np.where(self.feature >= 0, local + 1, -1).astype(np.int32)
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        """int8 leaf class, hard on a count tie; -1 at internal nodes."""
+        leaf_class = (self.count_hard >= self.count_easy).astype(np.int8)
+        return np.where(self.feature >= 0, np.int8(-1), leaf_class)
+
+    @cached_property
+    def right_node(self) -> np.ndarray:
+        """Table index of each internal node's right child (meaningless at leaves)."""
+        return self.right + self.tree_root
+
+    def _reject(self, bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            tree = int(np.searchsorted(self.roots, at, side="right")) - 1
+            raise ModelFormatError(f"tree {tree} node {at - int(self.roots[tree])} {what}")
+
+    def check(self, width: int) -> None:
+        """Reject a forest that routing cannot walk, checking all trees at once.
+
+        Within its tree every child comes after its parent and every node but
+        the root has exactly one parent, so each route ends at a leaf of the
+        same tree within as many steps as the tree has nodes.
+        """
+        n = len(self.feature)
+        internal = self.feature >= 0
+        leaf = ~internal
+        local = np.arange(n) - self.tree_root
+        self._reject(self.feature >= width, "tests an out-of-range feature")
+        self._reject(leaf & (self.feature != -1), "has a negative feature other than -1")
+        self._reject(leaf & (self.right != -1), "is a leaf with a right child")
+        self._reject(~np.isfinite(self.threshold), "has a non-finite threshold")
+        self._reject(leaf & (self.threshold != 0.0), "is a leaf with a threshold")
+        self._reject((self.count_easy < 0) | (self.count_hard < 0), "has a negative count")
+        beyond = (self.right <= local) | (self.right >= np.repeat(self.sizes, self.sizes))
+        self._reject(internal & beyond, "has a child not after it in its tree")
+
+        parent = np.flatnonzero(internal)
+        left, right = parent + 1, self.right_node[parent]
+        n_parents = np.bincount(np.concatenate((left, right)), minlength=n)
+        n_parents[self.roots] = 1  # a root has none, and no child is a root
+        self._reject(n_parents != 1, "does not have exactly one parent")
+        for counts in (self.count_easy, self.count_hard):
+            bad = np.zeros(n, dtype=bool)
+            bad[parent] = counts[parent] != counts[left] + counts[right]
+            self._reject(bad, "has counts other than its children's sum")
 
 
 class _TreeBuilder:
@@ -204,12 +319,19 @@ def build_tree(
 class RandomForestModel:
     schema: FeatureSchema
     params: ForestParams  # features_per_split resolved to a concrete int
-    trees: list[Tree]
+    nodes: NodeTable
     training_fingerprint: str = ""
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.nodes.sizes)
+
+    @cached_property
+    def trees(self) -> list[Tree]:
+        """Per-tree views into the node table, for code that walks one tree."""
+        t = self.nodes
+        bounds = zip(t.roots.tolist(), (t.roots + t.sizes).tolist())
+        return [Tree(**{key: getattr(t, key)[a:b] for key in _TREE_DTYPES}) for a, b in bounds]
 
 
 def _fingerprint(ids: Sequence[str], x_rows: np.ndarray, y: np.ndarray) -> str:
@@ -258,7 +380,7 @@ def train(
     return RandomForestModel(
         schema=schema,
         params=params,
-        trees=trees,
+        nodes=NodeTable.from_trees(trees),
         training_fingerprint=_fingerprint(ids, x_rows, y),
     )
 
@@ -267,11 +389,11 @@ def train(
 
 
 def hard_votes(model: RandomForestModel, x_rows: np.ndarray) -> np.ndarray:
+    """Per row, the number of trees whose leaf is hard."""
     x_rows = _feature_rows(x_rows, model.schema.width)
-    votes = np.zeros(len(x_rows), dtype=np.int64)
-    for tree in model.trees:
-        votes += tree.route(x_rows)
-    return votes
+    t = model.nodes
+    leaves = kernels.route_forest(t.feature, t.threshold, t.right_node, t.roots, x_rows)
+    return t.label[leaves].sum(axis=1, dtype=np.int64)
 
 
 def predict_batch(
@@ -371,10 +493,33 @@ def cross_validate(
 
 
 # --------------------------------------------------------------- serialization
+#
+# Format v2 is one JSON document: the header (format, schema, params,
+# fingerprint), the node count of each tree, and the node table's stored
+# arrays, each as base64 of one fixed little-endian dtype. Thresholds are
+# stored for internal nodes only; leaves hold 0.0. Format v1 stored all seven
+# per-tree arrays as JSON numbers; it still loads, through the same table and
+# check, when its left and label are the derived ones.
+
+_NODE_DTYPES = {
+    "feature": np.dtype("<i4"),
+    "right": np.dtype("<i4"),
+    "count_easy": np.dtype("<i8"),
+    "count_hard": np.dtype("<i8"),
+    "threshold": np.dtype("<f8"),  # internal nodes only
+}
+
+
+def _encode(values: np.ndarray, key: str) -> str:
+    return base64.b64encode(values.astype(_NODE_DTYPES[key]).tobytes()).decode("ascii")
 
 
 def dumps_model(model: RandomForestModel) -> str:
-    """Canonical JSON text: sorted keys, fixed layout, shortest-float repr."""
+    """Canonical JSON text: sorted keys, fixed layout, fixed-dtype node arrays."""
+    t = model.nodes
+    internal = t.feature >= 0
+    if not np.isfinite(t.threshold[internal]).all():
+        raise ValueError("model has a non-finite threshold")
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -388,18 +533,14 @@ def dumps_model(model: RandomForestModel) -> str:
             "rng_seed": model.params.rng_seed,
         },
         "training_fingerprint": model.training_fingerprint,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "label": t.label.tolist(),
-                "count_easy": t.count_easy.tolist(),
-                "count_hard": t.count_hard.tolist(),
-            }
-            for t in model.trees
-        ],
+        "tree_sizes": t.sizes.tolist(),
+        "nodes": {
+            "feature": _encode(t.feature, "feature"),
+            "right": _encode(t.right, "right"),
+            "count_easy": _encode(t.count_easy, "count_easy"),
+            "count_hard": _encode(t.count_hard, "count_hard"),
+            "threshold": _encode(t.threshold[internal], "threshold"),
+        },
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -409,7 +550,60 @@ def save_model(model: RandomForestModel, path) -> None:
         fh.write(dumps_model(model))
 
 
-_TREE_KEYS = ("feature", "threshold", "left", "right", "label", "count_easy", "count_hard")
+def _decode(arrays: dict, key: str, count: int) -> np.ndarray:
+    dtype = _NODE_DTYPES[key]
+    text = arrays[key]
+    if not isinstance(text, str):
+        raise ModelFormatError(f"node array {key} is not base64 text")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise ModelFormatError(f"node array {key} is not base64: {e}") from e
+    if len(data) != count * dtype.itemsize:
+        raise ModelFormatError(
+            f"node array {key} holds {len(data)} bytes, not {count * dtype.itemsize}"
+        )
+    return np.frombuffer(data, dtype=dtype)
+
+
+def _v2_nodes(doc: dict, n_trees: int) -> NodeTable:
+    sizes = doc["tree_sizes"]
+    if (
+        not isinstance(sizes, list)
+        or len(sizes) != n_trees
+        or any(type(size) is not int or size < 1 for size in sizes)
+    ):
+        raise ModelFormatError("tree_sizes must give each tree a positive node count")
+    arrays = doc["nodes"]
+    if not isinstance(arrays, dict) or set(arrays) != set(_NODE_DTYPES):
+        raise ModelFormatError(f"nodes must hold exactly the arrays {sorted(_NODE_DTYPES)}")
+    n = sum(sizes)
+    feature = _decode(arrays, "feature", n)
+    internal = feature >= 0
+    threshold = np.zeros(n)
+    threshold[internal] = _decode(arrays, "threshold", int(np.count_nonzero(internal)))
+    return NodeTable(
+        feature=feature,
+        threshold=threshold,
+        right=_decode(arrays, "right", n),
+        count_easy=_decode(arrays, "count_easy", n),
+        count_hard=_decode(arrays, "count_hard", n),
+        sizes=np.array(sizes, dtype=np.int64),
+    )
+
+
+def _v1_nodes(doc: dict, n_trees: int) -> NodeTable:
+    raw_trees = doc["trees"]
+    if not isinstance(raw_trees, list) or len(raw_trees) != n_trees:
+        raise ModelFormatError("tree count does not match params")
+    trees = [
+        Tree(**{key: np.asarray(raw[key], dtype=dtype) for key, dtype in _TREE_DTYPES.items()})
+        for raw in raw_trees
+    ]
+    return NodeTable.from_trees(trees)
+
+
+_NODE_READERS = {1: _v1_nodes, 2: _v2_nodes}
 
 
 def loads_model(text: str) -> RandomForestModel:
@@ -419,10 +613,9 @@ def loads_model(text: str) -> RandomForestModel:
         raise ModelFormatError(f"not a model document: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a model document")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version")
+    if type(version) is not int or version not in _NODE_READERS:
+        raise ModelFormatError(f"unsupported model format version {version!r}")
     try:
         schema = FeatureSchema(max_depth=int(doc["schema"]["max_depth"]))
         p = doc["params"]
@@ -434,69 +627,17 @@ def loads_model(text: str) -> RandomForestModel:
             bootstrap_fraction=float(p["bootstrap_fraction"]),
             rng_seed=int(p["rng_seed"]),
         )
+        params.validate(schema.width)
         fingerprint = str(doc["training_fingerprint"])
-        raw_trees = doc["trees"]
-        if not isinstance(raw_trees, list) or len(raw_trees) != params.n_trees:
-            raise ModelFormatError("tree count does not match params")
-        trees = []
-        for raw in raw_trees:
-            lengths = {len(raw[k]) for k in _TREE_KEYS}
-            if len(lengths) != 1 or 0 in lengths:
-                raise ModelFormatError("tree arrays are inconsistent")
-            tree = Tree(
-                feature=np.asarray(raw["feature"], dtype=np.int32),
-                threshold=np.asarray(raw["threshold"], dtype=np.float64),
-                left=np.asarray(raw["left"], dtype=np.int32),
-                right=np.asarray(raw["right"], dtype=np.int32),
-                label=np.asarray(raw["label"], dtype=np.int8),
-                count_easy=np.asarray(raw["count_easy"], dtype=np.int64),
-                count_hard=np.asarray(raw["count_hard"], dtype=np.int64),
-            )
-            _check_tree(tree, schema.width)
-            trees.append(tree)
+        nodes = _NODE_READERS[version](doc, params.n_trees)
+        nodes.check(schema.width)
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed model document: {e}") from e
-    params.validate(schema.width)
     return RandomForestModel(
-        schema=schema, params=params, trees=trees, training_fingerprint=fingerprint
+        schema=schema, params=params, nodes=nodes, training_fingerprint=fingerprint
     )
-
-
-def _check_tree(tree: Tree, width: int) -> None:
-    """Reject a tree that is not a preorder layout routing can walk.
-
-    Every child comes after its parent and every node but the root has
-    exactly one parent, so each route ends at a leaf within n steps.
-    """
-
-    def reject(bad: np.ndarray, what: str, nodes: Optional[np.ndarray] = None) -> None:
-        if bad.any():
-            at = int(np.flatnonzero(bad)[0])
-            raise ModelFormatError(f"node {at if nodes is None else int(nodes[at])} {what}")
-
-    n = tree.n_nodes
-    node = np.arange(n)
-    internal = tree.feature >= 0
-    leaf = ~internal
-    reject(tree.feature >= width, "tests an out-of-range feature")
-    reject(leaf & (tree.feature != -1), "has a negative feature other than -1")
-    reject(leaf & (tree.label != EASY) & (tree.label != HARD), "is a leaf with no class")
-    reject(internal & (tree.label != -1), "is an internal node with a class")
-    reject(~np.isfinite(tree.threshold), "has a non-finite threshold")
-    reject((tree.count_easy < 0) | (tree.count_hard < 0), "has a negative count")
-    for child in (tree.left, tree.right):
-        reject(internal & ((child <= node) | (child >= n)), "has a child not after it")
-
-    parent = node[internal]
-    left, right = tree.left[parent], tree.right[parent]
-    n_parents = np.bincount(np.concatenate((left, right)), minlength=n)
-    n_parents[0] = 1  # the root has none, and no child index can be 0
-    reject(n_parents != 1, "does not have exactly one parent")
-    for counts in (tree.count_easy, tree.count_hard):
-        sums = counts[left] + counts[right]
-        reject(counts[parent] != sums, "has counts other than its children's sum", parent)
 
 
 def load_model(path) -> RandomForestModel:

@@ -94,6 +94,13 @@ class LabelerConfig:
         return LabelerConfig(**clean)
 
 
+def number_list(value, what: str) -> list:
+    """value itself when it is a JSON list of numbers; a boolean is not a number here."""
+    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise ValueError(f"{what} must be a list of numbers")
+    return value
+
+
 def _timings(values: Sequence[float]) -> tuple[float, ...]:
     """The one check on measured seconds: at least one, each finite and positive."""
     seconds = tuple(float(v) for v in values)
@@ -143,10 +150,15 @@ class TimingRecord:
     @staticmethod
     def from_dict(doc: dict) -> "TimingRecord":
         """Rebuilds the record from its samples; stored derived values must agree."""
-        record = TimingRecord(doc["samples_basic"], doc["samples_aggr"])
+        record = TimingRecord(
+            number_list(doc["samples_basic"], "samples_basic"),
+            number_list(doc["samples_aggr"], "samples_aggr"),
+        )
         for key in ("t_basic", "t_aggr", "ratio"):
             derived = getattr(record, key)
-            if float(doc[key]) != derived:
+            if type(doc[key]) not in (int, float):
+                raise ValueError(f"timing {key} {doc[key]!r} is not a number")
+            if doc[key] != derived:
                 raise ValueError(
                     f"timing {key} {doc[key]!r} disagrees with its samples ({derived!r})"
                 )

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from opttriage.features import FeatureSchema
-from opttriage.labeler import TimingRecord
+from opttriage.labeler import TimingRecord, number_list
 
 MANIFEST_FORMAT = "opttriage-manifest"
 MANIFEST_FORMAT_VERSION = 1
@@ -60,7 +60,7 @@ class ManifestRow:
         timing = doc.get("timing")
         features = doc.get("feature_values")
         if features is not None:
-            features = [float(v) for v in features]
+            features = [float(v) for v in number_list(features, "feature_values")]
         return ManifestRow(
             function_id=str(doc["function_id"]),
             source_path=doc.get("source_path"),

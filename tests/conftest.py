@@ -1,6 +1,8 @@
+import base64
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opttriage import FeatureSchema, SourceUnit, parse_unit
@@ -55,6 +57,32 @@ def reference_decision(model, values) -> int:
                 node = int(tree.right[node])
         votes += int(tree.label[node])
     return 1 if 2 * votes >= model.n_trees else 0
+
+
+# A v2 model document stores each node array as base64 of one fixed
+# little-endian dtype; thresholds are those of the internal nodes only.
+MODEL_V2_DTYPES = {
+    "feature": "<i4",
+    "right": "<i4",
+    "count_easy": "<i8",
+    "count_hard": "<i8",
+    "threshold": "<f8",
+}
+
+
+def v2_node_arrays(doc: dict) -> dict:
+    """The node arrays of a v2 model document, decoded into writable arrays."""
+    return {
+        key: np.frombuffer(base64.b64decode(doc["nodes"][key]), dtype=dtype).copy()
+        for key, dtype in MODEL_V2_DTYPES.items()
+    }
+
+
+def set_v2_node_arrays(doc: dict, arrays: dict) -> None:
+    doc["nodes"] = {
+        key: base64.b64encode(np.asarray(arrays[key], dtype=dtype).tobytes()).decode("ascii")
+        for key, dtype in MODEL_V2_DTYPES.items()
+    }
 
 
 def has_compiler() -> bool:

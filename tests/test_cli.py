@@ -227,6 +227,37 @@ def test_label_bad_fake_timer_entry_quarantines_only_its_row(tmp_path, corpus, c
     assert len(reasons) == 15
 
 
+@pytest.mark.parametrize(
+    "entry", ['"35"', '["1.0", "0.5"]', "[1.0]", "[1.0, 0.5, 0.2]", "[true, 0.5]", "1.0", '{"a": 1}']
+)
+def test_label_fake_timer_entry_that_is_not_two_numbers_quarantines(tmp_path, corpus, capsys, entry):
+    features = tmp_path / "f.jsonl"
+    main(["extract", str(corpus / "manifest.jsonl"), "--fit-schema", "--out", str(features)])
+    bad = read_manifest(features).rows[3].function_id
+    timer = tmp_path / "t.json"
+    timer.write_text('{"default": [1.0, 0.5], "%s": %s}' % (bad, entry))
+    out = tmp_path / "l.jsonl"
+    capsys.readouterr()
+    assert main(["label", "--manifest", str(features), "--fake-timer", str(timer),
+                 "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    reasons = {r.function_id: r.quarantine_reason for r in read_manifest(out).rows}
+    assert reasons.pop(bad).startswith("timer: entry must be a list of")
+    assert set(reasons.values()) == {None}
+
+
+def test_label_string_default_timer_entry_labels_nothing(tmp_path, corpus):
+    features = tmp_path / "f.jsonl"
+    main(["extract", str(corpus / "manifest.jsonl"), "--fit-schema", "--out", str(features)])
+    timer = _write_json(tmp_path / "t.json", {"default": "35"})
+    out = tmp_path / "l.jsonl"
+    assert main(["label", "--manifest", str(features), "--fake-timer", timer,
+                 "--out", str(out)]) == 2
+    rows = read_manifest(out).rows
+    assert {r.quarantine_reason for r in rows} == {"timer: entry must be a list of numbers"}
+    assert all(r.label is None for r in rows)
+
+
 # ---------------------------------------------------------------- train/eval
 
 

@@ -1,5 +1,6 @@
 """Forest tests: split search vs brute force, training, serialization."""
 
+import base64
 import hashlib
 import json
 
@@ -12,6 +13,7 @@ from opttriage.forest import (
     HARD,
     ForestParams,
     ModelFormatError,
+    NodeTable,
     RandomForestModel,
     Split,
     Tree,
@@ -20,6 +22,7 @@ from opttriage.forest import (
     cross_validate,
     dumps_model,
     evaluate,
+    export_decision_code,
     gini,
     hard_votes,
     load_model,
@@ -30,6 +33,8 @@ from opttriage.forest import (
 )
 from opttriage.forest.kernels import split_scan
 
+from conftest import DATA, reference_decision, set_v2_node_arrays, v2_node_arrays
+
 
 def _leaf_tree(label: int) -> Tree:
     return Tree(
@@ -38,15 +43,16 @@ def _leaf_tree(label: int) -> Tree:
         left=np.array([-1], dtype=np.int32),
         right=np.array([-1], dtype=np.int32),
         label=np.array([label], dtype=np.int8),
-        count_easy=np.array([1], dtype=np.int64),
-        count_hard=np.array([1], dtype=np.int64),
+        count_easy=np.array([1 - label], dtype=np.int64),  # the counts give the class
+        count_hard=np.array([label], dtype=np.int64),
     )
 
 
 def _model_of_leaves(labels: list[int], max_depth: int = 1) -> RandomForestModel:
     schema = FeatureSchema(max_depth)
     params = ForestParams(n_trees=len(labels)).resolved(schema.width)
-    return RandomForestModel(schema=schema, params=params, trees=[_leaf_tree(v) for v in labels])
+    nodes = NodeTable.from_trees([_leaf_tree(v) for v in labels])
+    return RandomForestModel(schema=schema, params=params, nodes=nodes)
 
 
 # ----------------------------------------------------------------------- gini
@@ -295,6 +301,9 @@ def test_build_tree_single_class_is_one_leaf():
 # arithmetic, to the tie order (lowest feature, then lowest threshold) or
 # to the order of each tree's RNG draws changes these digests. They also
 # rest on numpy's Generator streams, which NEP 19 lets a numpy release change.
+# The model digests were re-recorded for model format v2, whose node arrays
+# are base64 text; the trees did not change, which the export digests below
+# pin independently of the file format.
 
 
 def _golden_uniform():
@@ -317,8 +326,8 @@ def _golden_ties():
 @pytest.mark.parametrize(
     "make, digest",
     [
-        (_golden_uniform, "c2e3d5a9178a95d6fade9363d90e8bb7c1bf05ee556a8c1c64ab55b8865e8df8"),
-        (_golden_ties, "f2b53d381002f81723babe066c8cfc2fbe361190e162fcdf4bbd1033e0354cca"),
+        (_golden_uniform, "4497b8e6d2489156d77f39e90e7a897131a4f6830c6e1c9b4b3529fa95f4bc1f"),
+        (_golden_ties, "59fb72c3658a59f97a95e0f2aed40f343a42af197e75d51f53a1241b479a9118"),
     ],
     ids=["uniform", "ties"],
 )
@@ -326,6 +335,21 @@ def test_model_bytes_are_golden(make, digest):
     x, y, params = make()
     text = dumps_model(train(x, y, FeatureSchema(3), params))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (_golden_uniform, "9a8e435f0313093cdbceae77478aa7fb4dc980e7e6c71c3e63795b91b298284f"),
+        (_golden_ties, "1ca5f7c9185c70e2c706f17ec16046999c7c8bae9555ba51affc958911e71217"),
+    ],
+    ids=["uniform", "ties"],
+)
+def test_exported_code_is_golden(make, digest):
+    # the export reads only the trees, so a model format change keeps these
+    x, y, params = make()
+    code = export_decision_code(train(x, y, FeatureSchema(3), params))
+    assert hashlib.sha256(code.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------- prediction
@@ -460,29 +484,54 @@ def test_loads_model_rejects_garbage():
 
 
 def test_loads_model_rejects_malformed_tree():
-    x, y = _separable()
-    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
-    doc = json.loads(dumps_model(model))
+    doc = _v1_doc()
     doc["trees"][0]["left"] = doc["trees"][0]["left"][:-1]
     with pytest.raises(ModelFormatError):
         loads_model(json.dumps(doc))
 
 
 def test_dumps_model_rejects_non_finite_threshold():
-    x, y = _separable()
-    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
-    internal = int(np.flatnonzero(model.trees[0].feature >= 0)[0])
-    model.trees[0].threshold[internal] = np.nan
-    with pytest.raises(ValueError):
-        dumps_model(model)
+    # thresholds are written as base64, where allow_nan=False cannot see them
+    for bad in (np.nan, np.inf, -np.inf):
+        x, y = _separable()
+        model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
+        internal = int(np.flatnonzero(model.trees[0].feature >= 0)[0])
+        model.trees[0].threshold[internal] = bad
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            dumps_model(model)
 
 
-def _saved_tree_doc():
+# ------------------------------------------------------------ model format v1
+#
+# tests/data/model_v1.json was written by format v1's dumps_model for
+# train(*_separable(), FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4)).
+
+V1_MODEL = DATA / "model_v1.json"
+
+
+def _v1_twin() -> RandomForestModel:
     x, y = _separable()
-    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
-    doc = json.loads(dumps_model(model))
+    return train(x, y, FeatureSchema(1), ForestParams(n_trees=2, rng_seed=4))
+
+
+def _v1_doc() -> dict:
+    doc = json.loads(V1_MODEL.read_text(encoding="utf-8"))
+    assert doc["format_version"] == 1
     assert sum(f >= 0 for f in doc["trees"][0]["feature"]) >= 3  # room for every mutation
     return doc
+
+
+def test_v1_model_loads_and_predicts_like_the_reference_walk():
+    model = load_model(V1_MODEL)
+    rows = np.random.default_rng(8).uniform(0.0, 1.0, size=(200, 12))
+    labels, _votes = predict_batch(model, rows)
+    assert [reference_decision(model, row) for row in rows] == labels.tolist()
+
+
+def test_v1_model_re_dumps_as_the_same_forest_trained_now():
+    text = dumps_model(load_model(V1_MODEL))
+    assert json.loads(text)["format_version"] == 2
+    assert text == dumps_model(_v1_twin())
 
 
 def _leaf(tree):
@@ -516,10 +565,188 @@ TREE_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(TREE_MUTATIONS))
 def test_loads_model_rejects_mutated_tree(mutation):
-    doc = _saved_tree_doc()
+    doc = _v1_doc()
     tree = doc["trees"][0]
     key, node, value = TREE_MUTATIONS[mutation]
     node = node(tree) if callable(node) else node
     tree[key][node] = value(tree) if callable(value) else value
+    with pytest.raises(ModelFormatError):
+        loads_model(json.dumps(doc))
+
+
+def _swap_root_children(tree):
+    tree["left"][0], tree["right"][0] = tree["right"][0], tree["left"][0]
+
+
+def _flip_leaf_class(tree):
+    tree["label"][_leaf(tree)] ^= 1
+
+
+def _leaf_threshold(tree):
+    tree["threshold"][_leaf(tree)] = 0.5
+
+
+# Format v1 stored left, label and leaf thresholds that v2 derives or drops;
+# a v1 file whose values differ would not survive the conversion, so it is
+# rejected, even where the tree is otherwise walkable.
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_swap_root_children, "left child other than the next node"),
+        (_flip_leaf_class, "class other than its counts give"),
+        (_leaf_threshold, "leaf with a threshold"),
+    ],
+    ids=["children-swapped", "leaf-class-against-counts", "leaf-with-threshold"],
+)
+def test_v1_model_whose_stored_field_breaks_the_derived_rule_is_rejected(mutate, message):
+    doc = _v1_doc()
+    mutate(doc["trees"][0])
+    with pytest.raises(ModelFormatError, match=message):
+        loads_model(json.dumps(doc))
+
+
+# ------------------------------------------------------------ model format v2
+
+
+def _v2_doc() -> dict:
+    return json.loads(dumps_model(_v1_twin()))
+
+
+def test_v2_document_layout():
+    doc = _v2_doc()
+    model = _v1_twin()
+    assert doc["format_version"] == 2
+    assert doc["tree_sizes"] == [tree.n_nodes for tree in model.trees] == [13, 3]
+    arrays = v2_node_arrays(doc)
+    internal = np.concatenate([tree.feature for tree in model.trees]) >= 0
+    for key in ("feature", "right", "count_easy", "count_hard"):
+        assert arrays[key].tolist() == np.concatenate([getattr(t, key) for t in model.trees]).tolist()
+    thresholds = np.concatenate([tree.threshold for tree in model.trees])
+    assert arrays["threshold"].tolist() == thresholds[internal].tolist()
+
+
+def _v2_leaf(a):
+    return int(np.flatnonzero(a["feature"] < 0)[0])
+
+
+def _v2_second_internal(a):
+    return int(np.flatnonzero(a["feature"] >= 0)[1])
+
+
+# name: (array, node, new value) on the decoded node arrays, as in
+# TREE_MUTATIONS; tree 0 holds nodes 0..12 and tree 1 nodes 13..15, and the
+# threshold array holds internal nodes only. v2 derives left and label, so
+# the v1 cases that edit them have no v2 form.
+V2_NODE_MUTATIONS = {
+    "root-right-cycles-to-root": ("right", 0, 0),
+    "child-before-parent": ("right", _v2_second_internal, 1),
+    "child-out-of-range": ("right", 0, 10_000),
+    "child-negative": ("right", 0, -1),
+    "child-in-the-next-tree": ("right", 0, 13),
+    "child-with-two-parents": ("right", 0, 1),
+    "leaf-with-right-child": ("right", _v2_leaf, 12),
+    "leaf-with-feature-minus-two": ("feature", _v2_leaf, -2),
+    "feature-out-of-range": ("feature", 0, 12),
+    "feature-far-out-of-range": ("feature", 0, 2**31 - 1),
+    "counts-do-not-add-up": ("count_easy", 0, lambda a: a["count_easy"][0] + 1),
+    "negative-count": ("count_hard", _v2_leaf, -1),
+    "nan-threshold": ("threshold", 0, np.nan),
+    "infinite-threshold": ("threshold", 0, np.inf),
+    "negative-infinite-threshold": ("threshold", 0, -np.inf),
+    "threshold-of-tree-1": ("threshold", -1, np.nan),
+}
+
+
+def _load_v2_arrays(arrays):
+    doc = _v2_doc()
+    set_v2_node_arrays(doc, arrays)
+    return loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutation", sorted(V2_NODE_MUTATIONS))
+def test_loads_model_rejects_mutated_v2_nodes(mutation):
+    arrays = v2_node_arrays(_v2_doc())
+    key, node, value = V2_NODE_MUTATIONS[mutation]
+    node = node(arrays) if callable(node) else node
+    arrays[key][node] = value(arrays) if callable(value) else value
+    with pytest.raises(ModelFormatError):
+        _load_v2_arrays(arrays)
+
+
+def test_loads_model_rejects_v2_tree_whose_last_node_is_internal():
+    # the one way a v2 file can break the derived left: it would leave the tree
+    arrays = v2_node_arrays(_v2_doc())
+    last = 12
+    at = int(np.count_nonzero(arrays["feature"][:last] >= 0))
+    arrays["feature"][last] = 0
+    arrays["threshold"] = np.insert(arrays["threshold"], at, 0.5)
+    with pytest.raises(ModelFormatError, match="tree 0 node 12"):
+        _load_v2_arrays(arrays)
+
+
+def _set(doc, path, value):
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _node_bytes(doc, key):
+    return base64.b64decode(doc["nodes"][key])
+
+
+def _encoded(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+# name: edit of the v2 document itself
+V2_DOCUMENT_MUTATIONS = {
+    "base64-bad-character": lambda d: _set(d, ("nodes", "feature"), "!" + d["nodes"]["feature"][1:]),
+    "base64-non-ascii": lambda d: _set(d, ("nodes", "feature"), "\u00e9" + d["nodes"]["feature"][1:]),
+    "base64-padding-missing": lambda d: _set(
+        d, ("nodes", "right"), d["nodes"]["right"].rstrip("=")
+    ),
+    "base64-data-after-padding": lambda d: _set(
+        d, ("nodes", "right"), d["nodes"]["right"] + "AAAA"
+    ),
+    "array-not-text": lambda d: _set(d, ("nodes", "right"), [8, 5, 4]),
+    "array-one-node-short": lambda d: _set(
+        d, ("nodes", "feature"), _encoded(_node_bytes(d, "feature")[:-4])
+    ),
+    "array-one-node-long": lambda d: _set(
+        d, ("nodes", "count_hard"), _encoded(_node_bytes(d, "count_hard") + bytes(8))
+    ),
+    "array-half-a-value": lambda d: _set(
+        d, ("nodes", "count_easy"), _encoded(_node_bytes(d, "count_easy")[:-4])
+    ),
+    "threshold-array-short": lambda d: _set(
+        d, ("nodes", "threshold"), _encoded(_node_bytes(d, "threshold")[:-8])
+    ),
+    "array-missing": lambda d: d["nodes"].pop("right"),
+    "array-unknown": lambda d: _set(d, ("nodes", "left"), d["nodes"]["right"]),
+    "nodes-not-an-object": lambda d: _set(d, ("nodes",), "AAAA"),
+    "tree-size-zero": lambda d: _set(d, ("tree_sizes",), [0, 16]),
+    "tree-size-zero-between-trees": lambda d: (
+        _set(d, ("tree_sizes",), [13, 0, 3]), _set(d, ("params", "n_trees"), 3)
+    ),
+    "tree-size-negative": lambda d: _set(d, ("tree_sizes",), [-3, 19]),
+    "tree-size-not-an-integer": lambda d: _set(d, ("tree_sizes",), [13.0, 3]),
+    "tree-size-boolean": lambda d: _set(d, ("tree_sizes",), [True, 15]),
+    "tree-size-huge": lambda d: _set(d, ("tree_sizes",), [2**62, 3]),
+    "tree-sizes-mis-summed": lambda d: _set(d, ("tree_sizes",), [13, 4]),
+    "tree-sizes-shifted": lambda d: _set(d, ("tree_sizes",), [12, 4]),
+    "tree-sizes-one-per-tree": lambda d: _set(d, ("tree_sizes",), [16]),
+    "tree-sizes-not-a-list": lambda d: _set(d, ("tree_sizes",), 16),
+    "tree-sizes-missing": lambda d: d.pop("tree_sizes"),
+    "n-trees-zero": lambda d: _set(d, ("params", "n_trees"), 0),
+    "version-true": lambda d: _set(d, ("format_version",), True),
+    "version-three": lambda d: _set(d, ("format_version",), 3),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(V2_DOCUMENT_MUTATIONS))
+def test_loads_model_rejects_mutated_v2_document(mutation):
+    doc = _v2_doc()
+    V2_DOCUMENT_MUTATIONS[mutation](doc)
     with pytest.raises(ModelFormatError):
         loads_model(json.dumps(doc))

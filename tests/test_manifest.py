@@ -205,6 +205,19 @@ def _manifest_text(header=None, row=None) -> str:
             2,
         ),
         (_manifest_text(row={"timing": {**_timing().to_dict(), "samples_basic": [0.0] * 3}}), 2),
+        # a string or booleans where a list of numbers belongs; each of these
+        # rows is otherwise consistent, down to its derived timing values
+        (_manifest_text(row={"feature_values": "0" * 12}), 2),
+        (_manifest_text(row={"feature_values": [False] * 12}), 2),
+        (
+            _manifest_text(
+                row={"timing": {**_timing().to_dict(), "samples_basic": "1", "t_basic": 1.0,
+                                "ratio": 0.5}}
+            ),
+            2,
+        ),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "samples_aggr": ["0.5"]}}), 2),
+        (_manifest_text(row={"timing": {**_timing().to_dict(), "t_basic": "1.1"}}), 2),
     ],
     ids=[
         "schema-not-object", "schema-no-depth", "depth-string", "depth-float",
@@ -214,6 +227,8 @@ def _manifest_text(header=None, row=None) -> str:
         "timing-nan", "timing-inf", "timing-overflow", "timing-no-samples",
         "timing-t-basic-tampered", "timing-t-aggr-tampered", "timing-ratio-tampered",
         "timing-all-tampered", "timing-zero-samples",
+        "feature-values-string", "feature-values-booleans", "samples-basic-string",
+        "samples-aggr-string-items", "timing-t-basic-string",
     ],
 )
 def test_loads_rejects_malformed_fields_naming_the_line(text, line):

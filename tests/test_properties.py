@@ -23,6 +23,8 @@ from opttriage.forest import (
 from opttriage.labeler import TimingRecord, label_from_ratio
 from opttriage.manifest import ManifestRow
 
+from conftest import DATA, MODEL_V2_DTYPES, set_v2_node_arrays, v2_node_arrays
+
 finite_times = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
 deltas = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 
@@ -114,20 +116,56 @@ def _small_model_doc() -> dict:
     return json.loads(dumps_model(model))
 
 
-_TREE_KEYS = ("feature", "threshold", "left", "right", "label", "count_easy", "count_hard")
+@functools.cache
+def _v1_model_doc() -> dict:
+    return json.loads((DATA / "model_v1.json").read_text(encoding="utf-8"))
+
+
+def _assert_every_route_ends(model, probe_seed: int) -> None:
+    rows = np.random.default_rng(probe_seed).integers(-1, 5, size=(20, 12)).astype(np.float64)
+    for tree in model.trees:
+        for row in rows:
+            node = 0
+            for _ in range(tree.n_nodes):  # a walk longer than n nodes would revisit one
+                if tree.feature[node] < 0:
+                    break
+                goes_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if goes_left else tree.right[node]
+            assert tree.feature[node] < 0
+    labels, _votes = predict_batch(model, rows)
+    assert set(labels.tolist()) <= {0, 1}
+
+
+def _edits(keys):
+    return st.lists(
+        st.tuples(st.sampled_from(keys), st.integers(0, 10_000), st.integers(-3, 40)),
+        min_size=1,
+        max_size=3,
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(_TREE_KEYS), st.integers(0, 10_000), st.integers(-3, 40)),
-        min_size=1,
-        max_size=3,
-    ),
-    st.integers(0, 2**32 - 1),
-)
+@given(_edits(tuple(MODEL_V2_DTYPES)), st.integers(0, 2**32 - 1))
 def test_mutated_model_is_rejected_or_every_route_ends(edits, probe_seed):
     doc = copy.deepcopy(_small_model_doc())
+    arrays = v2_node_arrays(doc)
+    for key, at, value in edits:
+        arrays[key][at % len(arrays[key])] = value
+    set_v2_node_arrays(doc, arrays)
+    try:
+        model = loads_model(json.dumps(doc))
+    except ModelFormatError:
+        return
+    _assert_every_route_ends(model, probe_seed)
+
+
+_V1_TREE_KEYS = ("feature", "threshold", "left", "right", "label", "count_easy", "count_hard")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edits(_V1_TREE_KEYS), st.integers(0, 2**32 - 1))
+def test_mutated_v1_model_is_rejected_or_every_route_ends(edits, probe_seed):
+    doc = copy.deepcopy(_v1_model_doc())
     raw = doc["trees"][0]
     n = len(raw["feature"])
     for key, at, value in edits:
@@ -136,15 +174,4 @@ def test_mutated_model_is_rejected_or_every_route_ends(edits, probe_seed):
         model = loads_model(json.dumps(doc))
     except ModelFormatError:
         return
-    tree = model.trees[0]
-    rows = np.random.default_rng(probe_seed).integers(-1, 5, size=(20, 12)).astype(np.float64)
-    for row in rows:
-        node = 0
-        for _ in range(tree.n_nodes):  # a walk longer than n nodes would revisit one
-            if tree.feature[node] < 0:
-                break
-            goes_left = row[tree.feature[node]] <= tree.threshold[node]
-            node = tree.left[node] if goes_left else tree.right[node]
-        assert tree.feature[node] < 0
-    labels, _votes = predict_batch(model, rows)
-    assert set(labels.tolist()) <= {0, 1}
+    _assert_every_route_ends(model, probe_seed)
