@@ -10,6 +10,7 @@ exactly. Exit codes: 0 success, 2 finished with quarantined functions,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -440,7 +441,9 @@ _SHARED_OPTIONS = {
 }
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process: a build costs far more than a parse."""
     parser = _Parser(prog="opttriage", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -503,9 +506,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except _Fatal as e:
         _warn(f"error: {e}")

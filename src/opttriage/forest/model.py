@@ -2,8 +2,11 @@
 
 Determinism contract: training depends only on the rows, the params, and
 the seed. Tree t draws from numpy's default generator seeded with
-``rng_seed ^ t``, so each tree depends only on its own index, and a
-trained model serializes to identical bytes across runs.
+``rng_seed ^ t``: first its bootstrap sample, then one candidate set per
+node that may split, in preorder. The trees of a forest advance together,
+a node of each per step, but each tree draws only from its own generator
+in its own preorder, so it depends only on its own index, and a trained
+model serializes to identical bytes across runs.
 Every tie breaks the same way: equal split quality keeps the lower feature
 index then the lower threshold, and vote or leaf-count ties go to hard,
 the safe side for flag selection.
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from opttriage.features import FeatureSchema
-from opttriage.forest import kernels
+from opttriage.forest import grow, kernels
 
 EASY, HARD = 0, 1
 LABEL_NAMES = ("easy", "hard")
@@ -98,15 +101,18 @@ def best_split(
 
     None means no candidate threshold both respects min_samples_leaf and
     strictly reduces Gini impurity. Candidates are scored in ascending
-    order in one kernel call, so ties keep the lowest feature index, then
-    the lowest threshold.
+    order, so ties keep the lowest feature index, then the lowest threshold.
+    This is the split search of one node, as a batch of one.
     """
-    cands = sorted(map(int, candidates))
-    found = kernels.split_scan(x_rows.take(cands, axis=1), y, min_samples_leaf)
-    if found is None:
+    cands = np.array(sorted(map(int, candidates)), dtype=np.int64).reshape(1, -1)
+    rows = np.arange(len(y))
+    ranked = kernels.rank_rows(x_rows, y)
+    feature, threshold, decrease = kernels.split_scan(
+        ranked, rows, [len(y)], cands, min_samples_leaf
+    )
+    if feature[0] < 0:
         return None
-    col, thr, dec = found
-    return Split(feature=cands[col], threshold=thr, decrease=dec)
+    return Split(feature=int(feature[0]), threshold=float(threshold[0]), decrease=float(decrease[0]))
 
 
 @dataclass
@@ -203,6 +209,12 @@ class NodeTable:
         return np.where(self.feature >= 0, np.int8(-1), leaf_class)
 
     @cached_property
+    def trees(self) -> list[Tree]:
+        """Per-tree views into the table."""
+        bounds = zip(self.roots.tolist(), (self.roots + self.sizes).tolist())
+        return [Tree(**{key: getattr(self, key)[a:b] for key in _TREE_DTYPES}) for a, b in bounds]
+
+    @cached_property
     def right_node(self) -> np.ndarray:
         """Table index of each internal node's right child (meaningless at leaves)."""
         return self.right + self.tree_root
@@ -244,62 +256,6 @@ class NodeTable:
             self._reject(bad, "has counts other than its children's sum")
 
 
-class _TreeBuilder:
-    def __init__(self, params: ForestParams, width: int, rng: np.random.Generator):
-        self.params = params
-        self.width = width
-        self.rng = rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.label: list[int] = []
-        self.count_easy: list[int] = []
-        self.count_hard: list[int] = []
-
-    def _new_node(self, n_easy: int, n_hard: int) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.label.append(-1)
-        self.count_easy.append(n_easy)
-        self.count_hard.append(n_hard)
-        return node
-
-    def grow(self, x_rows: np.ndarray, y: np.ndarray, depth: int) -> int:
-        n_hard = int(np.count_nonzero(y))
-        n_easy = len(y) - n_hard
-        node = self._new_node(n_easy, n_hard)
-        split = None
-        if n_easy > 0 and n_hard > 0 and depth < self.params.max_tree_depth:
-            k = self.params.features_per_split
-            cands = np.sort(self.rng.choice(self.width, size=k, replace=False))
-            split = best_split(x_rows, y, cands, self.params.min_samples_leaf)
-        if split is None:
-            self.label[node] = HARD if n_hard >= n_easy else EASY
-            return node
-        goes_left = x_rows[:, split.feature] <= split.threshold
-        goes_right = ~goes_left
-        self.feature[node] = split.feature
-        self.threshold[node] = split.threshold
-        self.left[node] = self.grow(x_rows[goes_left], y[goes_left], depth + 1)
-        self.right[node] = self.grow(x_rows[goes_right], y[goes_right], depth + 1)
-        return node
-
-    def finish(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            label=np.asarray(self.label, dtype=np.int8),
-            count_easy=np.asarray(self.count_easy, dtype=np.int64),
-            count_hard=np.asarray(self.count_hard, dtype=np.int64),
-        )
-
-
 def build_tree(
     x_rows: np.ndarray,
     y: np.ndarray,
@@ -307,12 +263,9 @@ def build_tree(
     tree_rng: np.random.Generator,
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree on a bootstrap sample; returns the tree and the sample."""
-    n, width = x_rows.shape
-    sample_size = max(1, int(round(params.bootstrap_fraction * n)))
-    sample = tree_rng.integers(0, n, size=sample_size)  # with replacement
-    builder = _TreeBuilder(params, width, tree_rng)
-    builder.grow(x_rows[sample], y[sample], depth=0)
-    return builder.finish(), sample
+    sample = grow.bootstrap(tree_rng, len(x_rows), params.bootstrap_fraction)
+    nodes = NodeTable(**grow.grow_trees(x_rows, y, params, [(tree_rng, sample)]))
+    return nodes.trees[0], sample
 
 
 @dataclass
@@ -326,12 +279,10 @@ class RandomForestModel:
     def n_trees(self) -> int:
         return len(self.nodes.sizes)
 
-    @cached_property
+    @property
     def trees(self) -> list[Tree]:
         """Per-tree views into the node table, for code that walks one tree."""
-        t = self.nodes
-        bounds = zip(t.roots.tolist(), (t.roots + t.sizes).tolist())
-        return [Tree(**{key: getattr(t, key)[a:b] for key in _TREE_DTYPES}) for a, b in bounds]
+        return self.nodes.trees
 
 
 def _fingerprint(ids: Sequence[str], x_rows: np.ndarray, y: np.ndarray) -> str:
@@ -355,6 +306,29 @@ def _feature_rows(x_rows: np.ndarray, width: int) -> np.ndarray:
     return x_rows
 
 
+def _training_rows(x_rows, y, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked training data: finite float64 rows of the width, one 0/1 int8 label each."""
+    x_rows = _feature_rows(x_rows, width)
+    y = np.asarray(y, dtype=np.int8)
+    if len(y) != len(x_rows) or len(y) == 0:
+        raise ValueError("need one label per row and at least one row")
+    if not np.all((y == EASY) | (y == HARD)):
+        raise ValueError("labels must be 0 (easy) or 1 (hard)")
+    return x_rows, y
+
+
+def _forest(
+    x_rows: np.ndarray, y: np.ndarray, schema: FeatureSchema, params: ForestParams, fingerprint: str
+) -> RandomForestModel:
+    params = params.resolved(schema.width)
+    rngs = (np.random.default_rng(params.rng_seed ^ t) for t in range(params.n_trees))
+    roots = ((rng, grow.bootstrap(rng, len(x_rows), params.bootstrap_fraction)) for rng in rngs)
+    nodes = NodeTable(**grow.grow_trees(x_rows, y, params, roots))
+    return RandomForestModel(
+        schema=schema, params=params, nodes=nodes, training_fingerprint=fingerprint
+    )
+
+
 def train(
     x_rows: np.ndarray,
     y: np.ndarray,
@@ -363,26 +337,10 @@ def train(
     ids: Optional[Sequence[str]] = None,
 ) -> RandomForestModel:
     """Fit a forest. Rows are finite float64 feature vectors, y holds 0/1 labels."""
-    x_rows = _feature_rows(x_rows, schema.width)
-    y = np.asarray(y, dtype=np.int8)
-    if len(y) != len(x_rows) or len(y) == 0:
-        raise ValueError("need one label per row and at least one row")
-    if not np.all((y == EASY) | (y == HARD)):
-        raise ValueError("labels must be 0 (easy) or 1 (hard)")
-    params = params.resolved(schema.width)
-    trees = [
-        build_tree(x_rows, y, params, np.random.default_rng(params.rng_seed ^ t))[0]
-        for t in range(params.n_trees)
-    ]
-
+    x_rows, y = _training_rows(x_rows, y, schema.width)
     if ids is None:
         ids = [str(i) for i in range(len(x_rows))]
-    return RandomForestModel(
-        schema=schema,
-        params=params,
-        nodes=NodeTable.from_trees(trees),
-        training_fingerprint=_fingerprint(ids, x_rows, y),
-    )
+    return _forest(x_rows, y, schema, params, _fingerprint(ids, x_rows, y))
 
 
 # ------------------------------------------------------------------ prediction
@@ -479,10 +437,9 @@ def cross_validate(
         test = fold_of == f
         if not test.any() or test.all():
             raise ValueError(f"fold {f} would leave an empty split; lower k")
-        model = train(
-            x_rows[~test], y[~test], schema, params,
-            ids=[ids[i] for i in np.nonzero(~test)[0]],
-        )
+        # a fold model is evaluated and dropped, so it carries no fingerprint
+        fold_x, fold_y = _training_rows(x_rows[~test], y[~test], schema.width)
+        model = _forest(fold_x, fold_y, schema, params, fingerprint="")
         metrics = evaluate(model, x_rows[test], y[test])
         folds.append(metrics)
     return {
@@ -606,6 +563,13 @@ def _v1_nodes(doc: dict, n_trees: int) -> NodeTable:
 _NODE_READERS = {1: _v1_nodes, 2: _v2_nodes}
 
 
+def _int_field(fields: dict, key: str) -> int:
+    value = fields[key]
+    if type(value) is not int:  # not a bool, a float or a string that reads as one
+        raise ModelFormatError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def loads_model(text: str) -> RandomForestModel:
     try:
         doc = json.loads(text)
@@ -617,15 +581,18 @@ def loads_model(text: str) -> RandomForestModel:
     if type(version) is not int or version not in _NODE_READERS:
         raise ModelFormatError(f"unsupported model format version {version!r}")
     try:
-        schema = FeatureSchema(max_depth=int(doc["schema"]["max_depth"]))
+        schema = FeatureSchema(max_depth=_int_field(doc["schema"], "max_depth"))
         p = doc["params"]
+        fraction = p["bootstrap_fraction"]
+        if type(fraction) not in (int, float):
+            raise ModelFormatError(f"bootstrap_fraction must be a number, not {fraction!r}")
         params = ForestParams(
-            n_trees=int(p["n_trees"]),
-            max_tree_depth=int(p["max_tree_depth"]),
-            min_samples_leaf=int(p["min_samples_leaf"]),
-            features_per_split=int(p["features_per_split"]),
-            bootstrap_fraction=float(p["bootstrap_fraction"]),
-            rng_seed=int(p["rng_seed"]),
+            n_trees=_int_field(p, "n_trees"),
+            max_tree_depth=_int_field(p, "max_tree_depth"),
+            min_samples_leaf=_int_field(p, "min_samples_leaf"),
+            features_per_split=_int_field(p, "features_per_split"),
+            bootstrap_fraction=float(fraction),
+            rng_seed=_int_field(p, "rng_seed"),
         )
         params.validate(schema.width)
         fingerprint = str(doc["training_fingerprint"])

@@ -80,6 +80,30 @@ def test_gen_without_out_is_a_usage_error(capsys):
     assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
+def test_successive_calls_share_one_parser_and_behave_alike(tmp_path, capsys):
+    from opttriage import cli
+
+    assert cli._parser() is cli._parser()
+    cfg = _write_json(tmp_path / "gen.json", GEN_CFG)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: opttriage")
+        with pytest.raises(SystemExit):
+            main(["export", "--help"])
+        assert "--model" in capsys.readouterr().out
+        assert main(["gen", "--count", "2"]) == 1
+        assert "required: --out" in capsys.readouterr().err
+        assert main(["frobnicate"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+    # a flag given to one call does not carry over to the next
+    assert main(["gen", "--config", cfg, "--count", "3", "--out", str(tmp_path / "a")]) == 0
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert len(read_manifest(tmp_path / "a" / "manifest.jsonl").rows) == 3
+    assert len(read_manifest(tmp_path / "b" / "manifest.jsonl").rows) == GEN_CFG["n_functions"]
+
+
 def test_gen_bad_config_is_fatal(tmp_path):
     cfg = _write_json(tmp_path / "gen.json", {"n_functions": 0})
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 1

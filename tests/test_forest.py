@@ -31,9 +31,11 @@ from opttriage.forest import (
     save_model,
     train,
 )
-from opttriage.forest.kernels import split_scan
+from opttriage.forest.grow import _STEP_ROWS
+from opttriage.forest.kernels import rank_rows, split_scan
 
 from conftest import DATA, reference_decision, set_v2_node_arrays, v2_node_arrays
+from reference_grower import assert_same_trees, reference_forest, reference_tree
 
 
 def _leaf_tree(label: int) -> Tree:
@@ -187,24 +189,49 @@ def _loop_scan(values, labels, min_leaf):
 
 
 def test_split_scan_matches_per_column_loop():
+    # each trial is one batch: nodes of bootstrap-like row subsets of one
+    # table, so a node's rows repeat and skip ranks of the whole table
     rng = np.random.default_rng(23)
-    for trial in range(300):
+    for trial in range(150):
         n = int(rng.integers(1, 120))
-        k = int(rng.integers(1, 7))
+        width = int(rng.integers(1, 7))
         if trial % 3 == 0:
-            block = rng.integers(0, 5, size=(n, k)).astype(np.float64)
+            x = rng.integers(0, 5, size=(n, width)).astype(np.float64)
         else:
-            block = rng.uniform(-1.0, 1.0, size=(n, k))
+            x = rng.uniform(-1.0, 1.0, size=(n, width))
         if trial % 4 == 0:
-            block[:, -1] = block[:, 0]  # an exact tie across columns
+            x[:, -1] = x[:, 0]  # an exact tie across columns
         labels = rng.integers(0, 2, size=n).astype(np.int8)
+        k = int(rng.integers(1, width + 1))
+        n_nodes = int(rng.integers(1, 6))
+        node_rows = [rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))) for _ in range(n_nodes)]
+        cands = np.sort(
+            np.array([rng.choice(width, size=k, replace=False) for _ in range(n_nodes)]), axis=1
+        )
         min_leaf = int(rng.integers(1, max(2, n // 2 + 2)))
-        want = None
-        for col in range(k):
-            got = _loop_scan(block[:, col], labels, min_leaf)
-            if got is not None and (want is None or got[1] > want[2]):
-                want = (col, got[0], got[1])
-        assert split_scan(block, labels, min_leaf) == want, f"trial {trial}"
+        got = split_scan(
+            rank_rows(x, labels),
+            np.concatenate(node_rows),
+            [len(r) for r in node_rows],
+            cands,
+            min_leaf,
+        )
+        for j, rows in enumerate(node_rows):
+            want = None
+            for feature in cands[j]:
+                found = _loop_scan(x[rows, feature], labels[rows], min_leaf)
+                if found is not None and (want is None or found[1] > want[2]):
+                    want = (int(feature), found[0], found[1])
+            if want is None:
+                want = (-1, 0.0, 0.0)
+            assert (int(got[0][j]), float(got[1][j]), float(got[2][j])) == want, (trial, j)
+
+
+def test_split_scan_without_candidates_finds_no_cut():
+    x = np.array([[1.0], [2.0]])
+    labels = np.array([0, 1], dtype=np.int8)
+    got = split_scan(rank_rows(x, labels), np.arange(2), [2], np.zeros((1, 0), dtype=np.int64), 1)
+    assert got[0].tolist() == [-1]
 
 
 # ------------------------------------------------------------------- training
@@ -286,6 +313,28 @@ def test_features_per_split_default_is_sqrt_width():
     assert ForestParams(features_per_split=2).resolved(16).features_per_split == 2
 
 
+def test_build_tree_equals_reference_tree():
+    x, y = _separable(n=60)
+    for width in (1, 5, 12):
+        for seed in range(4):
+            params = ForestParams(features_per_split=min(width, 3)).resolved(width)
+            tree, sample = build_tree(x[:, :width], y, params, np.random.default_rng(seed))
+            want = reference_tree(x[:, :width], y, params, np.random.default_rng(seed))
+            assert_same_trees([tree], [want])
+            assert sample.tolist() == np.random.default_rng(seed).integers(0, 60, size=60).tolist()
+
+
+def test_forest_whose_roots_exceed_a_step_equals_reference():
+    # every root alone holds more rows than one growth step takes
+    rng = np.random.default_rng(31)
+    n = _STEP_ROWS + 300
+    x = rng.integers(0, 6, size=(n, 12)).astype(np.float64)
+    y = (x[:, 2] + rng.integers(0, 4, size=n) >= 5).astype(np.int8)
+    params = ForestParams(n_trees=3, max_tree_depth=4, rng_seed=8)
+    model = train(x, y, FeatureSchema(1), params)
+    assert_same_trees(model.trees, reference_forest(x, y, model.params))
+
+
 def test_build_tree_single_class_is_one_leaf():
     x = np.zeros((5, 12))
     y = np.zeros(5, dtype=np.int8)
@@ -350,6 +399,13 @@ def test_exported_code_is_golden(make, digest):
     x, y, params = make()
     code = export_decision_code(train(x, y, FeatureSchema(3), params))
     assert hashlib.sha256(code.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [_golden_uniform, _golden_ties], ids=["uniform", "ties"])
+def test_golden_forests_equal_reference_tree_for_tree(make):
+    x, y, params = make()
+    model = train(x, y, FeatureSchema(3), params)
+    assert_same_trees(model.trees, reference_forest(x, y, model.params))
 
 
 # ----------------------------------------------------------------- prediction
@@ -750,3 +806,32 @@ def test_loads_model_rejects_mutated_v2_document(mutation):
     V2_DOCUMENT_MUTATIONS[mutation](doc)
     with pytest.raises(ModelFormatError):
         loads_model(json.dumps(doc))
+
+
+# name: (path of a header field, a value of the wrong type); each must be
+# rejected, not coerced
+HEADER_TYPE_MUTATIONS = {
+    "schema-max-depth-boolean": (("schema", "max_depth"), True),
+    "n-trees-string": (("params", "n_trees"), "2"),
+    "max-tree-depth-float": (("params", "max_tree_depth"), 12.9),
+    "min-samples-leaf-whole-float": (("params", "min_samples_leaf"), 2.0),
+    "features-per-split-boolean": (("params", "features_per_split"), True),
+    "rng-seed-string": (("params", "rng_seed"), "4"),
+    "bootstrap-fraction-string": (("params", "bootstrap_fraction"), "1.0"),
+    "bootstrap-fraction-boolean": (("params", "bootstrap_fraction"), True),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HEADER_TYPE_MUTATIONS))
+def test_loads_model_rejects_header_field_of_wrong_type(mutation):
+    path, value = HEADER_TYPE_MUTATIONS[mutation]
+    doc = _v2_doc()
+    _set(doc, path, value)
+    with pytest.raises(ModelFormatError, match=path[-1]):
+        loads_model(json.dumps(doc))
+
+
+def test_loads_model_takes_a_whole_bootstrap_fraction():
+    doc = _v2_doc()
+    _set(doc, ("params", "bootstrap_fraction"), 1)
+    assert dumps_model(loads_model(json.dumps(doc))) == dumps_model(_v1_twin())

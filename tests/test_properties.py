@@ -14,6 +14,7 @@ from opttriage.forest import (
     ModelFormatError,
     Split,
     best_split,
+    build_tree,
     dumps_model,
     gini,
     loads_model,
@@ -24,6 +25,7 @@ from opttriage.labeler import TimingRecord, label_from_ratio
 from opttriage.manifest import ManifestRow
 
 from conftest import DATA, MODEL_V2_DTYPES, set_v2_node_arrays, v2_node_arrays
+from reference_grower import assert_same_trees, reference_forest, reference_tree
 
 finite_times = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
 deltas = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -89,6 +91,67 @@ def test_best_split_equals_exhaustive_search(n, width, min_leaf, rnd):
             if dec > 0.0 and (best is None or dec > best.decrease):
                 best = Split(feature=f, threshold=thr, decrease=dec)
     assert got == best
+
+
+def _table(rnd, n, width, kind):
+    """n rows of the width: few distinct values (ties everywhere) or floats."""
+    if kind == "ties":
+        rows = [[rnd.randint(0, 3) for _ in range(width)] for _ in range(n)]
+    else:
+        rows = [[rnd.uniform(-1.0, 1.0) for _ in range(width)] for _ in range(n)]
+    x = np.array(rows, dtype=np.float64)
+    y = np.array([rnd.randint(0, 1) for _ in range(n)], dtype=np.int8)
+    return x, y
+
+
+_GROWTH = dict(
+    n=st.integers(1, 60),
+    kind=st.sampled_from(["ties", "floats"]),
+    max_tree_depth=st.integers(1, 6),
+    min_samples_leaf=st.integers(1, 4),
+    bootstrap_fraction=st.sampled_from([1.0, 0.6, 0.25]),
+    seed=st.integers(0, 2**16),
+    rnd=st.randoms(use_true_random=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_trees=st.integers(1, 4),
+    features_per_split=st.sampled_from([None, 1, 12]),  # 12 is the whole width
+    **_GROWTH,
+)
+def test_forest_equals_reference_tree_for_tree(
+    n, kind, n_trees, max_tree_depth, min_samples_leaf, features_per_split,
+    bootstrap_fraction, seed, rnd,
+):
+    x, y = _table(rnd, n, 12, kind)
+    params = ForestParams(
+        n_trees=n_trees,
+        max_tree_depth=max_tree_depth,
+        min_samples_leaf=min_samples_leaf,
+        features_per_split=features_per_split,
+        bootstrap_fraction=bootstrap_fraction,
+        rng_seed=seed,
+    )
+    model = train(x, y, FeatureSchema(1), params)
+    assert_same_trees(model.trees, reference_forest(x, y, model.params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 3), **_GROWTH)
+def test_narrow_tree_equals_reference_tree(
+    n, kind, width, max_tree_depth, min_samples_leaf, bootstrap_fraction, seed, rnd
+):
+    x, y = _table(rnd, n, width, kind)
+    params = ForestParams(
+        max_tree_depth=max_tree_depth,
+        min_samples_leaf=min_samples_leaf,
+        features_per_split=width,
+        bootstrap_fraction=bootstrap_fraction,
+    ).resolved(width)
+    tree, _sample = build_tree(x, y, params, np.random.default_rng(seed))
+    assert_same_trees([tree], [reference_tree(x, y, params, np.random.default_rng(seed))])
 
 
 @given(
