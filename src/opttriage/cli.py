@@ -169,6 +169,10 @@ def _cmd_gen(args) -> int:
 def _cmd_extract(args) -> int:
     if (args.max_depth is None) == (not args.fit_schema):
         raise _Fatal("choose exactly one of --max-depth or --fit-schema")
+    try:
+        schema = None if args.fit_schema else FeatureSchema(args.max_depth)
+    except ValueError as e:
+        raise _Fatal(f"--max-depth: {e}") from e
     files, in_hashes, in_meta = _input_files(args.sources)
     parsed: list[tuple[Path, list[FunctionUnit]]] = []
     quarantined: list[ManifestRow] = []
@@ -182,8 +186,6 @@ def _cmd_extract(args) -> int:
         if not all_units:
             raise _Fatal("no functions parsed; cannot fit a schema")
         schema = FeatureSchema(compute_max_depth(all_units))
-    else:
-        schema = FeatureSchema(args.max_depth)
 
     rows: list[ManifestRow] = []
     for path, units in parsed:

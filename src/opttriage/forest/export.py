@@ -9,13 +9,13 @@ in-memory tie rule.
 
 from __future__ import annotations
 
-from opttriage.forest.model import RandomForestModel, Tree
+from opttriage.forest.model import NodeTable, RandomForestModel
 from opttriage.minic import ast, function_text
 
 ARG_NAME = "f"
 
 
-def _tree_expr(tree: Tree, node: int) -> ast.Expr:
+def _tree_expr(tree: NodeTable, node: int) -> ast.Expr:
     if tree.feature[node] < 0:
         return ast.Num(int(tree.label[node]))
     test = ast.Binary(

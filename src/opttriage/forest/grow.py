@@ -19,15 +19,6 @@ from opttriage.forest import kernels
 if TYPE_CHECKING:
     from opttriage.forest.model import ForestParams
 
-# The per-node fields of a `NodeTable`, in the dtypes it stores them in.
-_FIELD_DTYPES = {
-    "feature": np.int32,
-    "threshold": np.float64,
-    "right": np.int32,
-    "count_easy": np.int64,
-    "count_hard": np.int64,
-}
-
 # A growth step takes nodes from further trees only while it holds fewer rows.
 _STEP_ROWS = 2048
 
@@ -79,8 +70,8 @@ def grow_trees(
     y: np.ndarray,
     params: ForestParams,
     roots: Iterable[tuple[np.random.Generator, np.ndarray]],
-) -> dict[str, np.ndarray]:
-    """Grow one tree per (generator, bootstrap sample) pair; returns the `NodeTable` fields.
+) -> dict[str, list]:
+    """Grow one tree per (generator, bootstrap sample) pair; returns `NodeTable` fields as lists.
 
     A step takes the next node that may split from each tree with work
     left, in tree order, until it holds _STEP_ROWS rows; the trees it
@@ -109,10 +100,10 @@ def grow_trees(
         waiting = [tree for tree in waiting if tree.stack]
 
     fields = {
-        key: np.array(list(chain.from_iterable(getattr(tree, key) for tree in trees)), dtype=dtype)
-        for key, dtype in _FIELD_DTYPES.items()
+        key: list(chain.from_iterable(getattr(tree, key) for tree in trees))
+        for key in ("feature", "threshold", "right", "count_easy", "count_hard")
     }
-    fields["sizes"] = np.array([len(tree.feature) for tree in trees], dtype=np.int64)
+    fields["sizes"] = [len(tree.feature) for tree in trees]
     return fields
 
 

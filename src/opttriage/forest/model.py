@@ -115,34 +115,14 @@ def best_split(
     return Split(feature=int(feature[0]), threshold=float(threshold[0]), decrease=float(decrease[0]))
 
 
-@dataclass
-class Tree:
-    """One decision tree in contiguous-array layout, nodes in preorder.
-
-    A model's trees are views into its `NodeTable`.
-    """
-
-    feature: np.ndarray  # int32, -1 at leaves
-    threshold: np.ndarray  # float64, 0.0 at leaves
-    left: np.ndarray  # int32, -1 at leaves
-    right: np.ndarray  # int32, -1 at leaves
-    label: np.ndarray  # int8, -1 at internal nodes
-    count_easy: np.ndarray  # int64, training rows reaching the node
-    count_hard: np.ndarray  # int64
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-
-_TREE_DTYPES = {
-    "feature": np.int32,
-    "threshold": np.float64,
-    "left": np.int32,
-    "right": np.int32,
-    "label": np.int8,
-    "count_easy": np.int64,
-    "count_hard": np.int64,
+# The stored per-node arrays of a `NodeTable`, in the fixed little-endian
+# dtypes the table holds them in and format v2 writes them in.
+_NODE_DTYPES = {
+    "feature": np.dtype("<i4"),  # -1 at leaves
+    "right": np.dtype("<i4"),  # index within the node's own tree, -1 at leaves
+    "count_easy": np.dtype("<i8"),  # training rows reaching the node
+    "count_hard": np.dtype("<i8"),
+    "threshold": np.dtype("<f8"),  # 0.0 at leaves; written for internal nodes only
 }
 
 
@@ -150,41 +130,30 @@ _TREE_DTYPES = {
 class NodeTable:
     """Every node of a forest in one set of arrays: tree after tree, each in preorder.
 
-    Two fields of `Tree` are derived, not stored: an internal node's left
-    child is the node after it, and a leaf's class is hard iff
+    One tree is a table of its own whose arrays are slices of the forest's
+    (see `trees`). Two per-node fields are derived, not stored: an internal
+    node's left child is the node after it, and a leaf's class is hard iff
     count_hard >= count_easy. `check` holds every invariant routing relies on.
     """
 
-    feature: np.ndarray  # int32, -1 at leaves
-    threshold: np.ndarray  # float64, 0.0 at leaves
-    right: np.ndarray  # int32, index within the node's own tree, -1 at leaves
-    count_easy: np.ndarray  # int64, training rows reaching the node
-    count_hard: np.ndarray  # int64
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    count_easy: np.ndarray
+    count_hard: np.ndarray
     sizes: np.ndarray  # int64, nodes per tree, each at least 1
 
-    @staticmethod
-    def from_trees(trees: Sequence[Tree]) -> "NodeTable":
-        """Concatenate per-tree arrays whose left and label are the derived ones."""
-        for tree in trees:
-            n = tree.n_nodes
-            if n == 0 or any(getattr(tree, key).shape != (n,) for key in _TREE_DTYPES):
-                raise ModelFormatError("tree arrays are inconsistent")
+    def __post_init__(self) -> None:
+        for key, dtype in _NODE_DTYPES.items():
+            object.__setattr__(self, key, np.asarray(getattr(self, key), dtype=dtype))
+        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
+        n = int(self.sizes.sum())
+        if any(getattr(self, key).shape != (n,) for key in _NODE_DTYPES):
+            raise ModelFormatError(f"node arrays do not hold the {n} nodes the tree sizes give")
 
-        def joined(key: str) -> np.ndarray:
-            arrays = [getattr(tree, key) for tree in trees]
-            return np.concatenate(arrays).astype(_TREE_DTYPES[key], copy=False)
-
-        table = NodeTable(
-            feature=joined("feature"),
-            threshold=joined("threshold"),
-            right=joined("right"),
-            count_easy=joined("count_easy"),
-            count_hard=joined("count_hard"),
-            sizes=np.array([tree.n_nodes for tree in trees], dtype=np.int64),
-        )
-        table._reject(joined("left") != table.left, "has a left child other than the next node")
-        table._reject(joined("label") != table.label, "has a class other than its counts give")
-        return table
+    @property
+    def n_nodes(self) -> int:
+        return len(self.feature)
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -209,10 +178,13 @@ class NodeTable:
         return np.where(self.feature >= 0, np.int8(-1), leaf_class)
 
     @cached_property
-    def trees(self) -> list[Tree]:
-        """Per-tree views into the table."""
+    def trees(self) -> list["NodeTable"]:
+        """One single-tree table per tree, whose stored arrays are slices of this one's."""
         bounds = zip(self.roots.tolist(), (self.roots + self.sizes).tolist())
-        return [Tree(**{key: getattr(self, key)[a:b] for key in _TREE_DTYPES}) for a, b in bounds]
+        return [
+            NodeTable(sizes=[b - a], **{key: getattr(self, key)[a:b] for key in _NODE_DTYPES})
+            for a, b in bounds
+        ]
 
     @cached_property
     def right_node(self) -> np.ndarray:
@@ -256,18 +228,6 @@ class NodeTable:
             self._reject(bad, "has counts other than its children's sum")
 
 
-def build_tree(
-    x_rows: np.ndarray,
-    y: np.ndarray,
-    params: ForestParams,
-    tree_rng: np.random.Generator,
-) -> tuple[Tree, np.ndarray]:
-    """Grow one tree on a bootstrap sample; returns the tree and the sample."""
-    sample = grow.bootstrap(tree_rng, len(x_rows), params.bootstrap_fraction)
-    nodes = NodeTable(**grow.grow_trees(x_rows, y, params, [(tree_rng, sample)]))
-    return nodes.trees[0], sample
-
-
 @dataclass
 class RandomForestModel:
     schema: FeatureSchema
@@ -280,7 +240,7 @@ class RandomForestModel:
         return len(self.nodes.sizes)
 
     @property
-    def trees(self) -> list[Tree]:
+    def trees(self) -> list[NodeTable]:
         """Per-tree views into the node table, for code that walks one tree."""
         return self.nodes.trees
 
@@ -458,17 +418,9 @@ def cross_validate(
 # per-tree arrays as JSON numbers; it still loads, through the same table and
 # check, when its left and label are the derived ones.
 
-_NODE_DTYPES = {
-    "feature": np.dtype("<i4"),
-    "right": np.dtype("<i4"),
-    "count_easy": np.dtype("<i8"),
-    "count_hard": np.dtype("<i8"),
-    "threshold": np.dtype("<f8"),  # internal nodes only
-}
-
-
-def _encode(values: np.ndarray, key: str) -> str:
-    return base64.b64encode(values.astype(_NODE_DTYPES[key]).tobytes()).decode("ascii")
+def _encode(values: np.ndarray) -> str:
+    """Base64 of a node array, already in its `_NODE_DTYPES` dtype."""
+    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
 def dumps_model(model: RandomForestModel) -> str:
@@ -492,11 +444,11 @@ def dumps_model(model: RandomForestModel) -> str:
         "training_fingerprint": model.training_fingerprint,
         "tree_sizes": t.sizes.tolist(),
         "nodes": {
-            "feature": _encode(t.feature, "feature"),
-            "right": _encode(t.right, "right"),
-            "count_easy": _encode(t.count_easy, "count_easy"),
-            "count_hard": _encode(t.count_hard, "count_hard"),
-            "threshold": _encode(t.threshold[internal], "threshold"),
+            "feature": _encode(t.feature),
+            "right": _encode(t.right),
+            "count_easy": _encode(t.count_easy),
+            "count_hard": _encode(t.count_hard),
+            "threshold": _encode(t.threshold[internal]),
         },
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -545,7 +497,7 @@ def _v2_nodes(doc: dict, n_trees: int) -> NodeTable:
         right=_decode(arrays, "right", n),
         count_easy=_decode(arrays, "count_easy", n),
         count_hard=_decode(arrays, "count_hard", n),
-        sizes=np.array(sizes, dtype=np.int64),
+        sizes=sizes,
     )
 
 
@@ -553,11 +505,21 @@ def _v1_nodes(doc: dict, n_trees: int) -> NodeTable:
     raw_trees = doc["trees"]
     if not isinstance(raw_trees, list) or len(raw_trees) != n_trees:
         raise ModelFormatError("tree count does not match params")
+    # v1 also stored left and label, which must be the derived ones
+    dtypes = {**_NODE_DTYPES, "left": np.dtype(np.int64), "label": np.dtype(np.int64)}
     trees = [
-        Tree(**{key: np.asarray(raw[key], dtype=dtype) for key, dtype in _TREE_DTYPES.items()})
+        {key: np.asarray(raw[key], dtype=dtype) for key, dtype in dtypes.items()}
         for raw in raw_trees
     ]
-    return NodeTable.from_trees(trees)
+    sizes = [len(tree["feature"]) for tree in trees]
+    for tree, n in zip(trees, sizes):
+        if n == 0 or any(values.shape != (n,) for values in tree.values()):
+            raise ModelFormatError("tree arrays are inconsistent")
+    joined = {key: np.concatenate([tree[key] for tree in trees]) for key in dtypes}
+    table = NodeTable(sizes=sizes, **{key: joined[key] for key in _NODE_DTYPES})
+    table._reject(joined["left"] != table.left, "has a left child other than the next node")
+    table._reject(joined["label"] != table.label, "has a class other than its counts give")
+    return table
 
 
 _NODE_READERS = {1: _v1_nodes, 2: _v2_nodes}

@@ -74,6 +74,10 @@ class LabelerConfig:
             raise ValueError("array_extent must be positive")
         if "{source}" not in self.compiler_cmd or "{output}" not in self.compiler_cmd:
             raise ValueError("compiler_cmd must mention {source} and {output}")
+        for key in ("flags_basic", "flags_aggr"):
+            flags = getattr(self, key)
+            if not isinstance(flags, tuple) or not all(isinstance(f, str) for f in flags):
+                raise ValueError(f"{key} must be a tuple of strings, not {flags!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -90,6 +94,8 @@ class LabelerConfig:
         clean = dict(doc)
         for key in ("flags_basic", "flags_aggr"):
             if key in clean:
+                if not isinstance(clean[key], (list, tuple)):  # a bare string is not a flag list
+                    raise ValueError(f"{key} must be a list of strings, not {clean[key]!r}")
                 clean[key] = tuple(clean[key])
         return LabelerConfig(**clean)
 

@@ -14,7 +14,6 @@ from opttriage.minic.units import (
     FunctionUnit,
     LoopNest,
     OpCounts,
-    ParamInfo,
     ParseError,
     SourceUnit,
     TripCount,
@@ -26,7 +25,6 @@ __all__ = [
     "FunctionUnit",
     "LoopNest",
     "OpCounts",
-    "ParamInfo",
     "ParseError",
     "SourceUnit",
     "Token",

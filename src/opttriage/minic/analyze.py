@@ -16,7 +16,6 @@ Counting rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from opttriage.minic import ast
@@ -28,7 +27,6 @@ from opttriage.minic.units import (
     FunctionUnit,
     LoopNest,
     OpCounts,
-    ParamInfo,
     ParseError,
     SourceUnit,
     TripCount,
@@ -153,14 +151,7 @@ def _literal_extent(e: ast.Index) -> int:
     )
 
 
-# ------------------------------------------------------------------ loop trees
-
-
-@dataclass
-class _Loop:
-    var: str
-    trip: TripCount
-    children: list["_Loop"] = field(default_factory=list)
+# ------------------------------------------------------------------ loop nests
 
 
 def _const_int(e: ast.Expr) -> Optional[int]:
@@ -188,115 +179,72 @@ def _trip_count(loop: ast.For) -> TripCount:
     return TripCount.known(-(-span // step))
 
 
-def _loop_depth(loop: _Loop) -> int:
-    return 1 + max((_loop_depth(c) for c in loop.children), default=0)
-
-
-def _trip_path(loop: _Loop) -> list[TripCount]:
-    if not loop.children:
-        return [loop.trip]
-    deepest = max(loop.children, key=_loop_depth)  # first deepest child on ties
-    return [loop.trip] + _trip_path(deepest)
-
-
 class _FunctionScanner:
     def __init__(self, fn: ast.Function):
         self.fn = fn
         self.declared_arrays = {p.name for p in fn.params if p.extents}
         self.declared_names = {p.name for p in fn.params}
-        self.header_names: set[str] = set()
+        self.headers = _UsageCounter()  # loop headers: their names and literal subscripts
         self.loop_vars: set[str] = set()
         self.nonloop = _UsageCounter()
         self.nests: list[LoopNest] = []
         self.min_extent = 0
-        self._collect_decls(fn.body)
-
-    def _collect_decls(self, s: ast.Stmt) -> None:
-        if isinstance(s, ast.Block):
-            for item in s.items:
-                self._collect_decls(item)
-        elif isinstance(s, ast.Decl):
-            self.declared_names.update(s.names)
-        elif isinstance(s, ast.If):
-            self._collect_decls(s.then)
-            if s.orelse is not None:
-                self._collect_decls(s.orelse)
-        elif isinstance(s, ast.For):
-            self._collect_decls(s.body)
 
     def scan(self) -> None:
         self._scan_region(self.fn.body.items, self.nonloop, None)
 
     def _scan_region(
-        self, stmts: Iterable[ast.Stmt], counter: _UsageCounter, loop: Optional[_Loop]
+        self, stmts: Iterable[ast.Stmt], counter: _UsageCounter, inner: Optional[list]
     ) -> None:
-        """Tally statements into counter. Outside all loops (loop is None) a
-        For starts a new nest; inside one it becomes a child of loop."""
+        """Tally statements into counter and record declared names, in one walk.
+        Outside all loops (inner is None) a For starts a new nest; inside one
+        it appends its trip-count chain to inner."""
         for s in stmts:
             if isinstance(s, ast.For):
-                if loop is None:
+                if inner is None:
                     self.nests.append(self._build_nest(s))
                 else:
-                    loop.children.append(self._build_loop(s, counter))
+                    inner.append(self._build_loop(s, counter))
             elif isinstance(s, ast.Block):
-                self._scan_region(s.items, counter, loop)
+                self._scan_region(s.items, counter, inner)
             elif isinstance(s, ast.If):
                 counter.count_if()
                 counter.count_statement([s.cond])
-                self._scan_region([s.then], counter, loop)
+                self._scan_region([s.then], counter, inner)
                 if s.orelse is not None:
-                    self._scan_region([s.orelse], counter, loop)
+                    self._scan_region([s.orelse], counter, inner)
             elif isinstance(s, ast.Assign):
                 counter.count_statement([s.target, s.value])
             elif isinstance(s, ast.Return):
                 counter.count_statement([s.value])
-            elif not isinstance(s, ast.Decl):
+            elif isinstance(s, ast.Decl):
+                self.declared_names.update(s.names)
+            else:
                 raise TypeError(f"not a statement: {s!r}")
 
     def _build_nest(self, outer: ast.For) -> LoopNest:
         counter = _UsageCounter()
-        root = self._build_loop(outer, counter)
+        trips = self._build_loop(outer, counter)
         self.min_extent = max(self.min_extent, counter.min_extent)
         return LoopNest(
-            depth=_loop_depth(root),
-            trip_counts=tuple(_trip_path(root)),
+            depth=len(trips),
+            trip_counts=trips,
             body_counts=counter.finalize(self.declared_arrays),
         )
 
-    def _build_loop(self, node: ast.For, counter: _UsageCounter) -> _Loop:
+    def _build_loop(self, node: ast.For, counter: _UsageCounter) -> tuple[TripCount, ...]:
+        """Tally the loop's body into counter; returns the trip counts of its
+        first deepest chain of nested loops, its own first."""
         counter.loop_vars.add(node.var)
         self.loop_vars.add(node.var)
-        for header_expr in (node.init, node.bound, node.step):
-            self._scan_header(header_expr)
+        self.headers.count_statement([node.init, node.bound, node.step])
         hi = _const_int(node.bound)
         if hi is not None:
             self.min_extent = max(self.min_extent, hi + 1 if node.bound_op == "<=" else hi)
-        loop = _Loop(var=node.var, trip=_trip_count(node))
-        self._scan_region([node.body], counter, loop)
-        return loop
-
-    def _scan_header(self, e: ast.Expr) -> None:
-        """Record the names and literal subscripts of a loop-header expression."""
-        if isinstance(e, ast.Name):
-            self.header_names.add(e.ident)
-        elif isinstance(e, ast.Index):
-            self.header_names.add(e.base.ident)
-            self.min_extent = max(self.min_extent, _literal_extent(e))
-            for s in e.subs:
-                self._scan_header(s)
-        elif isinstance(e, ast.Unary):
-            self._scan_header(e.operand)
-        elif isinstance(e, ast.Binary):
-            self._scan_header(e.left)
-            self._scan_header(e.right)
-        elif isinstance(e, ast.Ternary):
-            self._scan_header(e.cond)
-            self._scan_header(e.then)
-            self._scan_header(e.orelse)
-        elif isinstance(e, ast.Num):
-            _check_int_literal(e.value)
-        else:
-            raise TypeError(f"not an expression: {e!r}")
+        trip = _trip_count(node)
+        children: list[tuple[TripCount, ...]] = []
+        self._scan_region([node.body], counter, children)
+        return (trip,) + max(children, key=len, default=())
 
 
 def build_function_unit(fn: ast.Function, source_text: str = "") -> FunctionUnit:
@@ -305,18 +253,19 @@ def build_function_unit(fn: ast.Function, source_text: str = "") -> FunctionUnit
             _check_int_literal(x)  # a symbolic extent is a str and passes
     scanner = _FunctionScanner(fn)
     scanner.scan()
+    headers = scanner.headers
     extent_names = {x for p in fn.params for x in p.extents if isinstance(x, str)}
-    free = (scanner.header_names | extent_names) - scanner.declared_names - scanner.loop_vars
-    params = tuple(ParamInfo(p.name, p.base_type, p.extents) for p in fn.params)
+    free = (headers.bare | headers.subscripted | extent_names) - scanner.declared_names
+    free -= scanner.loop_vars
     return FunctionUnit(
         name=fn.name,
-        params=params,
+        params=fn.params,
         loop_nests=tuple(scanner.nests),
         nonloop_counts=scanner.nonloop.finalize(scanner.declared_arrays),
         return_type=fn.return_type,
         source_text=source_text,
         bound_symbols=tuple(sorted(free)),
-        min_extent=max(scanner.min_extent, scanner.nonloop.min_extent),
+        min_extent=max(scanner.min_extent, scanner.nonloop.min_extent, headers.min_extent),
     )
 
 

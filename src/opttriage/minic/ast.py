@@ -109,6 +109,14 @@ class ParamDecl:
     base_type: str  # "int" | "float"
     extents: tuple[Extent, ...] = ()
 
+    @property
+    def tag(self) -> str:
+        if len(self.extents) == 2:
+            return "array-2d"
+        if len(self.extents) == 1:
+            return "array-1d"
+        return f"scalar-{self.base_type}"
+
 
 @dataclass(frozen=True)
 class Function:

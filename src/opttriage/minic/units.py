@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from opttriage.minic import ast
+
 
 @dataclass(frozen=True)
 class SourceUnit:
@@ -99,26 +101,11 @@ class LoopNest:
 
 
 @dataclass(frozen=True)
-class ParamInfo:
-    name: str
-    base_type: str  # "int" | "float"
-    extents: tuple = ()  # literal ints and/or symbolic names
-
-    @property
-    def tag(self) -> str:
-        if len(self.extents) == 2:
-            return "array-2d"
-        if len(self.extents) == 1:
-            return "array-1d"
-        return f"scalar-{self.base_type}"
-
-
-@dataclass(frozen=True)
 class FunctionUnit:
     """Everything downstream stages need to know about one function."""
 
     name: str
-    params: tuple[ParamInfo, ...]
+    params: tuple[ast.ParamDecl, ...]
     loop_nests: tuple[LoopNest, ...]
     nonloop_counts: OpCounts
     return_type: str = "void"

@@ -5,9 +5,11 @@ grown by recursion in preorder, each node scored by its own 2-D split scan.
 steps; the trees it grows must equal these, field by field.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from opttriage.forest import EASY, HARD, Tree
+from opttriage.forest import EASY, HARD, NodeTable, grow
 
 
 def reference_split_scan(block, labels, min_leaf):
@@ -92,7 +94,7 @@ class _TreeBuilder:
         return node
 
 
-def reference_tree(x_rows, y, params, rng) -> Tree:
+def reference_tree(x_rows, y, params, rng) -> SimpleNamespace:
     """One tree on a bootstrap sample drawn first from rng; params must be resolved."""
     n, width = x_rows.shape
     sample = rng.integers(0, n, size=max(1, int(round(params.bootstrap_fraction * n))))
@@ -100,14 +102,21 @@ def reference_tree(x_rows, y, params, rng) -> Tree:
     builder.grow(x_rows[sample], y[sample], depth=0)
     dtypes = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
               "label": np.int8, "count_easy": np.int64, "count_hard": np.int64}
-    return Tree(**{key: np.asarray(values, dtype=dtypes[key])
-                   for key, values in builder.fields.items()})
+    return SimpleNamespace(**{key: np.asarray(values, dtype=dtypes[key])
+                              for key, values in builder.fields.items()})
 
 
 def reference_forest(x_rows, y, params) -> list:
     """The trees `train` grows: tree t from default_rng(rng_seed ^ t)."""
     return [reference_tree(x_rows, y, params, np.random.default_rng(params.rng_seed ^ t))
             for t in range(params.n_trees)]
+
+
+def grow_one_tree(x_rows, y, params, rng) -> tuple[NodeTable, np.ndarray]:
+    """One tree through the forest's grower, on a bootstrap sample drawn first
+    from rng; returns the tree and the sample. params must be resolved."""
+    sample = grow.bootstrap(rng, len(x_rows), params.bootstrap_fraction)
+    return NodeTable(**grow.grow_trees(x_rows, y, params, [(rng, sample)])), sample
 
 
 def assert_same_trees(got, want) -> None:

@@ -136,6 +136,15 @@ def test_extract_explicit_depth_failure_names_function(tmp_path, capsys):
     assert "deep.c::f" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_extract_depth_below_one_is_fatal(tmp_path, corpus, capsys, depth):
+    out = tmp_path / "o.jsonl"
+    rc = main(["extract", str(corpus / "manifest.jsonl"), "--max-depth", depth, "--out", str(out)])
+    assert rc == 1
+    assert "error: --max-depth: max_depth must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_parse_failure_quarantines(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text(
@@ -381,6 +390,26 @@ def test_eval_schema_mismatch_is_fatal(tmp_path, labeled, corpus):
 
 
 # ------------------------------------------------------------------ classify
+
+
+@pytest.mark.parametrize("flags", ["-O3", [3]], ids=["bare-string", "number"])
+def test_compiler_flags_that_are_not_strings_are_a_bad_config(
+    tmp_path, labeled, corpus, capsys, flags
+):
+    cfg = _write_json(tmp_path / "labeler.json", {"flags_aggr": flags})
+    out = tmp_path / "relabeled.jsonl"
+    assert main(["label", "--manifest", str(labeled), "--config", cfg, "--out", str(out)]) == 1
+    assert "error: bad labeler config: flags_aggr" in capsys.readouterr().err
+    assert not out.exists()
+
+    model = tmp_path / "model.json"
+    assert main(["train", "--manifest", str(labeled), "--out", str(model)]) == 0
+    source = sorted(corpus.glob("*.c"))[0]
+    report = tmp_path / "report.json"
+    assert main(["classify", "--model", str(model), "--config", cfg, str(source),
+                 "--out", str(report)]) == 1
+    assert "error: bad labeler config: flags_aggr" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_classify_report_shape(tmp_path, labeled, corpus):

@@ -16,9 +16,7 @@ from opttriage.forest import (
     NodeTable,
     RandomForestModel,
     Split,
-    Tree,
     best_split,
-    build_tree,
     cross_validate,
     dumps_model,
     evaluate,
@@ -35,25 +33,21 @@ from opttriage.forest.grow import _STEP_ROWS
 from opttriage.forest.kernels import rank_rows, split_scan
 
 from conftest import DATA, reference_decision, set_v2_node_arrays, v2_node_arrays
-from reference_grower import assert_same_trees, reference_forest, reference_tree
-
-
-def _leaf_tree(label: int) -> Tree:
-    return Tree(
-        feature=np.array([-1], dtype=np.int32),
-        threshold=np.array([0.0]),
-        left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
-        label=np.array([label], dtype=np.int8),
-        count_easy=np.array([1 - label], dtype=np.int64),  # the counts give the class
-        count_hard=np.array([label], dtype=np.int64),
-    )
+from reference_grower import assert_same_trees, grow_one_tree, reference_forest, reference_tree
 
 
 def _model_of_leaves(labels: list[int], max_depth: int = 1) -> RandomForestModel:
     schema = FeatureSchema(max_depth)
     params = ForestParams(n_trees=len(labels)).resolved(schema.width)
-    nodes = NodeTable.from_trees([_leaf_tree(v) for v in labels])
+    n = len(labels)
+    nodes = NodeTable(
+        feature=[-1] * n,
+        threshold=[0.0] * n,
+        right=[-1] * n,
+        count_easy=[1 - v for v in labels],  # the counts give the class
+        count_hard=labels,
+        sizes=[1] * n,
+    )
     return RandomForestModel(schema=schema, params=params, nodes=nodes)
 
 
@@ -318,7 +312,7 @@ def test_build_tree_equals_reference_tree():
     for width in (1, 5, 12):
         for seed in range(4):
             params = ForestParams(features_per_split=min(width, 3)).resolved(width)
-            tree, sample = build_tree(x[:, :width], y, params, np.random.default_rng(seed))
+            tree, sample = grow_one_tree(x[:, :width], y, params, np.random.default_rng(seed))
             want = reference_tree(x[:, :width], y, params, np.random.default_rng(seed))
             assert_same_trees([tree], [want])
             assert sample.tolist() == np.random.default_rng(seed).integers(0, 60, size=60).tolist()
@@ -338,7 +332,7 @@ def test_forest_whose_roots_exceed_a_step_equals_reference():
 def test_build_tree_single_class_is_one_leaf():
     x = np.zeros((5, 12))
     y = np.zeros(5, dtype=np.int8)
-    tree, sample = build_tree(x, y, ForestParams().resolved(12), np.random.default_rng(0))
+    tree, sample = grow_one_tree(x, y, ForestParams().resolved(12), np.random.default_rng(0))
     assert tree.n_nodes == 1
     assert tree.label[0] == EASY
     assert len(sample) == 5
@@ -416,7 +410,7 @@ def test_leaf_count_tie_votes_hard():
     y = np.array([0, 1], dtype=np.int8)
     params = ForestParams(n_trees=1, bootstrap_fraction=1.0, rng_seed=0).resolved(12)
     # bootstrap may duplicate a row; force the tie with an explicit builder run
-    tree, _ = build_tree(x, y, params, np.random.default_rng(1))
+    tree, _ = grow_one_tree(x, y, params, np.random.default_rng(1))
     if tree.count_easy[0] == tree.count_hard[0]:
         assert tree.label[0] == HARD
 
@@ -544,6 +538,27 @@ def test_loads_model_rejects_malformed_tree():
     doc["trees"][0]["left"] = doc["trees"][0]["left"][:-1]
     with pytest.raises(ModelFormatError):
         loads_model(json.dumps(doc))
+
+
+def test_loads_model_rejects_v1_trees_whose_arrays_trade_lengths():
+    # the joined right array has as many entries as the joined feature array,
+    # but neither tree's arrays agree in length
+    doc = _v1_doc()
+    first, second = doc["trees"]
+    second["right"].append(first["right"].pop())
+    n_right, n_feature = (sum(len(t[key]) for t in doc["trees"]) for key in ("right", "feature"))
+    assert n_right == n_feature
+    with pytest.raises(ModelFormatError, match="tree arrays are inconsistent"):
+        loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["feature", "threshold", "right", "count_easy", "count_hard"])
+def test_node_table_rejects_arrays_other_than_the_sizes_give(key):
+    fields = {k: [0] * 3 for k in ("feature", "threshold", "right", "count_easy", "count_hard")}
+    NodeTable(sizes=[1, 2], **fields)
+    fields[key] = [0] * 4
+    with pytest.raises(ModelFormatError, match="3 nodes"):
+        NodeTable(sizes=[1, 2], **fields)
 
 
 def test_dumps_model_rejects_non_finite_threshold():

@@ -154,6 +154,18 @@ def test_config_round_trip_and_unknown_keys():
         LabelerConfig.from_dict({"delt": 0.7})
 
 
+@pytest.mark.parametrize("key", ["flags_basic", "flags_aggr"])
+def test_config_rejects_flags_that_are_not_a_sequence_of_strings(key):
+    with pytest.raises(ValueError, match=key):
+        LabelerConfig.from_dict({key: "-O3"})  # would otherwise split into characters
+    with pytest.raises(ValueError, match=key):
+        LabelerConfig.from_dict({key: [3]})
+    with pytest.raises(ValueError, match=key):
+        LabelerConfig(**{key: ["-O3"]})
+    with pytest.raises(ValueError, match=key):
+        LabelerConfig(**{key: ("-O3", None)})
+
+
 # --------------------------------------------------------------------- driver
 
 

@@ -14,7 +14,6 @@ from opttriage.forest import (
     ModelFormatError,
     Split,
     best_split,
-    build_tree,
     dumps_model,
     gini,
     loads_model,
@@ -25,7 +24,7 @@ from opttriage.labeler import TimingRecord, label_from_ratio
 from opttriage.manifest import ManifestRow
 
 from conftest import DATA, MODEL_V2_DTYPES, set_v2_node_arrays, v2_node_arrays
-from reference_grower import assert_same_trees, reference_forest, reference_tree
+from reference_grower import assert_same_trees, grow_one_tree, reference_forest, reference_tree
 
 finite_times = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
 deltas = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -150,7 +149,7 @@ def test_narrow_tree_equals_reference_tree(
         features_per_split=width,
         bootstrap_fraction=bootstrap_fraction,
     ).resolved(width)
-    tree, _sample = build_tree(x, y, params, np.random.default_rng(seed))
+    tree, _sample = grow_one_tree(x, y, params, np.random.default_rng(seed))
     assert_same_trees([tree], [reference_tree(x, y, params, np.random.default_rng(seed))])
 
 
