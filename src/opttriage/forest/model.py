@@ -19,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from math import ceil, sqrt
 from typing import Optional, Sequence
 
@@ -245,13 +246,22 @@ class RandomForestModel:
         return self.nodes.trees
 
 
+_FINGERPRINT_ROWS = 256
+
+
 def _fingerprint(ids: Sequence[str], x_rows: np.ndarray, y: np.ndarray) -> str:
-    doc = [
-        [str(i), [float(v) for v in row], int(lab)]
-        for i, row, lab in zip(ids, x_rows, y)
-    ]
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+    """sha256 of the compact JSON text of [[id, row, label], ...], hashed
+    _FINGERPRINT_ROWS rows at a time so the whole text is never held."""
+    digest = hashlib.sha256(b"[")
+    rows = zip(ids, x_rows, y)
+    separator = b""
+    while chunk := list(islice(rows, _FINGERPRINT_ROWS)):
+        doc = [[str(i), [float(v) for v in row], int(lab)] for i, row, lab in chunk]
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))[1:-1]  # no brackets
+        digest.update(separator + text.encode())
+        separator = b","
+    digest.update(b"]")
+    return "sha256:" + digest.hexdigest()
 
 
 def _feature_rows(x_rows: np.ndarray, width: int) -> np.ndarray:

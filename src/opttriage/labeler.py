@@ -62,6 +62,17 @@ class LabelerConfig:
     workdir: Optional[str] = None  # None: a throwaway temp dir per run
 
     def __post_init__(self):
+        for key in ("repetitions", "array_extent", "rng_seed"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be an integer, not {getattr(self, key)!r}")
+        for key in ("delta", "timeout_s", "min_runtime_s"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{key} must be a number, not {value!r}")
+        if not isinstance(self.compiler_cmd, str):
+            raise ValueError(f"compiler_cmd must be a string, not {self.compiler_cmd!r}")
+        if self.workdir is not None and not isinstance(self.workdir, str):
+            raise ValueError(f"workdir must be a string or null, not {self.workdir!r}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
         if self.repetitions < 1 or self.repetitions % 2 == 0:

@@ -7,7 +7,7 @@ from opttriage.minic.analyze import (
     parse_unit,
 )
 from opttriage.minic.interp import EvalError, call_function
-from opttriage.minic.lexer import Token, tokenize
+from opttriage.minic.lexer import Tokens, tokenize
 from opttriage.minic.printer import expr_text, function_text
 from opttriage.minic.units import (
     Diagnostic,
@@ -27,7 +27,7 @@ __all__ = [
     "OpCounts",
     "ParseError",
     "SourceUnit",
-    "Token",
+    "Tokens",
     "TripCount",
     "build_function_unit",
     "call_function",

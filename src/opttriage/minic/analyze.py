@@ -78,58 +78,35 @@ class _UsageCounter:
         self.bare: set[str] = set()
         self.loop_vars: set[str] = set()  # of the nest tallied here; not scalars
         self.min_extent = 0  # smallest extent covering every literal subscript
+        self._seen: set[str] = set()  # operator texts already counted in this statement
 
     def count_statement(self, exprs: Iterable[Optional[ast.Expr]]) -> None:
-        seen: set[str] = set()  # canonical texts already counted in this statement
+        self._seen = set()
         for e in exprs:
             if e is not None:
-                self._walk(e, seen)
+                expr_text(e, self._visit)
 
     def count_if(self) -> None:
         self.branches += 1
 
-    def _tally(self, kind: str, e: ast.Expr, seen: set[str]) -> bool:
-        text = expr_text(e)
-        if text in seen:
-            return False
-        seen.add(text)
-        if kind == "logical":
-            self.logical += 1
-        elif kind == "arith":
-            self.arith += 1
-        elif kind == "branch":
-            self.branches += 1
-        return True
-
-    def _walk(self, e: ast.Expr, seen: set[str]) -> None:
-        if isinstance(e, ast.Num):
-            _check_int_literal(e.value)
-            return
-        if isinstance(e, ast.Name):
+    def _visit(self, e: ast.Expr, text: str) -> None:
+        cls = type(e)
+        if cls is ast.Name:
             self.bare.add(e.ident)
-            return
-        if isinstance(e, ast.Index):
+        elif cls is ast.Num:
+            _check_int_literal(e.value)
+        elif cls is ast.Index:
             self.subscripted.add(e.base.ident)
             self.min_extent = max(self.min_extent, _literal_extent(e))
-            for s in e.subs:
-                self._walk(s, seen)
-            return
-        if isinstance(e, ast.Unary):
-            self._tally(classify_operator(e.op), e, seen)
-            self._walk(e.operand, seen)
-            return
-        if isinstance(e, ast.Binary):
-            self._tally(classify_operator(e.op), e, seen)
-            self._walk(e.left, seen)
-            self._walk(e.right, seen)
-            return
-        if isinstance(e, ast.Ternary):
-            self._tally("branch", e, seen)
-            self._walk(e.cond, seen)
-            self._walk(e.then, seen)
-            self._walk(e.orelse, seen)
-            return
-        raise TypeError(f"not an expression: {e!r}")
+        elif text not in self._seen:  # an operator not yet counted in this statement
+            self._seen.add(text)
+            kind = "branch" if cls is ast.Ternary else classify_operator(e.op)
+            if kind == "logical":
+                self.logical += 1
+            elif kind == "arith":
+                self.arith += 1
+            elif kind == "branch":
+                self.branches += 1
 
     def finalize(self, declared_arrays: set[str]) -> OpCounts:
         arrays = self.subscripted | (self.bare & declared_arrays)
@@ -293,15 +270,15 @@ def parse_functions(
             raise ParseError(d)
 
     tokens = tokenize(src.text)
+    kinds, texts, offsets, _ = tokens
     functions: list[ast.Function] = []
-    for chunk, error in split_functions(tokens):
+    for start, end, error in split_functions(tokens):
         if error is not None:  # lexical errors name no function
-            report(error.offset, error.text, None)
+            report(offsets[error], texts[error], None)
             continue
-        guessed = chunk[1].text if len(chunk) > 1 and chunk[1].kind == "ident" else None
-        parser = Parser(chunk + [tokens[-1]])
+        guessed = texts[start + 1] if start + 1 < end and kinds[start + 1] == "ident" else None
         try:
-            functions.append(parser.parse_function())
+            functions.append(Parser(tokens, start).parse_function())
         except ParseProblem as e:
             report(e.offset, e.message, guessed)
     return functions, diagnostics

@@ -4,6 +4,8 @@ Sources are ASCII: any other character is reported as unexpected.
 """
 
 import re
+import string
+from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
 KEYWORDS = frozenset({"void", "int", "float", "for", "if", "else", "return"})
@@ -38,58 +40,84 @@ RESERVED_UNSUPPORTED = frozenset(
     }
 )
 
-_WORDS = KEYWORDS | RESERVED_UNSUPPORTED
+_PUNCT = "<= >= == != && || += -= *= /= %= ++ -- -> - + * / % < > = ! ? : ; , ( ) [ ] { } & | ^ ~ .".split()
 
-# One alternative per token class, tried in order at each position; the last
-# one matches any single character, so the matches tile the whole text.
+# One capturing alternation, so `split` returns the gaps between lexemes
+# (whitespace only: no alternative starts at a whitespace character) and
+# the lexemes in turn. Where two alternatives can match at one position
+# the earlier wins: comments before "/", numbers before ".".
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<skip>[ \t\r\n\f\v]+|//[^\n]*|/\*.*?\*/)
-    | (?P<open_comment>/\*)
-    | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[fF]?)
-    | (?P<word>[A-Za-z_]\w*)
-    | (?P<punct><=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=|\+\+|--|->|[-+*/%<>=!?:;,()\[\]{}&|^~.])
-    | (?P<quote>"(?:\\.|[^"\\\n])*"?|'(?:\\.|[^'\\\n])*'?)  # to its closing quote or line end
-    | (?P<other>.)
-    """,
+    r"""(
+      [A-Za-z_]\w*
+    | (?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[fF]?
+    | //[^\n]*|/\*.*?\*/|/\*
+    | """
+    + "|".join(re.escape(p) for p in _PUNCT if len(p) == 2)
+    + "|["
+    + re.escape("".join(p for p in _PUNCT if len(p) == 1))
+    + r"""]
+    | "(?:\\.|[^"\\\n])*"?|'(?:\\.|[^'\\\n])*'?  # to its closing quote or line end
+    | [^ \t\r\n\f\v]
+    )""",
     re.ASCII | re.DOTALL | re.VERBOSE,
 )
 
+# Kind of a lexeme by its whole text, else by its first character, else
+# "error": comments, quotes and stray characters, which _resolve_errors sorts.
+_KIND_OF_TEXT = {p: "punct" for p in _PUNCT} | {w: "kw" for w in KEYWORDS | RESERVED_UNSUPPORTED}
+_KIND_OF_FIRST = dict.fromkeys(string.ascii_letters + "_", "ident")
+_KIND_OF_FIRST |= dict.fromkeys(string.digits + ".", "num")
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "num" | "kw" | "punct" | "error" | "eof"
-    text: str  # the lexeme; for "error" the message
-    offset: int
-    value: Optional[Union[int, float]] = None  # for "num"
+
+class Tokens(NamedTuple):
+    """Token i is (kind, text, offset, value) = (kinds[i], texts[i], offsets[i],
+    values[i]): kind is "ident" | "num" | "kw" | "punct" | "error" | "eof", text
+    the lexeme or an error's message, value a "num"'s number; "eof" is last."""
+
+    kinds: list[str]
+    texts: list[str]
+    offsets: list[int]
+    values: list[Optional[Union[int, float]]]
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> Tokens:
     """Split source text into tokens, skipping whitespace and comments.
 
     A character that starts no token becomes an "error" token and lexing
     goes on, so the parser can quarantine just the function around it; an
     unterminated comment ends the stream.
     """
-    toks: list[Token] = []
-    append = toks.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        lexeme = m.group()
-        if kind == "word":
-            append(Token("kw" if lexeme in _WORDS else "ident", lexeme, m.start()))
-        elif kind == "punct":
-            append(Token("punct", lexeme, m.start()))
-        elif kind == "num":
-            value = int(lexeme) if lexeme.isdigit() else float(lexeme.rstrip("fF"))
-            append(Token("num", lexeme, m.start(), value))
-        elif kind == "open_comment":
-            append(Token("error", "unterminated comment", m.start()))
-            break
-        elif kind == "quote":
-            append(Token("error", "string and character literals are not supported", m.start()))
-        else:
-            append(Token("error", f"unexpected character {lexeme!r}", m.start()))
-    append(Token("eof", "", len(text)))
-    return toks
+    parts = _TOKEN_RE.split(text)  # gap, lexeme, gap, ..., lexeme, gap
+    texts = parts[1::2]
+    offsets = list(accumulate(map(len, parts)))[::2]  # each lexeme's start, then len(text)
+    kinds = [_KIND_OF_TEXT.get(t) or _KIND_OF_FIRST.get(t[0], "error") for t in texts]
+    if "error" in kinds:
+        kinds, texts, offsets = _resolve_errors(kinds, texts, offsets)
+        offsets.append(len(text))
+    kinds.append("eof")
+    texts.append("")
+    values = [_number(t) if k == "num" else None for k, t in zip(kinds, texts)]
+    return Tokens(kinds, texts, offsets, values)
+
+
+def _number(lexeme: str) -> Union[int, float]:
+    return int(lexeme) if lexeme.isdigit() else float(lexeme.rstrip("fF"))
+
+
+def _resolve_errors(kinds, texts, offsets):
+    """Drop comments, give each error token its message, and end the stream
+    at an unterminated comment: the lexeme "/*", as a closed one is at least "/**/"."""
+    kept = []
+    for kind, lexeme, offset in zip(kinds, texts, offsets):
+        if kind == "error":
+            if lexeme == "/*":
+                kept.append((kind, "unterminated comment", offset))
+                break
+            if lexeme[0] == "/":
+                continue
+            if lexeme[0] in "\"'":
+                lexeme = "string and character literals are not supported"
+            else:
+                lexeme = f"unexpected character {lexeme!r}"
+        kept.append((kind, lexeme, offset))
+    return [list(column) for column in zip(*kept)] or ([], [], [])

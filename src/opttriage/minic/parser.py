@@ -14,214 +14,220 @@ from __future__ import annotations
 from typing import Optional
 
 from opttriage.minic import ast
-from opttriage.minic.lexer import RESERVED_UNSUPPORTED, Token
+from opttriage.minic.lexer import RESERVED_UNSUPPORTED, Tokens
 from opttriage.minic.printer import BIN_PREC
 
 _TYPE_WORDS = ("void", "int", "float")
 _COMPOUND_ASSIGN = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%"}
+_POSTFIX = ("[", "(", ".")  # texts that can follow a name or number in a postfix expression
 
 
 class ParseProblem(Exception):
     """Internal signal for a parse failure inside one function."""
 
-    def __init__(self, message: str, token: Token):
-        super().__init__(f"offset {token.offset}: {message}")
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"offset {offset}: {message}")
         self.message = message
-        self.offset = token.offset
-
-
-def _unsupported(what: str, token: Token) -> ParseProblem:
-    return ParseProblem(f"unsupported construct: {what}", token)
+        self.offset = offset
 
 
 class Parser:
+    """Parses the function at the start of a `split_functions` chunk, in place.
+    It reads no token past the chunk unless that is "eof": it takes braces
+    only in matched pairs and ';' only inside a block, so it stops at the
+    chunk's closing brace or fails before the chunk ends."""
+
     # Blocks, if and for statements, expressions (parenthesized, subscripts,
     # ternary arms), unary operators and each operator of a binary chain open
     # one level. Capping them keeps both this recursive descent and the
     # recursive walks over the tree it builds far from Python's stack limit.
     MAX_NESTING = 100
 
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens  # ends with the "eof" token, which next() never passes
-        self.pos = 0
+    def __init__(self, tokens: Tokens, start: int):
+        self.kinds, self.texts, self.offsets, self.values = tokens
+        self.pos = start
         self.depth = 0
 
     # ------------------------------------------------------------- utilities
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
+    def problem(self, message: str, pos: Optional[int] = None) -> ParseProblem:
+        return ParseProblem(message, self.offsets[self.pos if pos is None else pos])
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def unsupported(self, what: str, pos: Optional[int] = None) -> ParseProblem:
+        return self.problem(f"unsupported construct: {what}", pos)
 
     def at(self, text: str) -> bool:
         # only punctuation and keyword tokens can carry these texts
-        return self.toks[self.pos].text == text
+        return self.texts[self.pos] == text
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            shown = t.text if t.text else "end of input"
-            raise ParseProblem(f"expected {text!r}, found {shown!r}", t)
-        return self.next()
+    def expect(self, text: str) -> int:
+        """Consume the current token, which must be text; returns its index."""
+        pos = self.pos
+        found = self.texts[pos]
+        if found != text:
+            raise self.problem(f"expected {text!r}, found {found or 'end of input'!r}")
+        self.pos = pos + 1
+        return pos
 
-    def nest(self, t: Token) -> None:
-        """Open one nesting level at token t; the caller closes it."""
+    def nest(self, pos: int) -> None:
+        """Open one nesting level at token pos; the caller closes it."""
         self.depth += 1
         if self.depth > self.MAX_NESTING:
-            raise _unsupported(f"nesting deeper than {self.MAX_NESTING} levels", t)
+            raise self.unsupported(f"nesting deeper than {self.MAX_NESTING} levels", pos)
 
-    def expect_ident(self) -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            if t.kind == "kw" and t.text in RESERVED_UNSUPPORTED:
-                raise _unsupported(f"{t.text!r} keyword", t)
-            raise ParseProblem(f"expected identifier, found {t.text!r}", t)
-        return self.next()
+    def expect_ident(self) -> str:
+        pos = self.pos
+        t = self.texts[pos]
+        if self.kinds[pos] != "ident":
+            if t in RESERVED_UNSUPPORTED:
+                raise self.unsupported(f"{t!r} keyword")
+            raise self.problem(f"expected identifier, found {t!r}")
+        self.pos = pos + 1
+        return t
 
     # ------------------------------------------------------------- functions
 
     def parse_function(self) -> ast.Function:
-        ret_tok = self.peek()
-        if ret_tok.text not in _TYPE_WORDS:
-            if ret_tok.kind == "kw" and ret_tok.text in RESERVED_UNSUPPORTED:
-                raise _unsupported(f"{ret_tok.text!r} type", ret_tok)
-            raise ParseProblem("expected a function definition", ret_tok)
-        self.next()
+        start = self.pos
+        ret = self.texts[start]
+        if ret not in _TYPE_WORDS:
+            if ret in RESERVED_UNSUPPORTED:
+                raise self.unsupported(f"{ret!r} type")
+            raise self.problem("expected a function definition")
+        self.pos += 1
         name = self.expect_ident()
         self.expect("(")
         params = self.parse_params()
         self.expect(")")
         if self.at(";"):
-            raise _unsupported("function declaration without a body", self.peek())
+            raise self.unsupported("function declaration without a body")
         body = self.parse_block()
-        end = self.toks[self.pos - 1]
+        last = self.pos - 1
         return ast.Function(
-            name=name.text,
-            return_type=ret_tok.text,
+            name=name,
+            return_type=ret,
             params=tuple(params),
             body=body,
-            span=(ret_tok.offset, end.offset + len(end.text)),
+            span=(self.offsets[start], self.offsets[last] + len(self.texts[last])),
         )
 
     def parse_params(self) -> list[ast.ParamDecl]:
         if self.at(")"):
             return []
-        if self.at("void") and self.peek(1).text == ")":
-            self.next()
+        if self.at("void") and self.texts[self.pos + 1] == ")":
+            self.pos += 1
             return []
         params = [self.parse_param()]
         while self.at(","):
-            self.next()
+            self.pos += 1
             params.append(self.parse_param())
         return params
 
     def parse_param(self) -> ast.ParamDecl:
-        t = self.peek()
-        if t.text not in ("int", "float"):
-            if t.kind == "kw":
-                raise _unsupported(f"{t.text!r} parameter type", t)
-            raise ParseProblem(f"expected parameter type, found {t.text!r}", t)
-        self.next()
+        base = self.texts[self.pos]
+        if base not in ("int", "float"):
+            if self.kinds[self.pos] == "kw":
+                raise self.unsupported(f"{base!r} parameter type")
+            raise self.problem(f"expected parameter type, found {base!r}")
+        self.pos += 1
         if self.at("*"):
-            raise _unsupported("pointer parameter", self.peek())
+            raise self.unsupported("pointer parameter")
         name = self.expect_ident()
         extents: list[ast.Extent] = []
         while self.at("["):
             if len(extents) == 2:
-                raise _unsupported("array with more than two dimensions", self.peek())
-            self.next()
-            ext = self.peek()
-            if ext.kind == "num" and isinstance(ext.value, int):
-                extents.append(ext.value)
-                self.next()
-            elif ext.kind == "ident":
-                extents.append(ext.text)
-                self.next()
+                raise self.unsupported("array with more than two dimensions")
+            self.pos += 1
+            pos = self.pos
+            kind = self.kinds[pos]
+            if kind == "num" and isinstance(self.values[pos], int):
+                extents.append(self.values[pos])  # type: ignore[arg-type]
+            elif kind == "ident":
+                extents.append(self.texts[pos])
             else:
-                raise ParseProblem("expected array extent", ext)
+                raise self.problem("expected array extent")
+            self.pos = pos + 1
             self.expect("]")
-        return ast.ParamDecl(name=name.text, base_type=t.text, extents=tuple(extents))
+        return ast.ParamDecl(name=name, base_type=base, extents=tuple(extents))
 
     # ------------------------------------------------------------- statements
 
     def parse_block(self) -> ast.Block:
         self.nest(self.expect("{"))
+        texts = self.texts
         items: list[ast.Stmt] = []
-        while not self.at("}"):
-            if self.peek().kind == "eof":
-                raise ParseProblem("unterminated block", self.peek())
+        while texts[self.pos] != "}":
+            if self.kinds[self.pos] == "eof":
+                raise self.problem("unterminated block")
             items.append(self.parse_statement())
-        self.expect("}")
+        self.pos += 1
         self.depth -= 1
         return ast.Block(tuple(items))
 
     def parse_statement(self) -> ast.Stmt:
-        t = self.peek()
-        if t.text == "{":
+        pos = self.pos
+        t = self.texts[pos]
+        if self.kinds[pos] == "ident" or t == "void":
+            return self.parse_assignment()
+        if t == "{":
             return self.parse_block()
-        if t.text == ";":
-            self.next()
+        if t == ";":
+            self.pos = pos + 1
             return ast.Block(())
-        if t.text in ("int", "float"):
+        if t in ("int", "float"):
             return self.parse_decl()
-        if t.text == "for":
+        if t == "for":
             return self.parse_for()
-        if t.text == "if":
+        if t == "if":
             return self.parse_if()
-        if t.text == "return":
-            self.next()
+        if t == "return":
+            self.pos = pos + 1
             if self.at(";"):
-                self.next()
+                self.pos += 1
                 return ast.Return(None)
             value = self.parse_expr()
             self.expect(";")
             return ast.Return(value)
-        if t.kind == "kw" and t.text in RESERVED_UNSUPPORTED:
-            raise _unsupported(f"{t.text!r} statement", t)
-        if t.kind == "ident" or t.text == "void":
-            return self.parse_assignment()
-        raise ParseProblem(f"expected a statement, found {t.text!r}", t)
+        if t in RESERVED_UNSUPPORTED:
+            raise self.unsupported(f"{t!r} statement")
+        raise self.problem(f"expected a statement, found {t!r}")
 
     def parse_decl(self) -> ast.Decl:
-        base = self.next().text
+        base = self.texts[self.pos]
+        self.pos += 1
         if self.at("*"):
-            raise _unsupported("pointer declaration", self.peek())
-        names = [self.expect_ident().text]
+            raise self.unsupported("pointer declaration")
+        names = [self.expect_ident()]
         if self.at("["):
-            raise _unsupported("local array declaration", self.peek())
+            raise self.unsupported("local array declaration")
         if self.at("="):
-            raise _unsupported("initializer in declaration", self.peek())
+            raise self.unsupported("initializer in declaration")
         while self.at(","):
-            self.next()
-            names.append(self.expect_ident().text)
+            self.pos += 1
+            names.append(self.expect_ident())
             if self.at("[") or self.at("="):
-                raise _unsupported("local array declaration or initializer", self.peek())
+                raise self.unsupported("local array declaration or initializer")
         self.expect(";")
         return ast.Decl(base_type=base, names=tuple(names))
 
     def parse_assignment(self) -> ast.Assign:
         target = self.parse_postfix()
         if not isinstance(target, (ast.Name, ast.Index)):
-            raise ParseProblem("expected an assignable location", self.peek())
-        op = self.peek()
-        if op.text == "=":
-            self.next()
+            raise self.problem("expected an assignable location")
+        op = self.texts[self.pos]
+        if op == "=":
+            self.pos += 1
             value = self.parse_expr()
-        elif op.text in _COMPOUND_ASSIGN:
-            self.next()
-            rhs = self.parse_expr()
-            value = ast.Binary(_COMPOUND_ASSIGN[op.text], target, rhs)
-        elif op.text in ("++", "--"):
-            self.next()
-            value = ast.Binary(op.text[0], target, ast.Num(1))
+        elif op in _COMPOUND_ASSIGN:
+            self.pos += 1
+            value = ast.Binary(_COMPOUND_ASSIGN[op], target, self.parse_expr())
+        elif op in ("++", "--"):
+            self.pos += 1
+            value = ast.Binary(op[0], target, ast.Num(1))
         else:
-            if op.text == "(":
-                raise _unsupported("function call", op)
-            raise ParseProblem(f"expected an assignment operator, found {op.text!r}", op)
+            if op == "(":
+                raise self.unsupported("function call")
+            raise self.problem(f"expected an assignment operator, found {op!r}")
         self.expect(";")
         return ast.Assign(target=target, value=value)
 
@@ -233,7 +239,7 @@ class Parser:
         then = self.parse_statement()
         orelse = None
         if self.at("else"):
-            self.next()
+            self.pos += 1
             orelse = self.parse_statement()
         self.depth -= 1
         return ast.If(cond=cond, then=then, orelse=orelse)
@@ -242,168 +248,176 @@ class Parser:
         self.nest(self.expect("for"))
         self.expect("(")
         if self.at("int"):  # C99-style declarator in the header
-            self.next()
+            self.pos += 1
         elif self.at("float"):
-            raise _unsupported("non-integer loop variable", self.peek())
+            raise self.unsupported("non-integer loop variable")
         var = self.expect_ident()
         self.expect("=")
         init = self.parse_expr()
         self.expect(";")
-        cmp_var = self.expect_ident()
-        if cmp_var.text != var.text:
-            raise _unsupported("loop condition on a different variable", cmp_var)
-        rel = self.peek()
-        if rel.text not in ("<", "<="):
-            raise _unsupported(f"loop condition with {rel.text!r}", rel)
-        self.next()
+        if self.expect_ident() != var:
+            raise self.unsupported("loop condition on a different variable", self.pos - 1)
+        rel = self.texts[self.pos]
+        if rel not in ("<", "<="):
+            raise self.unsupported(f"loop condition with {rel!r}")
+        self.pos += 1
         bound = self.parse_expr()
         self.expect(";")
-        step = self.parse_for_step(var.text)
+        step = self.parse_for_step(var)
         self.expect(")")
         body = self.parse_statement()
         self.depth -= 1
-        return ast.For(
-            var=var.text, init=init, bound_op=rel.text, bound=bound, step=step, body=body
-        )
+        return ast.For(var=var, init=init, bound_op=rel, bound=bound, step=step, body=body)
 
     def parse_for_step(self, var: str) -> ast.Expr:
-        t = self.peek()
-        if t.text == "++":  # prefix
-            self.next()
-            inc_var = self.expect_ident()
-            if inc_var.text != var:
-                raise _unsupported("loop increment on a different variable", inc_var)
+        if self.at("++"):  # prefix
+            self.pos += 1
+            if self.expect_ident() != var:
+                raise self.unsupported("loop increment on a different variable", self.pos - 1)
             return ast.Num(1)
-        inc_var = self.expect_ident()
-        if inc_var.text != var:
-            raise _unsupported("loop increment on a different variable", inc_var)
-        op = self.peek()
-        if op.text == "++":
-            self.next()
+        if self.expect_ident() != var:
+            raise self.unsupported("loop increment on a different variable", self.pos - 1)
+        op_pos = self.pos
+        op = self.texts[op_pos]
+        if op == "++":
+            self.pos += 1
             return ast.Num(1)
-        if op.text == "+=":
-            self.next()
+        if op == "+=":
+            self.pos += 1
             return self.parse_expr()
-        if op.text == "=":
-            self.next()
-            lhs = self.expect_ident()
-            if lhs.text != var or not self.at("+"):
-                raise _unsupported("non-incrementing loop step", op)
-            self.next()
+        if op == "=":
+            self.pos += 1
+            if self.expect_ident() != var or not self.at("+"):
+                raise self.unsupported("non-incrementing loop step", op_pos)
+            self.pos += 1
             return self.parse_expr()
-        if op.text in ("--", "-="):
-            raise _unsupported("decrementing loop step", op)
-        raise _unsupported(f"loop step with {op.text!r}", op)
+        if op in ("--", "-="):
+            raise self.unsupported("decrementing loop step")
+        raise self.unsupported(f"loop step with {op!r}")
 
     # ------------------------------------------------------------ expressions
 
     def parse_expr(self) -> ast.Expr:
-        self.nest(self.peek())
-        e = self.parse_binary(1)  # 1: below every operator's precedence
-        if self.at("?"):
-            self.next()
+        self.nest(self.pos)
+        e = self.parse_unary()
+        if self.texts[self.pos] in BIN_PREC:
+            e = self.parse_binary(e, 1)  # 1: below every operator's precedence
+        if self.texts[self.pos] == "?":
+            self.pos += 1
             then = self.parse_expr()
             self.expect(":")
             e = ast.Ternary(cond=e, then=then, orelse=self.parse_expr())
         self.depth -= 1
         return e
 
-    def parse_binary(self, min_prec: int) -> ast.Expr:
-        """Precedence climbing over BIN_PREC; every operator is left-associative."""
+    def parse_binary(self, left: ast.Expr, min_prec: int) -> ast.Expr:
+        """Precedence climbing over BIN_PREC from a parsed left operand; every
+        operator is left-associative and opens one nesting level."""
         depth = self.depth
-        left = self.parse_unary()
+        texts = self.texts
         while True:
-            op = self.peek()
-            prec = BIN_PREC.get(op.text, 0)
+            op = texts[self.pos]
+            prec = BIN_PREC.get(op, 0)
             if prec < min_prec:
                 break
-            self.next()
-            self.nest(op)
-            left = ast.Binary(op.text, left, self.parse_binary(prec + 1))
+            self.nest(self.pos)
+            self.pos += 1
+            right = self.parse_unary()
+            if BIN_PREC.get(texts[self.pos], 0) > prec:
+                right = self.parse_binary(right, prec + 1)
+            left = ast.Binary(op, left, right)
         self.depth = depth
         return left
 
     def parse_unary(self) -> ast.Expr:
-        t = self.peek()
-        if t.text in ("-", "!"):
-            self.next()
-            self.nest(t)
-            e = ast.Unary(t.text, self.parse_unary())
+        pos = self.pos
+        kind = self.kinds[pos]
+        if (kind == "ident" or kind == "num") and self.texts[pos + 1] not in _POSTFIX:
+            self.pos = pos + 1  # a plain name or number, most operands
+            return ast.Name(self.texts[pos]) if kind == "ident" else ast.Num(self.values[pos])
+        t = self.texts[pos]
+        if t == "-" or t == "!":
+            self.nest(pos)
+            self.pos = pos + 1
+            e = ast.Unary(t, self.parse_unary())
             self.depth -= 1
             return e
-        if t.text in ("&", "*", "~", "++", "--"):
-            raise _unsupported(f"unary {t.text!r}", t)
+        if t in ("&", "*", "~", "++", "--"):
+            raise self.unsupported(f"unary {t!r}")
         return self.parse_postfix()
 
     def parse_postfix(self) -> ast.Expr:
         base = self.parse_primary()
         if self.at("["):
             if not isinstance(base, ast.Name):
-                raise ParseProblem("only named arrays can be subscripted", self.peek())
+                raise self.problem("only named arrays can be subscripted")
             subs: list[ast.Expr] = []
             while self.at("["):
                 if len(subs) == 2:
-                    raise _unsupported("more than two subscripts", self.peek())
-                self.next()
+                    raise self.unsupported("more than two subscripts")
+                self.pos += 1
                 subs.append(self.parse_expr())
                 self.expect("]")
             return ast.Index(base=base, subs=tuple(subs))
         if self.at("(") and isinstance(base, ast.Name):
-            raise _unsupported("function call", self.peek())
+            raise self.unsupported("function call")
         if self.at("."):
-            raise _unsupported("member access", self.peek())
+            raise self.unsupported("member access")
         return base
 
     def parse_primary(self) -> ast.Expr:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return ast.Num(t.value)  # type: ignore[arg-type]
-        if t.kind == "ident":
-            self.next()
-            return ast.Name(t.text)
-        if t.text == "(":
-            self.next()
+        pos = self.pos
+        kind = self.kinds[pos]
+        t = self.texts[pos]
+        if kind == "num":
+            self.pos = pos + 1
+            return ast.Num(self.values[pos])  # type: ignore[arg-type]
+        if kind == "ident":
+            self.pos = pos + 1
+            return ast.Name(t)
+        if t == "(":
+            self.pos = pos + 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if t.kind == "kw" and t.text in RESERVED_UNSUPPORTED:
-            raise _unsupported(f"{t.text!r} in expression", t)
-        shown = t.text if t.text else "end of input"
-        raise ParseProblem(f"expected an expression, found {shown!r}", t)
+        if t in RESERVED_UNSUPPORTED:
+            raise self.unsupported(f"{t!r} in expression")
+        raise self.problem(f"expected an expression, found {t or 'end of input'!r}")
 
 
-def split_functions(tokens: list[Token]) -> list[tuple[list[Token], Optional[Token]]]:
+def split_functions(tokens: Tokens) -> list[tuple[int, int, Optional[int]]]:
     """Segment a token stream into per-function chunks by brace matching.
 
-    Returns (chunk tokens, first "error" token of the chunk or None) pairs.
-    Chunks that never open a body brace end at the next top-level type
-    keyword so one malformed definition cannot swallow the rest of the file.
+    Returns (start, end, index of the chunk's first "error" token or None)
+    triples; a chunk is tokens[start:end]. Chunks that never open a body
+    brace end at the next top-level type keyword so one malformed
+    definition cannot swallow the rest of the file.
     """
+    kinds, texts = tokens.kinds, tokens.texts
+    last = len(texts) - 1  # the "eof" token
     chunks = []
-    i = 0
-    n = len(tokens)
-    while i < n and tokens[i].kind != "eof":
-        start = i
+    start = 0
+    while start < last:
         depth = 0
         opened = False
         error = None
-        j = i
-        while j < n and tokens[j].kind != "eof":
-            t = tokens[j]
-            if t.text == "{":
+        j = start
+        while j < last:
+            t = texts[j]
+            if t == "{":
                 depth += 1
                 opened = True
-            elif t.text == "}":
+            elif t == "}":
                 depth -= 1
                 if opened and depth == 0:
                     j += 1
                     break
-            elif t.kind == "error":
-                error = error or t
-            elif not opened and j > start and t.text in _TYPE_WORDS and tokens[j - 1].text in (";", "}"):
+            elif kinds[j] == "error":
+                if error is None:
+                    error = j
+            elif not opened and j > start and t in _TYPE_WORDS and texts[j - 1] in (";", "}"):
                 break
             j += 1
-        chunks.append((tokens[start:j], error))
-        i = j
+        chunks.append((start, j, error))
+        start = j
     return chunks

@@ -7,6 +7,8 @@ expression-identity comparisons.
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from opttriage.minic import ast
 
 BIN_PREC = {
@@ -28,16 +30,6 @@ BIN_PREC = {
 _INDENT = "    "
 
 
-def _prec(e: ast.Expr) -> int:
-    if isinstance(e, ast.Ternary):
-        return 1
-    if isinstance(e, ast.Binary):
-        return BIN_PREC[e.op]
-    if isinstance(e, ast.Unary):
-        return 8
-    return 9
-
-
 def _num_text(value) -> str:
     if isinstance(value, bool):
         raise TypeError("boolean literal")
@@ -46,38 +38,54 @@ def _num_text(value) -> str:
     return repr(float(value))
 
 
-def expr_text(e: ast.Expr) -> str:
-    if isinstance(e, ast.Num):
-        return _num_text(e.value)
-    if isinstance(e, ast.Name):
-        return e.ident
-    if isinstance(e, ast.Index):
-        return e.base.ident + "".join(f"[{expr_text(s)}]" for s in e.subs)
-    if isinstance(e, ast.Unary):
-        inner = expr_text(e.operand)
-        if _prec(e.operand) < 8:
-            inner = f"({inner})"
-        return e.op + inner
-    if isinstance(e, ast.Binary):
-        lhs = expr_text(e.left)
-        if _prec(e.left) < BIN_PREC[e.op]:
+def expr_text(e: ast.Expr, visit: Optional[Callable[[ast.Expr, str], None]] = None) -> str:
+    """Canonical text of e, built bottom-up so each subexpression is rendered
+    once. visit(node, text), if given, sees every subexpression of e after
+    its children; the array name of a subscript is not one."""
+    return _render(e, visit)[0]
+
+
+def _render(e: ast.Expr, visit) -> tuple[str, int]:
+    """Text and precedence of e: 1 for a ternary, BIN_PREC for a binary
+    operator, 8 for a unary one and 9 for an operand."""
+    cls = type(e)
+    if cls is ast.Name:
+        text, prec = e.ident, 9
+    elif cls is ast.Binary:
+        prec = BIN_PREC[e.op]
+        lhs, lhs_prec = _render(e.left, visit)
+        rhs, rhs_prec = _render(e.right, visit)
+        if lhs_prec < prec:
             lhs = f"({lhs})"
-        rhs = expr_text(e.right)
-        if _prec(e.right) <= BIN_PREC[e.op]:
+        if rhs_prec <= prec:
             rhs = f"({rhs})"
-        return f"{lhs} {e.op} {rhs}"
-    if isinstance(e, ast.Ternary):
-        cond = expr_text(e.cond)
-        if _prec(e.cond) <= 1:
+        text = f"{lhs} {e.op} {rhs}"
+    elif cls is ast.Num:
+        text, prec = _num_text(e.value), 9
+    elif cls is ast.Index:
+        text = e.base.ident + "".join([f"[{_render(s, visit)[0]}]" for s in e.subs])
+        prec = 9
+    elif cls is ast.Unary:
+        inner, inner_prec = _render(e.operand, visit)
+        if inner_prec < 8:
+            inner = f"({inner})"
+        text, prec = e.op + inner, 8
+    elif cls is ast.Ternary:
+        cond, cond_prec = _render(e.cond, visit)
+        then, then_prec = _render(e.then, visit)
+        orelse, orelse_prec = _render(e.orelse, visit)
+        if cond_prec <= 1:
             cond = f"({cond})"
-        then = expr_text(e.then)
-        if isinstance(e.then, ast.Ternary):
+        if then_prec == 1:
             then = f"({then})"
-        orelse = expr_text(e.orelse)
-        if isinstance(e.orelse, ast.Ternary):
+        if orelse_prec == 1:
             orelse = f"({orelse})"
-        return f"{cond} ? {then} : {orelse}"
-    raise TypeError(f"not an expression: {e!r}")
+        text, prec = f"{cond} ? {then} : {orelse}", 1
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    if visit is not None:
+        visit(e, text)
+    return text, prec
 
 
 def _param_text(p: ast.ParamDecl) -> str:

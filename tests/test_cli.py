@@ -412,6 +412,40 @@ def test_compiler_flags_that_are_not_strings_are_a_bad_config(
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("repetitions", 3.0),
+        ("array_extent", 64.5),
+        ("rng_seed", "x"),
+        ("delta", "0.8"),
+        ("timeout_s", True),
+        ("min_runtime_s", True),
+        ("compiler_cmd", 5),
+        ("workdir", 5),
+    ],
+)
+def test_labeler_config_field_of_the_wrong_type_is_a_bad_config(
+    tmp_path, labeled, corpus, capsys, key, value
+):
+    cfg = _write_json(tmp_path / "labeler.json", {key: value})
+    timer = _write_json(tmp_path / "t.json", {"default": [1.0, 0.5]})
+    out = tmp_path / "relabeled.jsonl"
+    assert main(["label", "--manifest", str(labeled), "--config", cfg, "--fake-timer", timer,
+                 "--out", str(out)]) == 1
+    assert f"error: bad labeler config: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+    model = tmp_path / "model.json"
+    assert main(["train", "--manifest", str(labeled), "--out", str(model)]) == 0
+    source = sorted(corpus.glob("*.c"))[0]
+    report = tmp_path / "report.json"
+    assert main(["classify", "--model", str(model), "--config", cfg, str(source),
+                 "--out", str(report)]) == 1
+    assert f"error: bad labeler config: {key}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_classify_report_shape(tmp_path, labeled, corpus):
     model = tmp_path / "model.json"
     main(["train", "--manifest", str(labeled), "--out", str(model)])

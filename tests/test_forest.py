@@ -30,6 +30,7 @@ from opttriage.forest import (
     train,
 )
 from opttriage.forest.grow import _STEP_ROWS
+from opttriage.forest.model import _fingerprint
 from opttriage.forest.kernels import rank_rows, split_scan
 
 from conftest import DATA, reference_decision, set_v2_node_arrays, v2_node_arrays
@@ -286,6 +287,17 @@ def test_training_fingerprint_tracks_data():
     b = train(x, y2, FeatureSchema(1), ForestParams(n_trees=3), ids=ids)
     assert a.training_fingerprint.startswith("sha256:")
     assert a.training_fingerprint != b.training_fingerprint
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2000])
+def test_training_fingerprint_equals_the_one_shot_json_digest(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
+    y = rng.integers(0, 2, size=n).astype(np.int8)
+    ids = [f"kernel_{i:04d}.c::f\u00e9\"{i}" for i in range(n)]
+    doc = [[str(i), [float(v) for v in row], int(lab)] for i, row, lab in zip(ids, x, y)]
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert _fingerprint(ids, x, y) == "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
 def test_forest_params_validation():

@@ -166,6 +166,34 @@ def test_config_rejects_flags_that_are_not_a_sequence_of_strings(key):
         LabelerConfig(**{key: ("-O3", None)})
 
 
+# One value of the wrong JSON type per field; each used to load.
+BAD_FIELD_TYPES = {
+    "repetitions": 3.0,
+    "array_extent": 64.5,
+    "rng_seed": "x",
+    "delta": "0.8",
+    "timeout_s": True,
+    "min_runtime_s": True,
+    "compiler_cmd": ["cc", "{flags}", "-o", "{output}", "{source}"],
+    "workdir": 5,
+}
+
+
+@pytest.mark.parametrize("key", BAD_FIELD_TYPES)
+def test_config_rejects_a_field_of_the_wrong_type(key):
+    with pytest.raises(ValueError, match=key):
+        LabelerConfig.from_dict({key: BAD_FIELD_TYPES[key]})
+    with pytest.raises(ValueError, match=key):
+        LabelerConfig(**{key: BAD_FIELD_TYPES[key]})
+
+
+def test_config_accepts_int_seconds_and_a_null_workdir():
+    cfg = LabelerConfig.from_dict(
+        {"delta": 1, "timeout_s": 5, "min_runtime_s": 0, "workdir": None}
+    )
+    assert (cfg.delta, cfg.timeout_s, cfg.min_runtime_s, cfg.workdir) == (1, 5, 0, None)
+
+
 # --------------------------------------------------------------------- driver
 
 

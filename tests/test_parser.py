@@ -6,7 +6,7 @@ import json
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opttriage.minic import (
@@ -16,13 +16,15 @@ from opttriage.minic import (
     parse_unit,
 )
 from opttriage.minic import ast as A
+from opttriage.minic.analyze import build_function_unit, classify_operator
 from opttriage.minic.interp import EvalError, call_function
-from opttriage.minic.lexer import tokenize
+from opttriage.minic.lexer import KEYWORDS, RESERVED_UNSUPPORTED, tokenize
 from opttriage.minic.parser import Parser, split_functions
-from opttriage.minic.printer import expr_text, function_text
+from opttriage.minic.printer import BIN_PREC, expr_text, function_text
 from opttriage.synthgen import GenConfig, generate
 
 from conftest import DATA, parse_ast, parse_one
+from reference_lexer import reference_tokenize
 
 
 # ---------------------------------------------------------------------- lexer
@@ -30,12 +32,12 @@ from conftest import DATA, parse_ast, parse_one
 
 def test_tokenize_strips_comments():
     toks = tokenize("a /* x */ + b // tail\n- c")
-    assert [t.text for t in toks if t.kind != "eof"] == ["a", "+", "b", "-", "c"]
+    assert [t for k, t in zip(toks.kinds, toks.texts) if k != "eof"] == ["a", "+", "b", "-", "c"]
 
 
 def test_tokenize_numbers():
     toks = tokenize("12 1.5 2.0f 1e3 0.5F")
-    values = [t.value for t in toks if t.kind != "eof"]
+    values = [v for k, v in zip(toks.kinds, toks.values) if k != "eof"]
     assert values == [12, 1.5, 2.0, 1000.0, 0.5]
     assert isinstance(values[0], int)
     assert all(isinstance(v, float) for v in values[1:])
@@ -43,7 +45,7 @@ def test_tokenize_numbers():
 
 def test_tokenize_number_and_operator_edges():
     toks = tokenize("1e+3 2E-2f 1e+ x->y .5 1.f 0012 3.e2 a_1b")
-    assert [(t.kind, t.text, t.value) for t in toks] == [
+    assert list(zip(toks.kinds, toks.texts, toks.values)) == [
         ("num", "1e+3", 1000.0), ("num", "2E-2f", 0.02), ("num", "1", 1),
         ("ident", "e", None), ("punct", "+", None), ("ident", "x", None),
         ("punct", "->", None), ("ident", "y", None), ("num", ".5", 0.5),
@@ -54,14 +56,39 @@ def test_tokenize_number_and_operator_edges():
 
 def test_tokenize_two_char_operators():
     toks = tokenize("<= >= == != && || += -= *= /= %= ++ --")
-    texts = [t.text for t in toks if t.kind != "eof"]
+    texts = [t for k, t in zip(toks.kinds, toks.texts) if k != "eof"]
     assert texts == "<= >= == != && || += -= *= /= %= ++ --".split()
 
 
 def test_tokenize_rejects_strings():
     toks = tokenize('printf("hi")')
-    assert [t.kind for t in toks] == ["ident", "punct", "error", "punct", "eof"]
-    assert toks[2] == ("error", "string and character literals are not supported", 7, None)
+    assert toks.kinds == ["ident", "punct", "error", "punct", "eof"]
+    assert list(zip(*toks))[2] == ("error", "string and character literals are not supported", 7, None)
+
+
+_LEX_PIECES = (
+    "<= >= == != && || += -= *= /= %= ++ -- -> - + * / % < > = ! ? : ; , ( ) [ ] { } & | ^ ~ .".split()
+    + sorted(KEYWORDS | RESERVED_UNSUPPORTED)
+    + ["x", "_a1", "e", "E", "f", "F", "\u00e9", "@", "$", "#", "`", "\\", "\u00b2", "\u0663"]
+    + ['"', "'", '"s"', "'c'", '"a\\"b"', "//", "/*", "*/", "// note\n", "/* note */"]
+    + [" ", "\t", "\n", "\r", "\r\n", "\v", "\f", "\x1c"]
+)
+_NUMBERS = st.from_regex(r"(\d{1,4}(\.\d{0,3})?|\.\d{1,3})([eE][+-]?\d{1,3})?[fF]?", fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(_LEX_PIECES) | _NUMBERS | st.characters(), max_size=60
+    ).map("".join)
+)
+@example(" ".join(_LEX_PIECES) + " 1e+3 2E-2f 1e+ .5 1.f 0012 3.e2 1.5.2 12abc /* open")
+@example("".join(_LEX_PIECES))
+def test_token_stream_matches_reference_lexer(text):
+    tokens = tokenize(text)
+    want = reference_tokenize(text)
+    assert list(zip(*tokens)) == [tuple(t) for t in want]
+    assert [type(v) for v in tokens.values] == [type(t.value) for t in want]  # 1 is not 1.0
 
 
 # --------------------------------------------------------------------- parser
@@ -294,6 +321,92 @@ def test_non_strict_parse_never_raises(text):
         assert d.line >= 1 and d.col >= 1
 
 
+# ------------------------------------------------------------------- analyzer
+
+_OPERANDS = st.sampled_from(
+    [A.Name("x"), A.Name("y"), A.Name("n"), A.Num(1), A.Num(1.0), A.Num(2), A.Num(0.5)]
+)
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(A.Unary, st.sampled_from(["-", "!"]), children),
+        st.builds(A.Binary, st.sampled_from(sorted(BIN_PREC)), children, children),
+        st.builds(A.Ternary, children, children, children),
+        st.builds(lambda sub: A.Index(A.Name("a"), (sub,)), children),
+        st.builds(lambda e, op: A.Binary(op, e, e), children, st.sampled_from(["+", "*", "<"])),
+    )
+
+
+_EXPRS = st.recursive(_OPERANDS, _compound, max_leaves=14)
+
+
+def _reference_counts(statements) -> tuple[int, int, int]:
+    """(logical, arith, branches) of statements, each a list of expressions:
+    within a statement an operator node counts once per distinct
+    expr_text, the rule the analyzer has always stated."""
+    counts = {"logical": 0, "arith": 0, "branch": 0}
+
+    def walk(e, seen):
+        if isinstance(e, A.Index):
+            children = e.subs
+        elif isinstance(e, A.Unary):
+            children = (e.operand,)
+        elif isinstance(e, A.Binary):
+            children = (e.left, e.right)
+        elif isinstance(e, A.Ternary):
+            children = (e.cond, e.then, e.orelse)
+        else:
+            return
+        if not isinstance(e, A.Index) and expr_text(e) not in seen:
+            seen.add(expr_text(e))
+            counts["branch" if isinstance(e, A.Ternary) else classify_operator(e.op)] += 1
+        for child in children:
+            walk(child, seen)
+
+    for exprs in statements:
+        seen: set = set()
+        for e in exprs:
+            walk(e, seen)
+    return counts["logical"], counts["arith"], counts["branch"]
+
+
+_X_TIMES_ONE = A.Binary("*", A.Name("x"), A.Num(1))
+_X_TIMES_ONE_F = A.Binary("*", A.Name("x"), A.Num(1.0))
+_NESTED_TERNARY = A.Ternary(
+    A.Name("x"), A.Ternary(A.Name("y"), A.Num(1), A.Num(2)), A.Ternary(A.Name("y"), A.Num(1), A.Num(2))
+)
+_NEG_SUM = A.Unary("-", A.Binary("+", A.Name("x"), A.Name("y")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_EXPRS, min_size=1, max_size=3), min_size=1, max_size=4))
+@example([[_X_TIMES_ONE, _X_TIMES_ONE_F, A.Binary("+", _X_TIMES_ONE, _X_TIMES_ONE_F)]])
+@example([[_NESTED_TERNARY, A.Ternary(_NESTED_TERNARY, _NESTED_TERNARY, A.Name("n"))]])
+@example([[_NEG_SUM, A.Binary("-", _NEG_SUM, A.Binary("+", A.Name("x"), A.Name("y")))], [_NEG_SUM]])
+def test_statement_counts_dedup_by_canonical_text(statements):
+    """Each inner list is one statement: an if whose condition is the first
+    expression and whose body assigns the rest, or a bare assignment. The
+    same statements count once outside and once inside a loop."""
+    body = []
+    counted = []
+    for exprs in statements:
+        cond, *values = exprs
+        body.append(A.If(cond, A.Block(tuple(A.Assign(A.Name("x"), v) for v in values))))
+        counted.append([cond])
+        counted.extend([A.Name("x"), v] for v in values)
+    loop = A.For("i", A.Num(0), "<", A.Name("n"), A.Num(1), A.Block(tuple(body)))
+    fn = A.Function(
+        "f", "void", (A.ParamDecl("n", "int"), A.ParamDecl("a", "float", ("N",))), A.Block((*body, loop))
+    )
+    unit = build_function_unit(fn)
+    logical, arith, branches = _reference_counts(counted)
+    branches += len(statements)  # one per if statement
+    want = (logical, arith, branches)
+    assert unit.nonloop_counts.as_tuple()[:3] == want
+    assert unit.loop_nests[0].body_counts.as_tuple()[:3] == want
+
+
 # -------------------------------------------------------------------- printer
 
 
@@ -464,9 +577,9 @@ def test_token_streams_are_golden():
     lines = []
     for text in texts:
         tokens = tokenize(text)
-        if any(t.kind == "error" for t in tokens):
+        if "error" in tokens.kinds:
             continue
-        lines.extend(f"{t.kind} {t.text} {t.offset} {t.value!r}" for t in tokens)
+        lines.extend(f"{kind} {t} {offset} {value!r}" for kind, t, offset, value in zip(*tokens))
     assert _sha256("\n".join(lines)) == GOLDEN_TOKENS_SHA256
 
 
