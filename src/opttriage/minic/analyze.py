@@ -16,6 +16,7 @@ Counting rules:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional, Union
 
 from opttriage.minic import ast
@@ -78,18 +79,17 @@ class _UsageCounter:
         self.bare: set[str] = set()
         self.loop_vars: set[str] = set()  # of the nest tallied here; not scalars
         self.min_extent = 0  # smallest extent covering every literal subscript
-        self._seen: set[str] = set()  # operator texts already counted in this statement
 
     def count_statement(self, exprs: Iterable[Optional[ast.Expr]]) -> None:
-        self._seen = set()
+        visit = partial(self._visit, set())  # operator texts counted in this statement
         for e in exprs:
             if e is not None:
-                expr_text(e, self._visit)
+                expr_text(e, visit)
 
     def count_if(self) -> None:
         self.branches += 1
 
-    def _visit(self, e: ast.Expr, text: str) -> None:
+    def _visit(self, seen: set[str], e: ast.Expr, text: str) -> None:
         cls = type(e)
         if cls is ast.Name:
             self.bare.add(e.ident)
@@ -98,8 +98,8 @@ class _UsageCounter:
         elif cls is ast.Index:
             self.subscripted.add(e.base.ident)
             self.min_extent = max(self.min_extent, _literal_extent(e))
-        elif text not in self._seen:  # an operator not yet counted in this statement
-            self._seen.add(text)
+        elif text not in seen:
+            seen.add(text)
             kind = "branch" if cls is ast.Ternary else classify_operator(e.op)
             if kind == "logical":
                 self.logical += 1

@@ -2,8 +2,10 @@
 
 Node equality ignores source spans so that a parse -> print -> parse round
 trip compares equal structurally. Nodes are slotted rather than frozen,
-which makes them about three times cheaper to build; nothing mutates a
-node once built. ParamDecl, which FunctionUnit holds, stays frozen.
+which makes them about three times cheaper to build (frozen costs the same
+with or without slots). So they are mutable and, comparing by value,
+unhashable: nothing mutates a node once built, and none may be used as a set
+member or dict key. ParamDecl, which FunctionUnit holds, stays frozen.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Sources are ASCII: any other character is reported as unexpected.
 
 import re
 import string
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple, Optional, Union
 
 KEYWORDS = frozenset({"void", "int", "float", "for", "if", "else", "return"})
@@ -63,10 +63,13 @@ _TOKEN_RE = re.compile(
 )
 
 # Kind of a lexeme by its whole text, else by its first character, else
-# "error": comments, quotes and stray characters, which _resolve_errors sorts.
+# "error": quotes, stray characters and the unterminated comment "/*" (a
+# closed one is at least "/**/"), which _resolve_errors words.
 _KIND_OF_TEXT = {p: "punct" for p in _PUNCT} | {w: "kw" for w in KEYWORDS | RESERVED_UNSUPPORTED}
+_KIND_OF_TEXT["/*"] = "error"
 _KIND_OF_FIRST = dict.fromkeys(string.ascii_letters + "_", "ident")
 _KIND_OF_FIRST |= dict.fromkeys(string.digits + ".", "num")
+_KIND_OF_FIRST["/"] = "comment"  # "/" and "/=" are punctuation by whole text
 
 
 class Tokens(NamedTuple):
@@ -91,9 +94,12 @@ def tokenize(text: str) -> Tokens:
     texts = parts[1::2]
     offsets = list(accumulate(map(len, parts)))[::2]  # each lexeme's start, then len(text)
     kinds = [_KIND_OF_TEXT.get(t) or _KIND_OF_FIRST.get(t[0], "error") for t in texts]
+    if "comment" in kinds:
+        keep = [k != "comment" for k in kinds]
+        keep.append(True)  # the end offset
+        kinds, texts, offsets = (list(compress(c, keep)) for c in (kinds, texts, offsets))
     if "error" in kinds:
-        kinds, texts, offsets = _resolve_errors(kinds, texts, offsets)
-        offsets.append(len(text))
+        _resolve_errors(kinds, texts, offsets)
     kinds.append("eof")
     texts.append("")
     values = [_number(t) if k == "num" else None for k, t in zip(kinds, texts)]
@@ -104,20 +110,16 @@ def _number(lexeme: str) -> Union[int, float]:
     return int(lexeme) if lexeme.isdigit() else float(lexeme.rstrip("fF"))
 
 
-def _resolve_errors(kinds, texts, offsets):
-    """Drop comments, give each error token its message, and end the stream
-    at an unterminated comment: the lexeme "/*", as a closed one is at least "/**/"."""
-    kept = []
-    for kind, lexeme, offset in zip(kinds, texts, offsets):
-        if kind == "error":
-            if lexeme == "/*":
-                kept.append((kind, "unterminated comment", offset))
-                break
-            if lexeme[0] == "/":
-                continue
-            if lexeme[0] in "\"'":
-                lexeme = "string and character literals are not supported"
-            else:
-                lexeme = f"unexpected character {lexeme!r}"
-        kept.append((kind, lexeme, offset))
-    return [list(column) for column in zip(*kept)] or ([], [], [])
+def _resolve_errors(kinds: list[str], texts: list[str], offsets: list[int]) -> None:
+    """In place, give each error token its message and end the stream at an
+    unterminated comment, keeping the end offset last."""
+    for i in [i for i, kind in enumerate(kinds) if kind == "error"]:
+        lexeme = texts[i]
+        if lexeme == "/*":
+            texts[i] = "unterminated comment"
+            del kinds[i + 1 :], texts[i + 1 :], offsets[i + 1 : -1]
+            return
+        if lexeme[0] in "\"'":
+            texts[i] = "string and character literals are not supported"
+        else:
+            texts[i] = f"unexpected character {lexeme!r}"
