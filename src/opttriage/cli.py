@@ -16,28 +16,25 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from opttriage import forest
-from opttriage.features import DepthError, FeatureSchema, compute_max_depth, extract
-from opttriage.forest import ForestParams, ModelFormatError
-from opttriage.labeler import LabelerConfig, LabelResult, label_corpus, number_list
-from opttriage.manifest import (
-    CorpusManifest,
-    ManifestFormatError,
-    ManifestRow,
-    config_digest,
-    dumps_manifest,
-    function_id,
-    read_manifest,
-    write_manifest,
-)
-from opttriage.minic import FunctionUnit, ParseError, SourceUnit, parse_unit
-from opttriage.synthgen import GenConfig, GenConfigError, generate
+    from opttriage.forest import ForestParams
+    from opttriage.manifest import CorpusManifest, ManifestRow
+    from opttriage.minic import FunctionUnit
 
 OK, PARTIAL, FATAL = 0, 2, 1
+
+# Input errors that end a run with exit 1, by defining module. Each command
+# imports only the modules it runs, so main looks these up in sys.modules.
+_INPUT_ERRORS = (
+    ("opttriage.manifest", "ManifestFormatError"),
+    ("opttriage.forest.model", "ModelFormatError"),
+    ("opttriage.minic.units", "ParseError"),
+    ("opttriage.synthgen", "GenConfigError"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +81,8 @@ def _input_files(inputs: list[str]) -> tuple[list[Path], dict, dict]:
     Returns the files plus the merged config_hashes and meta of any
     manifests among the inputs, so provenance survives the pipeline.
     """
+    from opttriage.manifest import read_manifest
+
     files: list[Path] = []
     hashes: dict = {}
     meta: dict = {}
@@ -106,6 +105,10 @@ def _parse_source_file(
     path: Path, strict: bool
 ) -> tuple[list[FunctionUnit], list[ManifestRow]]:
     """Parse one file into units plus quarantine rows for its failures."""
+    from opttriage.manifest import ManifestRow, function_id
+    from opttriage.minic.analyze import parse_unit
+    from opttriage.minic.units import SourceUnit
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
@@ -137,6 +140,11 @@ def _relative_to(path: Path, out: Optional[str]) -> str:
 
 
 def _cmd_gen(args) -> int:
+    from opttriage.manifest import (
+        CorpusManifest, ManifestRow, config_digest, function_id, write_manifest,
+    )
+    from opttriage.synthgen import GenConfig, GenConfigError, generate
+
     try:
         cfg = GenConfig.from_dict(_read_json(args.config)) if args.config else GenConfig()
         if args.seed is not None:
@@ -167,6 +175,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from opttriage.features import DepthError, FeatureSchema, compute_max_depth, extract
+    from opttriage.manifest import CorpusManifest, ManifestRow, dumps_manifest, function_id
+
     if (args.max_depth is None) == (not args.fit_schema):
         raise _Fatal("choose exactly one of --max-depth or --fit-schema")
     try:
@@ -217,6 +228,8 @@ def _cmd_extract(args) -> int:
 
 
 def _load_fake_timer(path: str):
+    from opttriage.labeler import number_list
+
     table = _read_json(path)
     if not isinstance(table, dict):
         raise _Fatal("--fake-timer file must map function ids to [t_basic, t_aggr]")
@@ -234,6 +247,9 @@ def _load_fake_timer(path: str):
 
 
 def _cmd_label(args) -> int:
+    from opttriage.labeler import LabelerConfig, LabelResult, label_corpus
+    from opttriage.manifest import CorpusManifest, config_digest, dumps_manifest, read_manifest
+
     man = read_manifest(args.manifest)
     try:
         cfg = LabelerConfig.from_dict(_read_json(args.config)) if args.config else LabelerConfig()
@@ -296,6 +312,8 @@ def _cmd_label(args) -> int:
 
 
 def _forest_params(args) -> ForestParams:
+    from opttriage.forest import ForestParams
+
     return ForestParams(
         n_trees=args.trees,
         max_tree_depth=args.max_tree_depth,
@@ -307,6 +325,10 @@ def _forest_params(args) -> ForestParams:
 
 
 def _training_table(man: CorpusManifest) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    import numpy as np
+
+    from opttriage import forest
+
     rows = [r for r in man.rows if r.label is not None and r.feature_values is not None]
     if not rows:
         raise _Fatal("manifest has no labeled rows with features")
@@ -318,6 +340,9 @@ def _training_table(man: CorpusManifest) -> tuple[np.ndarray, np.ndarray, list[s
 
 
 def _cmd_train(args) -> int:
+    from opttriage import forest
+    from opttriage.manifest import read_manifest
+
     man = read_manifest(args.manifest)
     x_rows, y, ids = _training_table(man)
     try:
@@ -334,6 +359,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from opttriage import forest
+    from opttriage.manifest import read_manifest
+
     if (args.model is None) == (args.cv is None):
         raise _Fatal("choose exactly one of --model or --cv")
     man = read_manifest(args.manifest)
@@ -365,6 +393,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    import numpy as np
+
+    from opttriage import forest
+    from opttriage.features import DepthError, extract
+    from opttriage.labeler import LabelerConfig
+    from opttriage.manifest import function_id
+
     model = forest.load_model(args.model)
     try:
         cfg = LabelerConfig.from_dict(_read_json(args.config)) if args.config else LabelerConfig()
@@ -425,6 +460,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from opttriage import forest
+
     model = forest.load_model(args.model)
     _emit(forest.export_decision_code(model), args.out)
     if args.out:
@@ -514,7 +551,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Fatal as e:
         _warn(f"error: {e}")
         return FATAL
-    except (ManifestFormatError, ModelFormatError, ParseError, GenConfigError) as e:
+    # evaluated only once an exception gets here, so the raiser's module is loaded
+    except tuple(getattr(sys.modules[m], n) for m, n in _INPUT_ERRORS if m in sys.modules) as e:
         _warn(f"error: {e}")
         return FATAL
     except OSError as e:

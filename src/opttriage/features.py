@@ -17,10 +17,12 @@ order never matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads with the first array, so a schema alone costs no numpy
+    import numpy as np
 
-from opttriage.minic import FunctionUnit, LoopNest
+    from opttriage.minic import FunctionUnit, LoopNest
 
 _COUNT_NAMES = ("logical_ops", "arith_ops", "branches", "arrays", "scalars")
 
@@ -73,6 +75,8 @@ class FeatureVector:
 
 def nest_features(nest: LoopNest, max_depth: int) -> np.ndarray:
     """Per-nest feature block: known trips, symbolic flags, body tallies."""
+    import numpy as np
+
     if nest.depth > max_depth:
         raise DepthError(
             f"nest depth {nest.depth} exceeds schema max_depth {max_depth}; "
@@ -90,6 +94,8 @@ def nest_features(nest: LoopNest, max_depth: int) -> np.ndarray:
 
 def reduce_nests(blocks: list[np.ndarray], depths: list[int]) -> np.ndarray:
     """Average per-nest blocks, each weighted by its nest depth."""
+    import numpy as np
+
     if len(blocks) != len(depths):
         raise ValueError("need one depth per block")
     if not blocks:
@@ -104,6 +110,8 @@ def reduce_nests(blocks: list[np.ndarray], depths: list[int]) -> np.ndarray:
 
 def extract(fn: FunctionUnit, schema: FeatureSchema) -> FeatureVector:
     """Extract the feature vector of one function under a schema."""
+    import numpy as np
+
     values = np.zeros(schema.width, dtype=np.float64)
     if fn.loop_nests:
         blocks = [nest_features(n, schema.max_depth) for n in fn.loop_nests]

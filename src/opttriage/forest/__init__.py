@@ -1,48 +1,14 @@
 """Random forest: training, prediction, evaluation, serialization, export."""
 
-from opttriage.forest.export import decision_function_ast, export_decision_code
-from opttriage.forest.model import (
-    EASY,
-    HARD,
-    LABEL_NAMES,
-    ForestParams,
-    ModelFormatError,
-    NodeTable,
-    RandomForestModel,
-    Split,
-    best_split,
-    cross_validate,
-    dumps_model,
-    evaluate,
-    gini,
-    hard_votes,
-    load_model,
-    loads_model,
-    predict_batch,
-    save_model,
-    train,
-)
+from opttriage import _lazy
 
-__all__ = [
-    "EASY",
-    "HARD",
-    "LABEL_NAMES",
-    "ForestParams",
-    "ModelFormatError",
-    "NodeTable",
-    "RandomForestModel",
-    "Split",
-    "best_split",
-    "cross_validate",
-    "decision_function_ast",
-    "dumps_model",
-    "evaluate",
-    "export_decision_code",
-    "gini",
-    "hard_votes",
-    "load_model",
-    "loads_model",
-    "predict_batch",
-    "save_model",
-    "train",
-]
+_EXPORTS = {
+    "opttriage.forest.export": ("decision_function_ast", "export_decision_code"),
+    "opttriage.forest.model": (
+        "EASY", "HARD", "LABEL_NAMES", "ForestParams", "ModelFormatError", "NodeTable",
+        "RandomForestModel", "Split", "best_split", "cross_validate", "dumps_model", "evaluate",
+        "gini", "hard_votes", "load_model", "loads_model", "predict_batch", "save_model", "train",
+    ),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__ = _lazy(__name__, _EXPORTS)

@@ -20,9 +20,10 @@ import tempfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
-from opttriage.minic import FunctionUnit
+if TYPE_CHECKING:
+    from opttriage.minic import FunctionUnit
 
 EASY_NAME = "easy"
 HARD_NAME = "hard"
@@ -459,7 +460,7 @@ class LabelResult:
 
 # A timer takes (function_id, FunctionUnit) and returns (t_basic, t_aggr)
 # seconds, or None to say it has no entry for that function.
-Timer = Callable[[str, FunctionUnit], Optional[tuple[float, float]]]
+Timer = Callable[[str, "FunctionUnit"], Optional[tuple[float, float]]]
 
 # What a sample source gives per function: (samples_basic, samples_aggr),
 # or the quarantine reason of the first step that failed.

@@ -1,40 +1,18 @@
 """Front end for the supported C subset: lexing, parsing, counting, printing."""
 
-from opttriage.minic.analyze import (
-    build_function_unit,
-    classify_operator,
-    parse_functions,
-    parse_unit,
-)
-from opttriage.minic.interp import EvalError, call_function
-from opttriage.minic.lexer import Tokens, tokenize
-from opttriage.minic.printer import expr_text, function_text
-from opttriage.minic.units import (
-    Diagnostic,
-    FunctionUnit,
-    LoopNest,
-    OpCounts,
-    ParseError,
-    SourceUnit,
-    TripCount,
-)
+from opttriage import _lazy
 
-__all__ = [
-    "Diagnostic",
-    "EvalError",
-    "FunctionUnit",
-    "LoopNest",
-    "OpCounts",
-    "ParseError",
-    "SourceUnit",
-    "Tokens",
-    "TripCount",
-    "build_function_unit",
-    "call_function",
-    "classify_operator",
-    "expr_text",
-    "function_text",
-    "parse_functions",
-    "parse_unit",
-    "tokenize",
-]
+_EXPORTS = {
+    "opttriage.minic.analyze": (
+        "build_function_unit", "classify_operator", "parse_functions", "parse_unit",
+    ),
+    "opttriage.minic.interp": ("EvalError", "call_function"),
+    "opttriage.minic.lexer": ("Tokens", "tokenize"),
+    "opttriage.minic.printer": ("expr_text", "function_text"),
+    "opttriage.minic.units": (
+        "Diagnostic", "FunctionUnit", "LoopNest", "OpCounts", "ParseError", "SourceUnit",
+        "TripCount",
+    ),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__ = _lazy(__name__, _EXPORTS)

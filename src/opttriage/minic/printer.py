@@ -69,6 +69,8 @@ def _render(e: ast.Expr, visit) -> tuple[str, int]:
         inner, inner_prec = _render(e.operand, visit)
         if inner_prec < 8:
             inner = f"({inner})"
+        elif e.op == "-" and inner[0] == "-":
+            inner = " " + inner  # "--" would lex as a decrement
         text, prec = e.op + inner, 8
     elif cls is ast.Ternary:
         cond, cond_prec = _render(e.cond, visit)

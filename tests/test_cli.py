@@ -1,11 +1,15 @@
 """Command-line pipeline tests, run in-process against a temp tree."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opttriage
 from opttriage import SourceUnit, extract, forest, parse_unit
 from opttriage.cli import main
 from opttriage.manifest import read_manifest
@@ -641,3 +645,44 @@ def test_eval_model_on_non_finite_manifest_is_fatal(tmp_path, labeled, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2:")
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------ fresh process
+
+
+def _bad_model(tmp):
+    return ["export", "--model", _write_json(tmp / "bad-model.json", {"format": "nonsense"})]
+
+
+def _tampered_manifest(tmp):
+    lines = (tmp / "labeled.jsonl").read_text().splitlines()
+    row = json.loads(lines[1])
+    row["label"] = "medium"
+    lines[1] = json.dumps(row)
+    (tmp / "tampered.jsonl").write_text("\n".join(lines) + "\n")
+    return ["train", "--manifest", str(tmp / "tampered.jsonl"), "--out", str(tmp / "m.json")]
+
+
+def _bad_gen_config(tmp):
+    cfg = _write_json(tmp / "bad-gen.json", {**GEN_CFG, "n_functions": 0})
+    return ["gen", "--config", cfg, "--out", str(tmp / "c")]
+
+
+def _strict_while(tmp):
+    (tmp / "w.c").write_text("void f(int n) { while (n) { n = n - 1; } }\n")
+    return ["extract", "--strict", str(tmp / "w.c"), "--max-depth", "2"]
+
+
+@pytest.mark.parametrize("bad_input", [_bad_model, _tampered_manifest, _bad_gen_config,
+                                       _strict_while])
+def test_fatal_input_errors_from_a_fresh_process(tmp_path, labeled, bad_input):
+    """A launch has imported nothing before the command runs, so main must
+    catch each input error without having imported its module first."""
+    src = str(Path(opttriage.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "opttriage.cli", *bad_input(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")

@@ -1,8 +1,16 @@
-"""The public import surface: every exported name exists."""
+"""The public import surface: every exported name exists, and each CLI
+command loads only the modules it runs."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import opttriage
 
 
 @pytest.mark.parametrize("name", ["opttriage", "opttriage.minic", "opttriage.forest"])
@@ -13,3 +21,40 @@ def test_every_name_in_all_resolves_and_star_import_succeeds(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+# Runs one CLI command in a fresh interpreter (none when no arguments are
+# given) and prints its exit code and the opttriage modules and numpy loaded.
+_PROBE = """
+import json, sys
+from opttriage import cli
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith(("numpy", "opttriage")))]))
+"""
+
+
+def _loaded_modules(cwd, *argv):
+    src = str(Path(opttriage.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "timer.json").write_text('{"default": [1.0, 0.5]}')
+    front_end = {"opttriage.minic.analyze", "opttriage.synthgen"}
+    assert _loaded_modules(tmp_path).isdisjoint(
+        {"numpy", "opttriage.forest", "opttriage.minic.interp", *front_end}
+    )
+    assert "numpy" not in _loaded_modules(tmp_path, "gen", "--seed", "3", "--count", "8",
+                                          "--out", "corpus")
+    _loaded_modules(tmp_path, "extract", "corpus/manifest.jsonl", "--fit-schema",
+                    "--out", "features.jsonl")
+    assert "numpy" not in _loaded_modules(tmp_path, "label", "--manifest", "features.jsonl",
+                                          "--fake-timer", "timer.json", "--out", "labeled.jsonl")
+    for argv in (["train", "--manifest", "labeled.jsonl", "--trees", "3", "--out", "model.json"],
+                 ["export", "--model", "model.json", "--out", "decide.c"]):
+        assert _loaded_modules(tmp_path, *argv).isdisjoint(front_end)

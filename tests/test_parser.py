@@ -433,6 +433,34 @@ def test_printer_round_trip_preserves_ast(shortest_paths_source):
     assert reparsed.params == fn.params
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.sampled_from(["-", "!"]), max_size=3), _EXPRS), min_size=1, max_size=4
+    )
+)
+@example([(["-", "-"], A.Name("n"))])
+@example([(["-"], A.Unary("-", A.Binary("-", A.Name("x"), A.Unary("-", A.Name("y")))))])
+def test_printed_function_reparses_to_the_same_tree(chains):
+    """parse ∘ function_text is the identity, also where unary operators
+    meet: each assigned expression sits under a chain of them."""
+    items = []
+    for ops, e in chains:
+        for op in ops:
+            e = A.Unary(op, e)
+        items.append(A.Assign(A.Name("x"), e))
+    params = (A.ParamDecl("n", "int"), A.ParamDecl("a", "float", ("N",)))
+    fn = A.Function("f", "void", params, A.Block(tuple(items)))
+    reparsed = parse_ast(function_text(fn))
+    assert (reparsed.params, reparsed.body) == (fn.params, fn.body)
+
+
+def test_printer_separates_adjacent_minus_signs():
+    fn = parse_ast("void f(int n) { n = - -n; n = -(-n - 1); }")
+    assert "n = - -n;" in function_text(fn)
+    assert "n = -(-n - 1);" in function_text(fn)
+
+
 def test_expr_text_ternary_nesting():
     e = A.Ternary(
         A.Binary("<", A.Name("a"), A.Name("b")),
