@@ -228,7 +228,7 @@ def _cmd_extract(args) -> int:
 
 
 def _load_fake_timer(path: str):
-    from opttriage.labeler import number_list
+    from opttriage.manifest import number_list
 
     table = _read_json(path)
     if not isinstance(table, dict):
@@ -247,8 +247,10 @@ def _load_fake_timer(path: str):
 
 
 def _cmd_label(args) -> int:
-    from opttriage.labeler import LabelerConfig, LabelResult, label_corpus
-    from opttriage.manifest import CorpusManifest, config_digest, dumps_manifest, read_manifest
+    from opttriage.labeler import LabelerConfig, label_corpus
+    from opttriage.manifest import (
+        CorpusManifest, ManifestRow, config_digest, dumps_manifest, read_manifest,
+    )
 
     man = read_manifest(args.manifest)
     try:
@@ -264,7 +266,7 @@ def _cmd_label(args) -> int:
     base = Path(args.manifest).parent
     units_by_file: dict[str, dict[str, FunctionUnit]] = {}
     targets: list[tuple[str, FunctionUnit]] = []
-    outcomes: dict[str, LabelResult] = {}  # function_id -> its new timing, label or quarantine
+    outcomes: dict[str, ManifestRow] = {}  # function_id -> its new timing, label or quarantine
     for row in man.rows:
         if row.quarantine_reason is not None:
             continue
@@ -283,7 +285,7 @@ def _cmd_label(args) -> int:
                 targets.append((row.function_id, unit))
                 continue
             reason = "label: function not found or unparseable"
-        outcomes[row.function_id] = LabelResult(row.function_id, quarantine_reason=reason)
+        outcomes[row.function_id] = ManifestRow(row.function_id, quarantine_reason=reason)
     if targets:
         outcomes.update((res.function_id, res) for res in label_corpus(targets, cfg, timer=timer))
 

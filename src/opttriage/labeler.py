@@ -11,16 +11,16 @@ pipeline can run hermetically.
 
 from __future__ import annotations
 
-import math
 import re
 import shlex
-import statistics
 import subprocess
 import tempfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
+
+from opttriage.manifest import ManifestRow, TimingRecord, checked_seconds
 
 if TYPE_CHECKING:
     from opttriage.minic import FunctionUnit
@@ -112,80 +112,9 @@ class LabelerConfig:
         return LabelerConfig(**clean)
 
 
-def number_list(value, what: str) -> list:
-    """value itself when it is a JSON list of numbers; a boolean is not a number here."""
-    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
-        raise ValueError(f"{what} must be a list of numbers")
-    return value
-
-
-def _timings(values: Sequence[float]) -> tuple[float, ...]:
-    """The one check on measured seconds: at least one, each finite and positive."""
-    seconds = tuple(float(v) for v in values)
-    if not seconds:
-        raise ValueError("no timing samples")
-    if not all(math.isfinite(s) for s in seconds):
-        raise ValueError("timings must be finite")
-    if min(seconds) <= 0:
-        raise ValueError("timings must be positive")
-    return seconds
-
-
-@dataclass(frozen=True)
-class TimingRecord:
-    """Per-repetition seconds of both variants; medians and ratio derive from them."""
-
-    samples_basic: tuple[float, ...]
-    samples_aggr: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples_basic", _timings(self.samples_basic))
-        object.__setattr__(self, "samples_aggr", _timings(self.samples_aggr))
-        if not math.isfinite(self.ratio):
-            raise ValueError("timing ratio is not finite")
-
-    @property
-    def t_basic(self) -> float:
-        return statistics.median(self.samples_basic)
-
-    @property
-    def t_aggr(self) -> float:
-        return statistics.median(self.samples_aggr)
-
-    @property
-    def ratio(self) -> float:
-        return self.t_aggr / self.t_basic
-
-    def to_dict(self) -> dict:
-        return {
-            "t_basic": self.t_basic,
-            "t_aggr": self.t_aggr,
-            "ratio": self.ratio,
-            "samples_basic": list(self.samples_basic),
-            "samples_aggr": list(self.samples_aggr),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "TimingRecord":
-        """Rebuilds the record from its samples; stored derived values must agree."""
-        record = TimingRecord(
-            number_list(doc["samples_basic"], "samples_basic"),
-            number_list(doc["samples_aggr"], "samples_aggr"),
-        )
-        for key in ("t_basic", "t_aggr", "ratio"):
-            derived = getattr(record, key)
-            if type(doc[key]) not in (int, float):
-                raise ValueError(f"timing {key} {doc[key]!r} is not a number")
-            if doc[key] != derived:
-                raise ValueError(
-                    f"timing {key} {doc[key]!r} disagrees with its samples ({derived!r})"
-                )
-        return record
-
-
 def label_from_ratio(t_basic: float, t_aggr: float, delta: float) -> str:
     """Easy iff t_aggr/t_basic > delta (strict); the boundary itself is hard."""
-    t_basic, t_aggr = _timings((t_basic, t_aggr))
+    t_basic, t_aggr = checked_seconds((t_basic, t_aggr))
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
     return EASY_NAME if t_aggr / t_basic > delta else HARD_NAME
@@ -437,7 +366,7 @@ def measure(binary: Union[str, Path], cfg: LabelerConfig) -> MeasureResult:
     if len(checksums) != 1 or len(per_call) != reps or len(rep_checksums) != reps:
         raise malformed
     try:
-        samples = _timings(per_call)
+        samples = checked_seconds(per_call)
     except ValueError:
         raise malformed from None
     if len(set(rep_checksums)) != 1:
@@ -448,14 +377,6 @@ def measure(binary: Union[str, Path], cfg: LabelerConfig) -> MeasureResult:
 
 
 # ------------------------------------------------------------------- pipeline
-
-
-@dataclass(frozen=True)
-class LabelResult:
-    function_id: str
-    timing: Optional[TimingRecord] = None
-    label: Optional[str] = None
-    quarantine_reason: Optional[str] = None
 
 
 # A timer takes (function_id, FunctionUnit) and returns (t_basic, t_aggr)
@@ -531,24 +452,27 @@ def _workdir(cfg: LabelerConfig) -> Iterator[Path]:
             yield Path(tmp)
 
 
-def _label(fn_id: str, source: str, samples: Samples, delta: float) -> LabelResult:
+def _label(fn_id: str, source: str, samples: Samples, delta: float) -> ManifestRow:
     """The shared step: samples to TimingRecord to label, or a quarantine."""
     if isinstance(samples, str):
-        return LabelResult(fn_id, quarantine_reason=samples)
+        return ManifestRow(fn_id, quarantine_reason=samples)
     try:
         timing = TimingRecord(*samples)
     except (TypeError, ValueError) as e:
-        return LabelResult(fn_id, quarantine_reason=f"{source}: {e}")
+        return ManifestRow(fn_id, quarantine_reason=f"{source}: {e}")
     label = label_from_ratio(timing.t_basic, timing.t_aggr, delta)
-    return LabelResult(fn_id, timing=timing, label=label)
+    return ManifestRow(fn_id, timing=timing, label=label)
 
 
 def label_corpus(
     functions: Sequence[tuple[str, FunctionUnit]],
     cfg: LabelerConfig = LabelerConfig(),
     timer: Optional[Timer] = None,
-) -> list[LabelResult]:
+) -> list[ManifestRow]:
     """Label functions by measured timing ratio; failures become quarantines.
+
+    Each result is a manifest row with only function_id and either timing
+    and label or quarantine_reason set.
 
     With ``timer`` set, compilation and measurement are skipped entirely:
     the timer supplies (t_basic, t_aggr) per function, which keeps the flow

@@ -3,7 +3,8 @@
 A manifest is one header record followed by one record per function, each
 on its own line of compact, key-sorted JSON. That keeps files diffable
 line-by-line and makes equality checks byte-exact: the same records
-always serialize to the same bytes.
+always serialize to the same bytes. The row and its timing record are
+defined here only; the labeler builds rows, it does not define them.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from opttriage.features import FeatureSchema
-from opttriage.labeler import TimingRecord, number_list
 
 MANIFEST_FORMAT = "opttriage-manifest"
 MANIFEST_FORMAT_VERSION = 1
@@ -33,6 +34,77 @@ def canonical_json(obj) -> str:
 
 def config_digest(doc: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+def number_list(value, what: str) -> list:
+    """value itself when it is a JSON list of numbers; a boolean is not a number here."""
+    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise ValueError(f"{what} must be a list of numbers")
+    return value
+
+
+def checked_seconds(values: Sequence[float]) -> tuple[float, ...]:
+    """The one check on measured seconds: at least one, each finite and positive."""
+    seconds = tuple(float(v) for v in values)
+    if not seconds:
+        raise ValueError("no timing samples")
+    if not all(math.isfinite(s) for s in seconds):
+        raise ValueError("timings must be finite")
+    if min(seconds) <= 0:
+        raise ValueError("timings must be positive")
+    return seconds
+
+
+@dataclass(frozen=True)
+class TimingRecord:
+    """Per-repetition seconds of both variants; medians and ratio derive from them."""
+
+    samples_basic: tuple[float, ...]
+    samples_aggr: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples_basic", checked_seconds(self.samples_basic))
+        object.__setattr__(self, "samples_aggr", checked_seconds(self.samples_aggr))
+        if not math.isfinite(self.ratio):
+            raise ValueError("timing ratio is not finite")
+
+    @property
+    def t_basic(self) -> float:
+        return statistics.median(self.samples_basic)
+
+    @property
+    def t_aggr(self) -> float:
+        return statistics.median(self.samples_aggr)
+
+    @property
+    def ratio(self) -> float:
+        return self.t_aggr / self.t_basic
+
+    def to_dict(self) -> dict:
+        return {
+            "t_basic": self.t_basic,
+            "t_aggr": self.t_aggr,
+            "ratio": self.ratio,
+            "samples_basic": list(self.samples_basic),
+            "samples_aggr": list(self.samples_aggr),
+        }
+
+    @staticmethod
+    def from_dict(doc: dict) -> "TimingRecord":
+        """Rebuilds the record from its samples; stored derived values must agree."""
+        record = TimingRecord(
+            number_list(doc["samples_basic"], "samples_basic"),
+            number_list(doc["samples_aggr"], "samples_aggr"),
+        )
+        for key in ("t_basic", "t_aggr", "ratio"):
+            derived = getattr(record, key)
+            if type(doc[key]) not in (int, float):
+                raise ValueError(f"timing {key} {doc[key]!r} is not a number")
+            if doc[key] != derived:
+                raise ValueError(
+                    f"timing {key} {doc[key]!r} disagrees with its samples ({derived!r})"
+                )
+        return record
 
 
 @dataclass
@@ -57,12 +129,17 @@ class ManifestRow:
 
     @staticmethod
     def from_dict(doc: dict) -> "ManifestRow":
+        if type(doc["function_id"]) is not str:
+            raise ValueError(f"function_id must be a string, not {doc['function_id']!r}")
+        for key in ("source_path", "label", "quarantine_reason"):
+            if not isinstance(doc.get(key), (str, type(None))):
+                raise ValueError(f"{key} must be a string or null, not {doc[key]!r}")
         timing = doc.get("timing")
         features = doc.get("feature_values")
         if features is not None:
             features = [float(v) for v in number_list(features, "feature_values")]
         return ManifestRow(
-            function_id=str(doc["function_id"]),
+            function_id=doc["function_id"],
             source_path=doc.get("source_path"),
             feature_values=features,
             timing=None if timing is None else TimingRecord.from_dict(timing),

@@ -249,9 +249,18 @@ def build_function_unit(fn: ast.Function, source_text: str = "") -> FunctionUnit
 # ------------------------------------------------------------------ front door
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of a text offset; only diagnostics need them."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+def _report(
+    diagnostics: list[Diagnostic], src: SourceUnit, strict: bool,
+    offset: int, message: str, function: Optional[str],
+) -> None:
+    """Records an error at a text offset, at its 1-based line and column;
+    with ``strict`` it raises ParseError instead of letting parsing go on."""
+    text = src.text
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    d = Diagnostic(line, col, message, "error", function=function, path=src.path)
+    diagnostics.append(d)
+    if strict:
+        raise ParseError(d)
 
 
 def parse_functions(
@@ -261,26 +270,18 @@ def parse_functions(
     if isinstance(src, str):
         src = SourceUnit("<source>", src)
     diagnostics: list[Diagnostic] = []
-
-    def report(offset: int, message: str, function: Optional[str]) -> None:
-        line, col = _line_col(src.text, offset)
-        d = Diagnostic(line, col, message, "error", function=function, path=src.path)
-        diagnostics.append(d)
-        if strict:
-            raise ParseError(d)
-
     tokens = tokenize(src.text)
     kinds, texts, offsets, _ = tokens
     functions: list[ast.Function] = []
     for start, end, error in split_functions(tokens):
         if error is not None:  # lexical errors name no function
-            report(offsets[error], texts[error], None)
+            _report(diagnostics, src, strict, offsets[error], texts[error], None)
             continue
         guessed = texts[start + 1] if start + 1 < end and kinds[start + 1] == "ident" else None
         try:
             functions.append(Parser(tokens, start).parse_function())
         except ParseProblem as e:
-            report(e.offset, e.message, guessed)
+            _report(diagnostics, src, strict, e.offset, e.message, guessed)
     return functions, diagnostics
 
 
@@ -311,9 +312,5 @@ def parse_unit(
             except AnalysisProblem as e:
                 problem = e.message
         if problem is not None:
-            line, col = _line_col(src.text, start)
-            d = Diagnostic(line, col, problem, "error", function=fn.name, path=src.path)
-            diagnostics.append(d)
-            if strict:
-                raise ParseError(d)
+            _report(diagnostics, src, strict, start, problem, fn.name)
     return units, diagnostics

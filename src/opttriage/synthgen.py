@@ -36,8 +36,18 @@ class GenConfig:
     n_scalars_range: tuple[int, int] = (0, 2)
 
     def __post_init__(self):
+        for name in ("seed", "n_functions"):
+            if type(getattr(self, name)) is not int:
+                raise GenConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        for name in ("p_symbolic", "p_branch"):
+            p = getattr(self, name)
+            if not isinstance(p, (int, float)) or isinstance(p, bool):
+                raise GenConfigError(f"{name} must be a number, not {p!r}")
         for name in ("depth_range", "niter_range", "ops_range", "n_arrays_range", "n_scalars_range"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if type(pair) is not tuple or len(pair) != 2 or any(type(v) is not int for v in pair):
+                raise GenConfigError(f"{name} must be a pair of integers, not {pair!r}")
+            lo, hi = pair
             if lo > hi:
                 raise GenConfigError(f"{name} is empty: {lo} > {hi}")
             if lo < 0:

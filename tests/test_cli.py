@@ -113,6 +113,30 @@ def test_gen_bad_config_is_fatal(tmp_path):
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize(
+    "key,doc",
+    [
+        ("seed", {"seed": "x"}),
+        ("n_functions", {"n_functions": 2.5}),
+        ("n_functions", {"n_functions": True}),
+        ("depth_range", {"n_functions": 2, "depth_range": [1, 2.5]}),
+        ("niter_range", {"niter_range": [4]}),
+        ("ops_range", {"ops_range": 2}),
+        ("n_arrays_range", {"n_arrays_range": [1, True]}),
+        ("n_scalars_range", {"n_scalars_range": "02"}),
+        ("p_symbolic", {"p_symbolic": "0.5"}),
+        ("p_branch", {"p_branch": False}),
+    ],
+)
+def test_gen_config_field_of_the_wrong_type_is_a_bad_config(tmp_path, capsys, key, doc):
+    cfg = _write_json(tmp_path / "gen.json", doc)
+    out = tmp_path / "corpus"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: bad generator config: {key} ")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- extract
 
 
@@ -188,6 +212,17 @@ def test_extract_reads_a_file_named_twice_once_in_first_seen_order(tmp_path, cor
     ids = [r.function_id for r in read_manifest(out).rows]
     want = [sources[5]] + [p for p in sources if p != sources[5]]
     assert ids == [f"{p.name}::{p.stem}" for p in want]
+
+
+def test_extract_rejects_a_manifest_row_of_the_wrong_type(tmp_path, corpus, capsys):
+    header, row, *rest = (corpus / "manifest.jsonl").read_text().splitlines()
+    bad = corpus / "bad.jsonl"
+    bad.write_text("\n".join([header, json.dumps({**json.loads(row), "source_path": 5}), *rest]))
+    out = tmp_path / "o.jsonl"
+    assert main(["extract", str(bad), "--fit-schema", "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: line 2: ")
+    assert not out.exists()
 
 
 def test_extract_strict_flag_is_fatal(tmp_path):

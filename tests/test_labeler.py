@@ -18,12 +18,14 @@ from opttriage.labeler import (
     DriverError,
     LabelerConfig,
     RunError,
-    TimingRecord,
     compile_variant,
     label_corpus,
     label_from_ratio,
     measure,
     synthesize_driver,
+)
+from opttriage.manifest import (
+    CorpusManifest, ManifestRow, TimingRecord, dumps_manifest, loads_manifest,
 )
 
 from conftest import parse_one, requires_compiler
@@ -308,6 +310,15 @@ def test_label_corpus_preserves_order_and_ids():
     fns = [(f"x.c::k{i}", _simple_fn(f"k{i}")) for i in range(5)]
     results = label_corpus(fns, FAST_CFG, timer=lambda i, f: (1.0, 1.0))
     assert [r.function_id for r in results] == [fid for fid, _ in fns]
+
+
+def test_label_corpus_rows_round_trip_through_a_manifest():
+    fns = [("a.c::f", _simple_fn("f")), ("b.c::g", _simple_fn("g")), ("c.c::h", _simple_fn("h"))]
+    timings = {"a.c::f": (1.0, 0.9), "c.c::h": (1.0, 0.3)}  # no entry quarantines b.c::g
+    rows = label_corpus(fns, FAST_CFG, timer=lambda i, f: timings.get(i))
+    assert all(type(r) is ManifestRow for r in rows)
+    assert [r.quarantine_reason for r in rows] == [None, "timer: no timing entry", None]
+    assert loads_manifest(dumps_manifest(CorpusManifest(rows=rows))).rows == rows
 
 
 def test_label_corpus_rejects_empty():

@@ -5,11 +5,11 @@ import json
 import pytest
 
 from opttriage import FeatureSchema
-from opttriage.labeler import TimingRecord
 from opttriage.manifest import (
     CorpusManifest,
     ManifestFormatError,
     ManifestRow,
+    TimingRecord,
     canonical_json,
     config_digest,
     dumps_manifest,
@@ -218,6 +218,11 @@ def _manifest_text(header=None, row=None) -> str:
         ),
         (_manifest_text(row={"timing": {**_timing().to_dict(), "samples_aggr": ["0.5"]}}), 2),
         (_manifest_text(row={"timing": {**_timing().to_dict(), "t_basic": "1.1"}}), 2),
+        # a row's id is a string, and its path, label and reason are strings or null
+        (_manifest_text(row={"function_id": 5}), 2),
+        (_manifest_text(row={"source_path": 5}), 2),
+        (_manifest_text(row={"label": ["hard"]}), 2),
+        (_manifest_text(row={"label": None, "timing": None, "quarantine_reason": ["x"]}), 2),
     ],
     ids=[
         "schema-not-object", "schema-no-depth", "depth-string", "depth-float",
@@ -229,6 +234,7 @@ def _manifest_text(header=None, row=None) -> str:
         "timing-all-tampered", "timing-zero-samples",
         "feature-values-string", "feature-values-booleans", "samples-basic-string",
         "samples-aggr-string-items", "timing-t-basic-string",
+        "function-id-number", "source-path-number", "label-list", "quarantine-reason-list",
     ],
 )
 def test_loads_rejects_malformed_fields_naming_the_line(text, line):

@@ -46,15 +46,18 @@ def _loaded_modules(cwd, *argv):
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     (tmp_path / "timer.json").write_text('{"default": [1.0, 0.5]}')
     front_end = {"opttriage.minic.analyze", "opttriage.synthgen"}
+    labeler = "opttriage.labeler"  # only label and classify time or configure anything
     assert _loaded_modules(tmp_path).isdisjoint(
-        {"numpy", "opttriage.forest", "opttriage.minic.interp", *front_end}
+        {"numpy", "opttriage.forest", "opttriage.minic.interp", labeler, *front_end}
     )
-    assert "numpy" not in _loaded_modules(tmp_path, "gen", "--seed", "3", "--count", "8",
-                                          "--out", "corpus")
-    _loaded_modules(tmp_path, "extract", "corpus/manifest.jsonl", "--fit-schema",
-                    "--out", "features.jsonl")
+    assert _loaded_modules(tmp_path, "gen", "--seed", "3", "--count", "8",
+                           "--out", "corpus").isdisjoint({"numpy", labeler})
+    assert labeler not in _loaded_modules(tmp_path, "extract", "corpus/manifest.jsonl",
+                                          "--fit-schema", "--out", "features.jsonl")
     assert "numpy" not in _loaded_modules(tmp_path, "label", "--manifest", "features.jsonl",
                                           "--fake-timer", "timer.json", "--out", "labeled.jsonl")
     for argv in (["train", "--manifest", "labeled.jsonl", "--trees", "3", "--out", "model.json"],
+                 ["eval", "--manifest", "labeled.jsonl", "--model", "model.json",
+                  "--out", "report.json"],
                  ["export", "--model", "model.json", "--out", "decide.c"]):
-        assert _loaded_modules(tmp_path, *argv).isdisjoint(front_end)
+        assert _loaded_modules(tmp_path, *argv).isdisjoint({labeler, *front_end})

@@ -20,8 +20,8 @@ from opttriage.forest import (
     predict_batch,
     train,
 )
-from opttriage.labeler import TimingRecord, label_from_ratio
-from opttriage.manifest import ManifestRow
+from opttriage.labeler import label_from_ratio
+from opttriage.manifest import ManifestRow, TimingRecord
 
 from conftest import DATA, MODEL_V2_DTYPES, set_v2_node_arrays, v2_node_arrays
 from reference_grower import assert_same_trees, grow_one_tree, reference_forest, reference_tree
