@@ -1,21 +1,23 @@
 """Produces easy/hard training labels by timing real compiled code.
 
-For each function we synthesize a standalone driver, compile it once with
-basic flags and once with aggressive flags, time both binaries, and apply
-the ratio rule: the function is easy to optimize when aggressive flags
-barely help, i.e. t_aggr / t_basic > delta. Functions that fail anywhere
-along that path are quarantined with the cause instead of aborting the
-run. An injectable timer replaces the compile-and-run leg so the whole
-pipeline can run hermetically.
+One call labels a whole corpus. Each function is compiled alone, once
+with basic and once with aggressive flags, into an object whose symbol
+is renamed after the function's position. One driver, with a timing
+harness per function, is linked with all those objects; one launch per
+function times both variants in alternating batches of one process. The
+ratio rule then applies: the function is easy to optimize when
+aggressive flags barely help, i.e. t_aggr / t_basic > delta. Functions
+that fail anywhere along that path are quarantined with the cause
+instead of aborting the run. An injectable timer replaces the
+compile-and-run leg so the whole pipeline can run hermetically.
 """
 
 from __future__ import annotations
 
-import re
 import shlex
 import subprocess
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
@@ -46,7 +48,11 @@ class CompileError(Exception):
 
 
 class RunError(Exception):
-    pass
+    """A timed launch failed; ``variant`` names the variant it is charged to."""
+
+    def __init__(self, message: str, variant: str = "basic"):
+        super().__init__(message)
+        self.variant = variant
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class LabelerConfig:
     flags_basic: tuple[str, ...] = ("-O1",)
     flags_aggr: tuple[str, ...] = ("-O3",)
     repetitions: int = 7
-    timeout_s: float = 60.0  # per compile, and per binary launch: calibration plus all repetitions
+    timeout_s: float = 60.0  # per compile, and per launch: one kernel's calibration and batches, both variants
     min_runtime_s: float = 0.2
     array_extent: int = 512
     rng_seed: int = 20260814
@@ -122,31 +128,103 @@ def label_from_ratio(t_basic: float, t_aggr: float, delta: float) -> str:
 
 # --------------------------------------------------------------------- driver
 
+VARIANTS = ("basic", "aggr")
 
 _DRIVER_PRELUDE = """\
 #include <stdio.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <time.h>
 
-static uint64_t rng_state;
+static uint64_t ot_rng_state;
 
-static double rng_next(void)
+static double ot_rng_next(void)
 {
-    rng_state += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = rng_state;
+    ot_rng_state += 0x9e3779b97f4a7c15ULL;
+    uint64_t z = ot_rng_state;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     z ^= z >> 31;
     return (double)(z >> 11) * (1.0 / 9007199254740992.0);
 }
 
-static double now_seconds(void)
+static double ot_now_seconds(void)
 {
     struct timespec ts;
     clock_gettime(CLOCK_MONOTONIC, &ts);
     return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
 }
 """
+
+_DRIVER_MAIN = """\
+static const char *const ot_variants[2] = {"basic", "aggr"};
+
+/* Calls per batch of one variant: double while a batch lasts under a
+   sixteenth of the target, then jump to 1.1 x the calls the last batch
+   predicts for the target; stop at the first batch of at least the
+   target, or at 2^30 calls. */
+static long ot_calibrate(const struct ot_harness *h, int aggr)
+{
+    const double target = %(min_runtime_s)r;
+    const long cap = 1L << 30;
+    long calls = 1;
+    for (;;) {
+        double elapsed = h->batch(aggr, calls);
+        if (elapsed >= target || calls >= cap)
+            return calls;
+        if (elapsed < target / 16.0) {
+            calls *= 2;
+        } else {
+            double want = (double)calls * 1.1 * target / elapsed;
+            calls = want >= (double)cap ? cap : (long)want + ((double)(long)want < want);
+        }
+    }
+}
+
+int main(int argc, char **argv)
+{
+    setvbuf(stdout, NULL, _IOLBF, 0);
+    const struct ot_harness *h = NULL;
+    long id = argc == 2 ? strtol(argv[1], NULL, 10) : -1;
+    for (size_t i = 0; i < sizeof ot_harnesses / sizeof ot_harnesses[0]; i++)
+        if (ot_harnesses[i].id == id)
+            h = &ot_harnesses[i];
+    if (h == NULL) {
+        fprintf(stderr, "usage: %%s KERNEL, where this driver has no harness for that kernel\\n", argv[0]);
+        return 2;
+    }
+    long calls[2];
+    for (int v = 0; v < 2; v++) {
+        printf("running %%s\\n", ot_variants[v]);
+        printf("checksum %%s %%.6e\\n", ot_variants[v], h->verify(v));
+    }
+    for (int v = 0; v < 2; v++) {
+        printf("running %%s\\n", ot_variants[v]);
+        calls[v] = ot_calibrate(h, v);
+        printf("calls %%s %%ld\\n", ot_variants[v], calls[v]);
+    }
+    for (int rep = 0; rep < %(repetitions)d; rep++) {
+        for (int v = 0; v < 2; v++) {
+            printf("running %%s\\n", ot_variants[v]);
+            double elapsed = h->batch(v, calls[v]);
+            printf("per_call_seconds %%s %%.9e\\n", ot_variants[v], elapsed / (double)calls[v]);
+            printf("rep_checksum %%s %%.6e\\n", ot_variants[v], h->checksum());
+        }
+    }
+    return 0;
+}
+"""
+
+
+def _extent(fn: FunctionUnit, cfg: LabelerConfig) -> int:
+    # known literal bounds may exceed the configured extent; size up so every
+    # in-bounds subscript of the original code stays in bounds here
+    return max(cfg.array_extent, fn.min_extent)
+
+
+def _alias(k: int, tag: str) -> str:
+    """The symbol kernel k's object of one variant defines: position-based, so unique."""
+    return f"ot_k{k}_{tag}"
 
 
 def _buffer_dims(param, defines: dict[str, int], extent: int) -> list[str]:
@@ -161,34 +239,19 @@ def _buffer_dims(param, defines: dict[str, int], extent: int) -> list[str]:
     return dims
 
 
-def synthesize_driver(fn: FunctionUnit, cfg: LabelerConfig) -> str:
-    """Standalone C program that times the function and prints a checksum.
-
-    The driver binds every symbolic array extent and loop bound to one
-    concrete size, fills arrays from a seeded generator, prints a checksum
-    computed from a single verification call (so it does not depend on how
-    far the timing loop scales), then calibrates once, doubling its call
-    count until a batch runs at least cfg.min_runtime_s. That calibration
-    is the warm-up; the driver then times cfg.repetitions batches of the
-    calibrated count in the same process and prints, per batch, the
-    per-call seconds and a checksum of the buffers taken after the clock
-    stopped.
-    """
-    if fn.name in ("main", "rng_next", "now_seconds", "init_data", "checksum_data"):
-        raise DriverError(f"function name {fn.name!r} collides with the driver")
+def _harness(k: int, fn: FunctionUnit, cfg: LabelerConfig) -> str:
+    """Driver code that times kernel k's two objects; raises DriverError."""
     if not fn.source_text.strip():
         raise DriverError("function has no source text to embed")
-    # known literal bounds may exceed the configured extent; size up so every
-    # in-bounds subscript of the original code stays in bounds here
-    extent = max(cfg.array_extent, fn.min_extent)
+    for name in fn.bound_symbols:
+        if name.startswith("ot_"):  # every name the driver defines starts so, main aside
+            raise DriverError(f"bound symbol {name!r} collides with the driver's ot_* names")
+    pre = f"ot_k{k}"
+    extent = _extent(fn, cfg)
     defines = {name: extent for name in fn.bound_symbols}
 
-    lines = [_DRIVER_PRELUDE]
-    for name in sorted(defines):
-        lines.append(f"#define {name} {extent}")
-    if defines:
-        lines.append("")
-
+    lines = [f"/* kernel {k}: {fn.name} */"]
+    lines.extend(f"#define {name} {extent}" for name in sorted(defines))
     proto_params = []
     call_args = []
     globals_decl = []
@@ -197,101 +260,128 @@ def synthesize_driver(fn: FunctionUnit, cfg: LabelerConfig) -> str:
     for p in fn.params:
         if p.tag == "scalar-int":
             proto_params.append(f"int {p.name}")
-            globals_decl.append(f"static volatile int s_{p.name} = {extent};")
-            call_args.append(f"s_{p.name}")
+            globals_decl.append(f"static volatile int {pre}_s_{p.name} = {extent};")
+            call_args.append(f"{pre}_s_{p.name}")
         elif p.tag == "scalar-float":
             proto_params.append(f"float {p.name}")
-            globals_decl.append(f"static volatile float s_{p.name} = 1.5f;")
-            call_args.append(f"s_{p.name}")
+            globals_decl.append(f"static volatile float {pre}_s_{p.name} = 1.5f;")
+            call_args.append(f"{pre}_s_{p.name}")
         else:
             dims = _buffer_dims(p, defines, extent)
             decl_dims = "".join(f"[{d}]" for d in dims)
             proto_params.append(f"{p.base_type} {p.name}{decl_dims}")
-            globals_decl.append(f"static {p.base_type} g_{p.name}{decl_dims};")
-            call_args.append(f"g_{p.name}")
-            idx = [f"i{k}" for k in range(len(dims))]
-            ref = f"g_{p.name}" + "".join(f"[{v}]" for v in idx)
-            cast = "(float)rng_next()" if p.base_type == "float" else f"(int)(rng_next() * {extent}.0)"
+            globals_decl.append(f"static {p.base_type} {pre}_g_{p.name}{decl_dims};")
+            call_args.append(f"{pre}_g_{p.name}")
+            idx = [f"ot_i{d}" for d in range(len(dims))]
+            ref = f"{pre}_g_{p.name}" + "".join(f"[{v}]" for v in idx)
+            cast = "(float)ot_rng_next()" if p.base_type == "float" else f"(int)(ot_rng_next() * {extent}.0)"
             open_loops = "".join(
                 f"for (long {v} = 0; {v} < {d}; {v}++) " for v, d in zip(idx, dims)
             )
             fills.append(f"    {open_loops}{ref} = {cast};")
-            sums.append(f"    {open_loops}sum += (double){ref};")
-
-    proto = f"{fn.return_type} {fn.name}({', '.join(proto_params) or 'void'})"
-    lines.append(proto + " __attribute__((noinline));")
+            sums.append(f"    {open_loops}ot_sum += (double){ref};")
+    params = ", ".join(proto_params) or "void"
     lines.append("")
-    lines.append(fn.source_text.rstrip())
+    lines.extend(f"{fn.return_type} {_alias(k, tag)}({params});" for tag in VARIANTS)
     lines.append("")
     lines.extend(globals_decl)
+    calls = {tag: f"{_alias(k, tag)}({', '.join(call_args)})" for tag in VARIANTS}
+    nonvoid = fn.return_type != "void"
+    if nonvoid:
+        lines.append(f"static volatile double {pre}_sink;")
     lines.append("")
     seed = cfg.rng_seed & 0xFFFFFFFFFFFFFFFF
-    lines.append("static void init_data(void)")
+    lines.append(f"static void {pre}_init(void)")
     lines.append("{")
-    lines.append(f"    rng_state = {seed}ULL;")
+    lines.append(f"    ot_rng_state = {seed}ULL;")
     lines.extend(fills)
     lines.append("}")
     lines.append("")
-    lines.append("static double checksum_data(void)")
+    lines.append(f"static double {pre}_checksum(void)")
     lines.append("{")
-    lines.append("    double sum = 0.0;")
+    lines.append("    double ot_sum = 0.0;")
     lines.extend(sums)
-    lines.append("    return sum;")
+    lines.append("    return ot_sum;")
     lines.append("}")
     lines.append("")
 
-    call = f"{fn.name}({', '.join(call_args)})"
-    nonvoid = fn.return_type != "void"
-    if nonvoid:
-        lines.append("static volatile double g_sink;")
-        lines.append("")
-        timed_call = f"g_sink = (double){call};"
-    else:
-        timed_call = f"{call};"
-    # one timed batch of `calls` calls on freshly initialized data; the
-    # calibration and every repetition run this same code
-    batch = [
-        "        init_data();",
-        "        double start = now_seconds();",
-        "        for (long c = 0; c < calls; c++) {",
-        f"            {timed_call}",
-        '            __asm__ __volatile__("" ::: "memory");',
-        "        }",
-        "        double elapsed = now_seconds() - start;",
-    ]
-
-    lines.append("int main(void)")
+    # the verification call's checksum does not depend on how far the timing
+    # loop scales; every batch runs on freshly initialized data
+    lines.append(f"static double {pre}_verify(int ot_aggr)")
     lines.append("{")
-    lines.append("    double check = 0.0;")
-    lines.append("    init_data();")
-    if nonvoid:
-        lines.append(f"    check += (double){call};")
-    else:
-        lines.append(f"    {call};")
-    lines.append("    check += checksum_data();")
-    lines.append('    printf("checksum %.6e\\n", check);')
-    lines.append("")
-    lines.append("    long calls = 1;")
-    lines.append("    for (;;) {")
-    lines.extend(batch)
-    lines.append(f"        if (elapsed >= {cfg.min_runtime_s!r} || calls >= (1L << 30))")
-    lines.append("            break;")
-    lines.append("        calls *= 2;")
-    lines.append("    }")
-    lines.append('    printf("calls %ld\\n", calls);')
-    lines.append("")
-    lines.append(f"    for (int rep = 0; rep < {cfg.repetitions}; rep++) {{")
-    lines.extend(batch)
-    lines.append('        printf("per_call_seconds %.9e\\n", elapsed / (double)calls);')
-    lines.append('        printf("rep_checksum %.6e\\n", checksum_data());')
-    lines.append("    }")
-    lines.append("    return 0;")
+    lines.append("    double ot_check = 0.0;")
+    lines.append(f"    {pre}_init();")
+    for keyword, tag in (("if (ot_aggr)", "aggr"), ("else", "basic")):
+        lines.append(f"    {keyword}")
+        lines.append(f"        ot_check += (double){calls[tag]};" if nonvoid else f"        {calls[tag]};")
+    lines.append(f"    ot_check += {pre}_checksum();")
+    lines.append("    return ot_check;")
     lines.append("}")
+    lines.append("")
+    lines.append(f"static double {pre}_batch(int ot_aggr, long ot_calls)")
+    lines.append("{")
+    lines.append(f"    {pre}_init();")
+    lines.append("    double ot_start = ot_now_seconds();")
+    for keyword, tag in (("if (ot_aggr)", "aggr"), ("else", "basic")):
+        timed_call = f"{pre}_sink = (double){calls[tag]};" if nonvoid else f"{calls[tag]};"
+        lines.append(f"    {keyword}")
+        lines.append("        for (long ot_c = 0; ot_c < ot_calls; ot_c++) {")
+        lines.append(f"            {timed_call}")
+        lines.append('            __asm__ __volatile__("" ::: "memory");')
+        lines.append("        }")
+    lines.append("    return ot_now_seconds() - ot_start;")
+    lines.append("}")
+    lines.extend(f"#undef {name}" for name in sorted(defines))
     return "\n".join(lines) + "\n"
 
 
-def _stem(fn_id: str, tag: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", fn_id) + f"_{tag}"
+def _assemble(harnesses: dict[int, str], cfg: LabelerConfig) -> str:
+    """One driver from harness texts keyed by kernel position."""
+    table = [
+        "struct ot_harness {",
+        "    long id;",
+        "    double (*verify)(int aggr);",
+        "    double (*batch)(int aggr, long calls);",
+        "    double (*checksum)(void);",
+        "};",
+        "",
+        "static const struct ot_harness ot_harnesses[] = {",
+        *(
+            f"    {{{k}, ot_k{k}_verify, ot_k{k}_batch, ot_k{k}_checksum}},"
+            for k in harnesses
+        ),
+        "};",
+        "",
+    ]
+    main = _DRIVER_MAIN % {"min_runtime_s": cfg.min_runtime_s, "repetitions": cfg.repetitions}
+    return "\n".join([_DRIVER_PRELUDE, *harnesses.values(), *table, main])
+
+
+def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerConfig) -> str:
+    """One C program that times both variants of every kernel given.
+
+    Each kernel k is compiled alone, once per variant, as a symbol renamed
+    ``ot_k<k>_basic`` or ``ot_k<k>_aggr``; the driver is linked with those
+    objects. Per kernel it holds one harness: every symbolic array extent
+    and loop bound bound to one concrete size by ``#define`` (and
+    ``#undef`` after the harness), arrays filled from a seeded generator,
+    scalars passed through ``volatile`` globals, a compiler barrier after
+    every call, and a checksum of the buffers.
+
+    ``driver <k>`` runs kernel k. Stdout is line-buffered, and the driver
+    prints ``running <variant>`` before each step, so a crash or a timeout
+    is charged to the variant that was running. Per variant it prints the
+    checksum of one verification call, then calibrates that variant on its
+    own: it doubles the call count while a batch lasts under
+    cfg.min_runtime_s/16, then jumps to ceil(calls * 1.1 * min_runtime_s /
+    elapsed), and stops at the first batch of at least cfg.min_runtime_s
+    or at 2^30 calls. That calibration is the warm-up. It then times
+    cfg.repetitions batches of each variant, alternating basic and aggr,
+    and prints per batch the per-call seconds and a checksum of the buffers
+    taken after the clock stopped. Raises DriverError when a kernel cannot
+    be wrapped.
+    """
+    return _assemble({k: _harness(k, fn, cfg) for k, fn in kernels}, cfg)
 
 
 # ------------------------------------------------------------------ toolchain
@@ -303,15 +393,24 @@ def compile_variant(
     cfg: LabelerConfig,
     workdir: Union[str, Path],
     stem: str = "driver",
+    link: Optional[Sequence[Path]] = None,
 ) -> Path:
-    """Write the source and compile one binary; raises CompileError."""
+    """Write ``<stem>.c`` and compile it; raises CompileError.
+
+    With ``link`` None the result is the object ``<stem>.o`` (``-c``);
+    otherwise it is the binary ``<stem>.bin``, linked with those objects.
+    """
     workdir = Path(workdir)
     src_path = workdir / f"{stem}.c"
     src_path.write_text(source, encoding="utf-8")
-    out_path = workdir / f"{stem}.bin"
+    if link is None:
+        flags, out_path, inputs = (*flags, "-c"), workdir / f"{stem}.o", [src_path]
+    else:
+        out_path, inputs = workdir / f"{stem}.bin", [src_path, *link]
+    out_path.unlink(missing_ok=True)  # a reused workdir must not pass off an old output
     cmd = cfg.compiler_cmd.format(
         flags=" ".join(flags),
-        source=shlex.quote(str(src_path)),
+        source=" ".join(shlex.quote(str(p)) for p in inputs),
         output=shlex.quote(str(out_path)),
     )
     argv = shlex.split(cmd)
@@ -328,7 +427,7 @@ def compile_variant(
             f"compiler exited with {proc.returncode}", proc.stderr.strip()
         )
     if not out_path.exists():
-        raise CompileError("compiler reported success but produced no binary", proc.stderr)
+        raise CompileError("compiler reported success but produced no output", proc.stderr)
     return out_path
 
 
@@ -338,42 +437,67 @@ class MeasureResult:
     checksum: str  # textual checksum, compared verbatim across variants
 
 
-def measure(binary: Union[str, Path], cfg: LabelerConfig) -> MeasureResult:
-    """One launch: the driver calibrates, then times cfg.repetitions batches.
+def _running(stdout: Union[str, bytes, None]) -> str:
+    """The variant the driver announced last: a crash or a timeout hit it."""
+    if isinstance(stdout, bytes):  # TimeoutExpired keeps undecoded output
+        stdout = stdout.decode("utf-8", "replace")
+    last = VARIANTS[0]
+    for line in (stdout or "").splitlines():
+        parts = line.split()
+        if len(parts) == 2 and parts[0] == "running" and parts[1] in VARIANTS:
+            last = parts[1]
+    return last
 
-    Raises RunError when the launch fails or times out, when its output does
-    not hold one checksum and exactly cfg.repetitions samples, or when the
-    per-repetition checksums differ.
+
+def measure(binary: Union[str, Path], kernel: int, cfg: LabelerConfig) -> dict[str, MeasureResult]:
+    """One launch, ``binary <kernel>``: both variants of one kernel, one result each.
+
+    Raises RunError, with ``variant`` set to the variant it is charged to,
+    when the launch fails or times out (the variant that was running), when
+    a variant's output does not hold one checksum and exactly
+    cfg.repetitions samples and batch checksums, or when its batch
+    checksums differ. The basic variant's output is checked first.
     """
     try:
         proc = subprocess.run(
-            [str(binary)], capture_output=True, text=True, timeout=cfg.timeout_s
+            [str(binary), str(kernel)], capture_output=True, text=True, timeout=cfg.timeout_s
         )
     except subprocess.TimeoutExpired as e:
-        raise RunError(f"run timed out after {cfg.timeout_s}s") from e
+        raise RunError(f"run timed out after {cfg.timeout_s}s", _running(e.stdout)) from e
     except OSError as e:
         raise RunError(f"cannot run binary {str(binary)!r}: {e}") from e
     if proc.returncode != 0:
-        raise RunError(f"binary exited with {proc.returncode}: {proc.stderr.strip()[:200]}")
-    fields: dict[str, list[str]] = {"checksum": [], "per_call_seconds": [], "rep_checksum": []}
+        raise RunError(
+            f"binary exited with {proc.returncode}: {proc.stderr.strip()[:200]}",
+            _running(proc.stdout),
+        )
+    keys = ("checksum", "per_call_seconds", "rep_checksum")
+    fields: dict[tuple[str, str], list[str]] = {(key, v): [] for key in keys for v in VARIANTS}
     for line in proc.stdout.splitlines():
         parts = line.split()
-        if len(parts) == 2 and parts[0] in fields:
-            fields[parts[0]].append(parts[1])
-    checksums, per_call, rep_checksums = fields.values()
-    malformed = RunError(f"malformed driver output: {proc.stdout[:200]!r}")
+        if len(parts) == 3 and (parts[0], parts[1]) in fields:
+            fields[parts[0], parts[1]].append(parts[2])
     reps = cfg.repetitions
-    if len(checksums) != 1 or len(per_call) != reps or len(rep_checksums) != reps:
-        raise malformed
-    try:
-        samples = checked_seconds(per_call)
-    except ValueError:
-        raise malformed from None
-    if len(set(rep_checksums)) != 1:
-        raise RunError(
-            f"checksum varies across runs of one binary: {sorted(set(rep_checksums))}"
-        )
-    return MeasureResult(samples=samples, checksum=checksums[0])
+    results = {}
+    for v in VARIANTS:
+        checksums, per_call, rep_checksums = (fields[key, v] for key in keys)
+        if (len(checksums), len(per_call), len(rep_checksums)) != (1, reps, reps):
+            raise RunError(
+                f"malformed driver output: {v} printed {len(checksums)} checksums, "
+                f"{len(per_call)} samples and {len(rep_checksums)} batch checksums, "
+                f"not 1, {reps} and {reps}",
+                v,
+            )
+        try:
+            samples = checked_seconds(per_call)
+        except ValueError as e:
+            raise RunError(f"malformed driver output: {v} samples {per_call}: {e}", v) from None
+        if len(set(rep_checksums)) != 1:
+            raise RunError(
+                f"checksum varies across batches of {v}: {sorted(set(rep_checksums))}", v
+            )
+        results[v] = MeasureResult(samples=samples, checksum=checksums[0])
+    return results
 
 
 # ------------------------------------------------------------------- pipeline
@@ -400,45 +524,89 @@ def _timer_samples(timer: Timer, fn_id: str, fn: FunctionUnit, repetitions: int)
     return (t_basic,) * repetitions, (t_aggr,) * repetitions
 
 
-def _measured_samples(fn_id: str, fn: FunctionUnit, cfg: LabelerConfig, workdir: Path) -> Samples:
-    """The real source: compile both variants at once, then time basic and aggr in turn.
-
-    The first failure is the quarantine reason, checked in this order:
-    driver, compile[basic], compile[aggr], run[basic], run[aggr], then a
-    checksum mismatch between the variants.
-    """
+def _build(tag: str, *args, **kwargs) -> Union[Path, str]:
+    """compile_variant, with a CompileError turned into its quarantine reason."""
     try:
-        driver = synthesize_driver(fn, cfg)
-    except DriverError as e:
-        return f"driver: {e}"
+        return compile_variant(*args, **kwargs)
+    except CompileError as e:
+        detail = f"; {e.stderr.splitlines()[-1]}" if e.stderr else ""
+        return f"compile[{tag}]: {e}{detail}"
+
+
+def _timed(binary: Path, k: int, cfg: LabelerConfig) -> Samples:
+    try:
+        results = measure(binary, k, cfg)
+    except RunError as e:
+        return f"run[{e.variant}]: {e}"
+    basic, aggr = (results[tag] for tag in VARIANTS)
+    if basic.checksum != aggr.checksum:
+        return f"checksum mismatch between variants: basic={basic.checksum} aggr={aggr.checksum}"
+    return basic.samples, aggr.samples
+
+
+def _measured_samples(
+    functions: Sequence[tuple[str, FunctionUnit]], cfg: LabelerConfig, workdir: Path
+) -> list[Samples]:
+    """The real source: every compile of the call first, then one launch per kernel.
+
+    Kernel k is compiled alone per variant, renamed to ``ot_k<k>_<variant>``,
+    and one driver with a harness per kernel is built at cfg.flags_basic and
+    linked with all their objects. When that driver fails to build, each
+    kernel gets a driver of its own, which finds the culprit. A kernel's
+    first failure is its quarantine reason, checked in this order: driver,
+    compile[basic], compile[aggr], its driver build (compile[basic], the
+    flags the driver is built at), run[basic] or run[aggr] (whichever the
+    launch charges), then a checksum mismatch between the variants.
+    """
     # imported here: only real labeling needs it, and every CLI command
     # imports this module
     from concurrent.futures import ThreadPoolExecutor
 
-    # compiling is not timed, so both variants build at once; leaving the
-    # pool waits for both, and timing below stays serial
+    samples: dict[int, Samples] = {}
+    harnesses = {}
+    for k, (_, fn) in enumerate(functions):
+        try:
+            harnesses[k] = _harness(k, fn, cfg)
+        except DriverError as e:
+            samples[k] = f"driver: {e}"
+    variant_flags = {"basic": cfg.flags_basic, "aggr": cfg.flags_aggr}
+    # compiling is not timed, so it runs two at a time; leaving the pool
+    # waits for every build, and timing below stays serial
     with ThreadPoolExecutor(max_workers=2) as pool:
-        builds = {
-            tag: pool.submit(compile_variant, driver, flags, cfg, workdir, stem=_stem(fn_id, tag))
-            for tag, flags in (("basic", cfg.flags_basic), ("aggr", cfg.flags_aggr))
-        }
-    binaries = {}
-    for tag, build in builds.items():
-        try:
-            binaries[tag] = build.result()
-        except CompileError as e:
-            detail = f"; {e.stderr.splitlines()[-1]}" if e.stderr else ""
-            return f"compile[{tag}]: {e}{detail}"
-    results = {}
-    for tag, binary in binaries.items():
-        try:
-            results[tag] = measure(binary, cfg)
-        except RunError as e:
-            return f"run[{tag}]: {e}"
-    basic, aggr = results["basic"], results["aggr"]
-    if basic.checksum != aggr.checksum:
-        return f"checksum mismatch between variants: basic={basic.checksum} aggr={aggr.checksum}"
-    return basic.samples, aggr.samples
+        builds = {}
+        for k in harnesses:
+            fn = functions[k][1]
+            defines = [f"-D{name}={_extent(fn, cfg)}" for name in sorted(fn.bound_symbols)]
+            for tag in VARIANTS:
+                kernel_flags = (*variant_flags[tag], f"-D{fn.name}={_alias(k, tag)}", *defines)
+                builds[k, tag] = pool.submit(
+                    _build, tag, fn.source_text.rstrip() + "\n", kernel_flags, cfg, workdir, _alias(k, tag)
+                )
+        objects = {}
+        for k in harnesses:
+            outputs = [builds[k, tag].result() for tag in VARIANTS]
+            failed = [out for out in outputs if isinstance(out, str)]
+            if failed:
+                samples[k] = failed[0]
+            else:
+                objects[k] = outputs
+
+        def build_driver(kernels: list[int], stem: str):
+            source = _assemble({k: harnesses[k] for k in kernels}, cfg)
+            link = [obj for k in kernels for obj in objects[k]]
+            return pool.submit(_build, "basic", source, cfg.flags_basic, cfg, workdir, stem, link)
+
+        binaries = {}
+        if objects:
+            driver = build_driver(list(objects), "ot_driver").result()
+            binaries = dict.fromkeys(objects, driver)
+            if isinstance(driver, str) and len(objects) > 1:
+                # a harness or an object breaks the link: a driver per kernel finds it
+                solo = {k: build_driver([k], f"ot_k{k}_driver") for k in objects}
+                binaries = {k: build.result() for k, build in solo.items()}
+    for k, binary in binaries.items():
+        samples[k] = binary if isinstance(binary, str) else _timed(binary, k, cfg)
+    return [samples[k] for k in range(len(functions))]
 
 
 @contextmanager
@@ -481,12 +649,11 @@ def label_corpus(
     """
     if not functions:
         raise ValueError("no functions to label")
-    results = []
-    with nullcontext() if timer is not None else _workdir(cfg) as workdir:
-        for fn_id, fn in functions:
-            if timer is not None:
-                source, samples = "timer", _timer_samples(timer, fn_id, fn, cfg.repetitions)
-            else:
-                source, samples = "run", _measured_samples(fn_id, fn, cfg, workdir)
-            results.append(_label(fn_id, source, samples, cfg.delta))
-    return results
+    if timer is not None:
+        source = "timer"
+        batch = [_timer_samples(timer, fn_id, fn, cfg.repetitions) for fn_id, fn in functions]
+    else:
+        source = "run"
+        with _workdir(cfg) as workdir:
+            batch = _measured_samples(functions, cfg, workdir)
+    return [_label(fn_id, source, samples, cfg.delta) for (fn_id, _), samples in zip(functions, batch)]

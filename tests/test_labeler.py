@@ -14,6 +14,7 @@ import pytest
 
 from opttriage import labeler
 from opttriage.labeler import (
+    VARIANTS,
     CompileError,
     DriverError,
     LabelerConfig,
@@ -200,26 +201,43 @@ def test_config_accepts_int_seconds_and_a_null_workdir():
 
 
 def test_driver_contains_measurement_guards():
-    code = synthesize_driver(_simple_fn(), FAST_CFG)
-    assert "__attribute__((noinline))" in code
-    assert "static volatile int s_n" in code  # scalar args defeat constant folding
+    code = synthesize_driver([(0, _simple_fn())], FAST_CFG)
+    assert "setvbuf(stdout, NULL, _IOLBF, 0);" in code  # a crash keeps what was printed
+    assert "static volatile int ot_k0_s_n" in code  # scalar args defeat constant folding
     assert '__asm__ __volatile__("" ::: "memory")' in code
     assert "checksum" in code
     assert "rng_next" in code  # deterministic data fill
     assert "CLOCK_MONOTONIC" in code
-    # one calibration, then every repetition timed in the same process
+    # both renamed variants of the kernel, declared and never defined here
+    assert "void ot_k0_basic(int n, float x[N], float y[N]);" in code
+    assert "void ot_k0_aggr(int n, float x[N], float y[N]);" in code
+    assert "saxpy" not in code.replace("/* kernel 0: saxpy */", "")
+    # one calibration routine for every variant, then the repetitions alternate
     assert code.count("for (;;)") == 1
     assert code.count("calls *= 2;") == 1
+    assert "target / 16.0" in code and "1.1 * target / elapsed" in code
     assert code.count(f"for (int rep = 0; rep < {FAST_CFG.repetitions}; rep++)") == 1
     assert code.count("for (int rep") == 1
+    assert code.count('printf("running') == 3  # announced before verify, calibrate, each batch
     assert code.count('printf("per_call_seconds') == 1
-    assert code.count('printf("rep_checksum %.6e\\n", checksum_data());') == 1
+    assert code.count('printf("rep_checksum %s %.6e\\n", ot_variants[v], h->checksum());') == 1
     assert code.count('printf("checksum') == 1
 
 
+def test_driver_holds_one_harness_per_kernel_with_its_own_defines():
+    wide = parse_one("void g(float a[M][N]) { for (int i = 0; i < M; i++) a[i][0] = 1.0; }")
+    code = synthesize_driver([(0, _simple_fn()), (3, wide)], FAST_CFG)
+    assert "{0, ot_k0_verify, ot_k0_batch, ot_k0_checksum}," in code
+    assert "{3, ot_k3_verify, ot_k3_batch, ot_k3_checksum}," in code
+    first, second = code.split("/* kernel 3: g */")
+    assert first.count("#define N 64") == 1 and first.count("#undef N") == 1
+    assert second.index("#define M 64") < second.index("#undef M") < second.index("int main")
+
+
 def test_driver_defines_symbolic_extent():
-    code = synthesize_driver(_simple_fn(), FAST_CFG)
+    code = synthesize_driver([(0, _simple_fn())], FAST_CFG)
     assert "#define N 64" in code
+    assert "#undef N" in code
 
 
 def test_driver_respects_minimum_extent():
@@ -228,24 +246,25 @@ def test_driver_respects_minimum_extent():
         "  for (int i = 0; i < 100; i++) a[i] = a[i] + 1.0;\n"
         "}"
     )
-    code = synthesize_driver(fn, FAST_CFG)  # cfg extent 64 is too small
+    code = synthesize_driver([(0, fn)], FAST_CFG)  # cfg extent 64 is too small
     assert "#define N 100" in code
 
 
 def test_driver_rejects_reserved_names():
-    fn = parse_one("void main(int n) { }")
-    with pytest.raises(DriverError):
-        synthesize_driver(fn, FAST_CFG)
+    # a bound symbol is #defined across its harness, so it may not take a driver name
+    fn = parse_one("void f(float a[ot_n]) { for (int i = 0; i < ot_n; i++) a[i] = 1.0; }")
+    with pytest.raises(DriverError, match="'ot_n' collides"):
+        synthesize_driver([(0, fn)], FAST_CFG)
+    # the kernel's own name never reaches the driver: its objects are renamed
+    assert "int main(int argc" in synthesize_driver([(0, parse_one("void main(int n) { }"))], FAST_CFG)
 
 
 def test_driver_rejects_functions_without_source():
-    fn = _simple_fn()
-    object.__setattr__(fn, "source_text", "") if hasattr(fn, "__dataclass_fields__") else None
     import dataclasses
 
-    bare = dataclasses.replace(fn, source_text="")
+    bare = dataclasses.replace(_simple_fn(), source_text="")
     with pytest.raises(DriverError):
-        synthesize_driver(bare, FAST_CFG)
+        synthesize_driver([(0, bare)], FAST_CFG)
 
 
 # ----------------------------------------------------------------- fake timers
@@ -338,26 +357,44 @@ def test_label_corpus_delta_changes_labels():
 # -------------------------------------------------------------------- measure
 
 
-def _fake_binary(tmp_path, stdout, exit_code=0):
-    """An executable shell script standing in for a compiled driver."""
-    script = tmp_path / "fake.bin"
-    script.write_text(f"#!/bin/sh\ncat <<'EOF'\n{stdout}EOF\nexit {exit_code}\n")
+def _fake_binary(tmp_path, stdout, exit_code=0, name="fake.bin"):
+    """An executable shell script standing in for a compiled driver.
+
+    ``stdout`` is what it prints for every kernel, or a dict of what it
+    prints per kernel argument.
+    """
+    outputs = stdout if isinstance(stdout, dict) else {"*": stdout}
+    cases = "".join(f"{k}) cat <<'EOF'\n{text}EOF\n;;\n" for k, text in outputs.items())
+    script = tmp_path / name
+    script.write_text(f'#!/bin/sh\ncase "$1" in\n{cases}esac\nexit {exit_code}\n')
     script.chmod(0o755)
     return script
 
 
-def _driver_output(
-    samples=(1e-6, 2e-6, 3e-6), rep_checksums=("4.0e+02",) * 3, checksums=("1.5e+01",)
-):
-    lines = [f"checksum {c}" for c in checksums] + ["calls 1024"]
-    for s, c in itertools.zip_longest(samples, rep_checksums):
-        lines += [f"per_call_seconds {s!r}"] if s is not None else []
-        lines += [f"rep_checksum {c}"] if c is not None else []
+_GOOD = {"samples": (1e-6, 2e-6, 3e-6), "rep_checksums": ("4.0e+02",) * 3, "checksums": ("1.5e+01",)}
+
+
+def _driver_output(basic=None, aggr=None):
+    """What a driver prints for one kernel; ``basic``/``aggr`` override a variant's lines."""
+    spec = {"basic": {**_GOOD, **(basic or {})}, "aggr": {**_GOOD, **(aggr or {})}}
+    lines = []
+    for v in VARIANTS:
+        lines += [f"running {v}"] + [f"checksum {v} {c}" for c in spec[v]["checksums"]]
+    for v in VARIANTS:
+        lines += [f"running {v}", f"calls {v} 1024"]
+    batches = {v: list(itertools.zip_longest(spec[v]["samples"], spec[v]["rep_checksums"])) for v in VARIANTS}
+    for rep in range(max(map(len, batches.values()))):
+        for v in VARIANTS:
+            if rep < len(batches[v]):
+                s, c = batches[v][rep]
+                lines.append(f"running {v}")
+                lines += [f"per_call_seconds {v} {s!r}"] if s is not None else []
+                lines += [f"rep_checksum {v} {c}"] if c is not None else []
     return "\n".join(lines) + "\n"
 
 
 def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monkeypatch):
-    binary = _fake_binary(tmp_path, _driver_output())
+    binary = _fake_binary(tmp_path, _driver_output(aggr={"samples": (4e-6, 5e-6, 6e-6)}))
     launches = []
     real_run = subprocess.run
 
@@ -366,31 +403,33 @@ def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monk
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr("opttriage.labeler.subprocess.run", counting_run)
-    result = measure(binary, FAST_CFG)
-    assert result.samples == (1e-6, 2e-6, 3e-6)
-    assert result.checksum == "1.5e+01"
-    assert launches == [[str(binary)]]
+    result = measure(binary, 7, FAST_CFG)
+    assert result["basic"].samples == (1e-6, 2e-6, 3e-6)
+    assert result["aggr"].samples == (4e-6, 5e-6, 6e-6)
+    assert result["basic"].checksum == result["aggr"].checksum == "1.5e+01"
+    assert launches == [[str(binary), "7"]]  # both variants of kernel 7 in one launch
 
 
 @pytest.mark.parametrize(
-    "stdout, exit_code, message",
+    "stdout, exit_code, message, variant",
     [
-        (_driver_output(samples=(1e-6, 2e-6)), 0, "malformed driver output"),
-        (_driver_output(samples=(1e-6,) * 5), 0, "malformed driver output"),
-        (_driver_output(checksums=()), 0, "malformed driver output"),
-        (_driver_output(checksums=("1.5e+01", "1.6e+01")), 0, "malformed driver output"),
-        (_driver_output(rep_checksums=("4.0e+02",) * 2), 0, "malformed driver output"),
-        (_driver_output(samples=(1e-6, "fast", 3e-6)), 0, "malformed driver output"),
+        (_driver_output(aggr={"samples": (1e-6, 2e-6)}), 0, "malformed driver output", "aggr"),
+        (_driver_output(basic={"samples": (1e-6,) * 5}), 0, "malformed driver output", "basic"),
+        (_driver_output(basic={"checksums": ()}), 0, "malformed driver output", "basic"),
+        (_driver_output(aggr={"checksums": ("1.5e+01", "1.6e+01")}), 0, "malformed driver output", "aggr"),
+        (_driver_output(basic={"rep_checksums": ("4.0e+02",) * 2}), 0, "malformed driver output", "basic"),
+        (_driver_output(aggr={"samples": (1e-6, "fast", 3e-6)}), 0, "malformed driver output", "aggr"),
         (
-            _driver_output(rep_checksums=("4.0e+02", "4.0e+02", "4.1e+02")),
+            _driver_output(aggr={"rep_checksums": ("4.0e+02", "4.0e+02", "4.1e+02")}),
             0,
-            r"checksum varies across runs of one binary: \['4.0e\+02', '4.1e\+02'\]",
+            r"checksum varies across batches of aggr: \['4.0e\+02', '4.1e\+02'\]",
+            "aggr",
         ),
-        (_driver_output(), 3, "binary exited with 3"),
-        (_driver_output(samples=(1e-6, float("nan"), 3e-6)), 0, "malformed driver output"),
-        (_driver_output(samples=(1e-6, float("inf"), 3e-6)), 0, "malformed driver output"),
-        (_driver_output(samples=(1e-6, 0.0, 3e-6)), 0, "malformed driver output"),
-        (_driver_output(samples=(1e-6, -2e-6, 3e-6)), 0, "malformed driver output"),
+        (_driver_output(), 3, "binary exited with 3", "aggr"),  # the last variant announced
+        (_driver_output(basic={"samples": (1e-6, float("nan"), 3e-6)}), 0, "malformed driver output", "basic"),
+        (_driver_output(aggr={"samples": (1e-6, float("inf"), 3e-6)}), 0, "malformed driver output", "aggr"),
+        (_driver_output(basic={"samples": (1e-6, 0.0, 3e-6)}), 0, "malformed driver output", "basic"),
+        (_driver_output(aggr={"samples": (1e-6, -2e-6, 3e-6)}), 0, "malformed driver output", "aggr"),
     ],
     ids=[
         "fewer-samples",
@@ -407,9 +446,57 @@ def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monk
         "negative-sample",
     ],
 )
-def test_measure_rejects_bad_driver_runs(tmp_path, stdout, exit_code, message):
-    with pytest.raises(RunError, match=message):
-        measure(_fake_binary(tmp_path, stdout, exit_code), FAST_CFG)
+def test_measure_rejects_bad_driver_runs(tmp_path, stdout, exit_code, message, variant):
+    with pytest.raises(RunError, match=message) as caught:
+        measure(_fake_binary(tmp_path, stdout, exit_code), 0, FAST_CFG)
+    assert caught.value.variant == variant
+
+
+def test_measure_checks_basic_before_aggr(tmp_path):
+    both_bad = _driver_output(basic={"samples": (1e-6,)}, aggr={"samples": (1e-6,)})
+    with pytest.raises(RunError, match="basic printed 1 checksums, 1 samples") as caught:
+        measure(_fake_binary(tmp_path, both_bad), 0, FAST_CFG)
+    assert caught.value.variant == "basic"
+
+
+def test_measure_rejects_a_short_sample_count_of_one_variant(tmp_path):
+    short = _driver_output(aggr={"samples": (1e-6, 2e-6), "rep_checksums": ("4.0e+02",) * 2})
+    with pytest.raises(RunError) as caught:
+        measure(_fake_binary(tmp_path, short), 0, FAST_CFG)
+    assert caught.value.variant == "aggr"
+    assert str(caught.value) == (
+        "malformed driver output: aggr printed 1 checksums, 2 samples and 2 batch checksums, "
+        "not 1, 3 and 3"
+    )
+
+
+def _cut_at_aggr_batch(text):
+    """Driver output up to and including the first timed aggr announcement."""
+    head, _, _ = text.partition("per_call_seconds aggr")
+    return head
+
+
+def test_measure_charges_a_crash_to_the_variant_running(tmp_path):
+    script = tmp_path / "dies.bin"
+    script.write_text(
+        f"#!/bin/sh\ncat <<'EOF'\n{_cut_at_aggr_batch(_driver_output())}EOF\nkill -SEGV $$\n"
+    )
+    script.chmod(0o755)
+    with pytest.raises(RunError, match="binary exited with -11") as caught:
+        measure(script, 0, FAST_CFG)
+    assert caught.value.variant == "aggr"
+
+
+def test_measure_charges_a_timeout_to_the_variant_running(tmp_path):
+    script = tmp_path / "hangs.bin"
+    script.write_text(
+        f"#!/bin/sh\ncat <<'EOF'\n{_cut_at_aggr_batch(_driver_output())}EOF\nexec sleep 30\n"
+    )
+    script.chmod(0o755)
+    cfg = LabelerConfig(repetitions=3, timeout_s=0.5)
+    with pytest.raises(RunError, match="run timed out after 0.5s") as caught:
+        measure(script, 0, cfg)
+    assert caught.value.variant == "aggr"
 
 
 def test_measure_times_out_the_one_launch(tmp_path):
@@ -417,19 +504,60 @@ def test_measure_times_out_the_one_launch(tmp_path):
     script.write_text("#!/bin/sh\nexec sleep 30\n")
     script.chmod(0o755)
     cfg = LabelerConfig(repetitions=3, timeout_s=0.2)
-    with pytest.raises(RunError, match="run timed out after 0.2s"):
-        measure(script, cfg)
+    with pytest.raises(RunError, match="run timed out after 0.2s") as caught:
+        measure(script, 0, cfg)
+    assert caught.value.variant == "basic"  # nothing announced: charged to the first
 
 
 def test_measure_reports_a_binary_that_cannot_start(tmp_path):
     not_executable = tmp_path / "plain.bin"
     not_executable.write_text(_driver_output())
     with pytest.raises(RunError, match="cannot run binary"):
-        measure(not_executable, FAST_CFG)
+        measure(not_executable, 0, FAST_CFG)
 
 
-# Quarantine order of one function: compile[basic], compile[aggr], run[basic],
-# run[aggr]. Both variants are compiled before either is timed.
+# ------------------------------------------------------ label_corpus call shape
+
+
+def _fake_toolchain(monkeypatch, outputs=None, fail=()):
+    """Stand-ins for compile_variant and measure that record what ran.
+
+    Returns the events: kernel objects and driver builds as ("compile",
+    stem, start, end), launches as ("run", kernel, start, end).
+    A build whose stem is in ``fail``, or whose source contains an entry
+    of it, raises CompileError; a driver prints ``outputs``
+    (per kernel, default: a clean run) through the real ``measure``.
+    """
+    events = []
+    real_measure = labeler.measure
+    clock = itertools.count()
+
+    def fake_compile(source, flags, cfg, workdir, stem="driver", link=None):
+        start = next(clock)
+        try:
+            if any(bad == stem or bad in source for bad in fail):
+                raise CompileError(f"{stem} failed")
+            if link is None:
+                return Path(workdir) / f"{stem}.o"
+            return _fake_binary(Path(workdir), outputs or {"*": _driver_output()}, name=f"{stem}.bin")
+        finally:
+            events.append(("compile", stem, start, next(clock)))
+
+    def fake_measure(binary, kernel, cfg):
+        start = next(clock)
+        try:
+            return real_measure(binary, kernel, cfg)
+        finally:
+            events.append(("run", kernel, start, next(clock)))
+
+    monkeypatch.setattr(labeler, "compile_variant", fake_compile)
+    monkeypatch.setattr(labeler, "measure", fake_measure)
+    return events
+
+
+# Quarantine order of one function: compile[basic], compile[aggr], then
+# run[basic] before run[aggr] within its one launch. Every compile ends
+# before the launch.
 @pytest.mark.parametrize(
     "failing, reason",
     [
@@ -440,42 +568,26 @@ def test_measure_reports_a_binary_that_cannot_start(tmp_path):
     ],
 )
 def test_label_quarantine_order(tmp_path, monkeypatch, failing, reason):
-    calls = []
-
-    def fake_compile(source, flags, cfg, workdir, stem):
-        tag = stem.rsplit("_", 1)[-1]
-        calls.append(f"compile {tag}")
-        if f"compile {tag}" in failing:
-            raise CompileError(f"{tag} failed")
-        return Path(workdir) / tag
-
-    def fake_measure(binary, cfg):
-        calls.append(f"run {binary.name}")
-        if f"run {binary.name}" in failing:
-            raise RunError(f"{binary.name} failed")
-        return labeler.MeasureResult(samples=(1.0,) * cfg.repetitions, checksum="1")
-
-    monkeypatch.setattr(labeler, "compile_variant", fake_compile)
-    monkeypatch.setattr(labeler, "measure", fake_measure)
+    bad = {"samples": (1e-6, float("nan"), 1e-6)}
+    output = _driver_output(**{v: bad for v in VARIANTS if f"run {v}" in failing})
+    fail = [f"ot_k0_{v}" for v in VARIANTS if f"compile {v}" in failing]
+    events = _fake_toolchain(monkeypatch, outputs={0: output}, fail=fail)
     cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
     (result,) = label_corpus([("a.c::f", _simple_fn("f"))], cfg)
     assert result.quarantine_reason.startswith(reason)
-    assert sorted(calls[:2]) == ["compile aggr", "compile basic"]
-    runs = calls[2:]
-    assert runs == ["run basic", "run aggr"][: len(runs)]  # timing stays serial
+    steps = [(kind, name) for kind, name, _, _ in events]
+    assert sorted(steps[:2]) == [("compile", "ot_k0_aggr"), ("compile", "ot_k0_basic")]
     if reason.startswith("compile"):
-        assert runs == []
+        assert steps[2:] == []  # no driver for a kernel without objects, no launch
+    else:
+        assert steps[2:] == [("compile", "ot_driver"), ("run", 0)]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), 0.0])
 @pytest.mark.parametrize("tag", ["basic", "aggr"])
 def test_label_corpus_quarantines_a_bad_driver_sample(tmp_path, monkeypatch, bad, tag):
-    def fake_compile(source, flags, cfg, workdir, stem):
-        samples = (1e-6, bad, 1e-6) if stem == f"a.c_f_{tag}" else (1e-6, 2e-6, 3e-6)
-        (Path(workdir) / stem).mkdir()
-        return _fake_binary(Path(workdir) / stem, _driver_output(samples=samples))
-
-    monkeypatch.setattr(labeler, "compile_variant", fake_compile)
+    outputs = {0: _driver_output(**{tag: {"samples": (1e-6, bad, 1e-6)}}), 1: _driver_output()}
+    _fake_toolchain(monkeypatch, outputs=outputs)
     cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
     bad_fn, good_fn = label_corpus([("a.c::f", _simple_fn("f")), ("b.c::g", _simple_fn("g"))], cfg)
     assert bad_fn.label is None and bad_fn.timing is None
@@ -483,36 +595,84 @@ def test_label_corpus_quarantines_a_bad_driver_sample(tmp_path, monkeypatch, bad
     assert good_fn.label == "easy" and good_fn.timing.ratio == 1.0
 
 
-# ---------------------------------------------------------------- integration
+def test_label_corpus_quarantines_a_checksum_mismatch(tmp_path, monkeypatch):
+    outputs = {0: _driver_output(aggr={"checksums": ("1.6e+01",)})}
+    _fake_toolchain(monkeypatch, outputs=outputs)
+    (res,) = label_corpus([("a.c::f", _simple_fn("f"))], LabelerConfig(repetitions=3, workdir=str(tmp_path)))
+    assert res.quarantine_reason == "checksum mismatch between variants: basic=1.5e+01 aggr=1.6e+01"
+
+
+def test_label_corpus_counts_compiles_and_launches(tmp_path, monkeypatch):
+    n = 4
+    events = _fake_toolchain(monkeypatch)
+    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
+    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(n)], cfg)
+    assert all(r.quarantine_reason is None for r in results)
+    compiles = [e for e in events if e[0] == "compile"]
+    runs = [e for e in events if e[0] == "run"]
+    assert sorted(name for _, name, _, _ in compiles) == sorted(
+        [f"ot_k{k}_{v}" for k in range(n) for v in VARIANTS] + ["ot_driver"]
+    )
+    assert [kernel for _, kernel, _, _ in runs] == list(range(n))
+    assert max(end for _, _, _, end in compiles) < min(start for _, _, start, _ in runs)
+    assert all(a[3] < b[2] for a, b in zip(runs, runs[1:]))  # launches one at a time
+
+
+def test_label_corpus_rebuilds_a_failing_driver_per_kernel(tmp_path, monkeypatch):
+    # the harness of kernel 1 breaks any driver it is part of
+    events = _fake_toolchain(monkeypatch, fail=["{1, ot_k1_verify"])
+    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
+    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(3)], cfg)
+    assert [r.quarantine_reason for r in results[::2]] == [None, None]
+    assert results[1].quarantine_reason == "compile[basic]: ot_k1_driver failed"
+    drivers = [name for kind, name, _, _ in events if kind == "compile" and "driver" in name]
+    assert drivers[0] == "ot_driver"
+    assert sorted(drivers[1:]) == ["ot_k0_driver", "ot_k1_driver", "ot_k2_driver"]
+    assert [kernel for kind, kernel, _, _ in events if kind == "run"] == [0, 2]
 
 
 def test_label_compiles_both_variants_at_once(tmp_path, monkeypatch):
     both_compiling = threading.Barrier(2, timeout=10)  # broken if compiles run serially
+    events = _fake_toolchain(monkeypatch)
+    fake_compile = labeler.compile_variant
 
-    def fake_compile(source, flags, cfg, workdir, stem):
-        both_compiling.wait()
-        return Path(workdir) / stem
+    def overlapping_compile(source, flags, cfg, workdir, stem="driver", link=None):
+        if link is None:  # kernel objects meet in pairs; the one driver build comes alone
+            both_compiling.wait()
+        return fake_compile(source, flags, cfg, workdir, stem, link)
 
-    def fake_measure(binary, cfg):
-        return labeler.MeasureResult(samples=(1.0,) * cfg.repetitions, checksum="1")
-
-    monkeypatch.setattr(labeler, "compile_variant", fake_compile)
-    monkeypatch.setattr(labeler, "measure", fake_measure)
+    monkeypatch.setattr(labeler, "compile_variant", overlapping_compile)
     cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
-    (result,) = label_corpus([("a.c::f", _simple_fn("f"))], cfg)
-    assert result.quarantine_reason is None
+    results = label_corpus([("a.c::f", _simple_fn("f")), ("b.c::g", _simple_fn("g"))], cfg)
+    assert [r.quarantine_reason for r in results] == [None, None]
     assert not both_compiling.broken
+    runs = [e for e in events if e[0] == "run"]
+    last_compile = max(end for kind, _, _, end in events if kind == "compile")
+    assert len(runs) == 2 and last_compile < runs[0][2] and runs[0][3] < runs[1][2]
+
+
+# ---------------------------------------------------------------- integration
 
 
 @pytest.mark.integration
 @requires_compiler
 def test_compile_and_measure_real_binary(tmp_path):
-    driver = synthesize_driver(_simple_fn(), FAST_CFG)
-    binary = compile_variant(driver, FAST_CFG.flags_basic, FAST_CFG, tmp_path)
-    result = measure(binary, FAST_CFG)
-    assert len(result.samples) == FAST_CFG.repetitions
-    assert all(s > 0 for s in result.samples)
-    assert "e" in result.checksum  # scientific notation
+    fn = _simple_fn()
+    objects = [
+        compile_variant(fn.source_text, (*flags, f"-Dsaxpy=ot_k0_{tag}", "-DN=64"), FAST_CFG, tmp_path, f"k_{tag}")
+        for tag, flags in (("basic", FAST_CFG.flags_basic), ("aggr", FAST_CFG.flags_aggr))
+    ]
+    assert [o.suffix for o in objects] == [".o", ".o"]
+    driver = synthesize_driver([(0, fn)], FAST_CFG)
+    binary = compile_variant(driver, FAST_CFG.flags_basic, FAST_CFG, tmp_path, "driver", link=objects)
+    result = measure(binary, 0, FAST_CFG)
+    for tag in VARIANTS:
+        assert len(result[tag].samples) == FAST_CFG.repetitions
+        assert all(s > 0 for s in result[tag].samples)
+        assert "e" in result[tag].checksum  # scientific notation
+    assert result["basic"].checksum == result["aggr"].checksum
+    with pytest.raises(RunError, match="binary exited with 2: usage"):
+        measure(binary, 1, FAST_CFG)  # no harness for kernel 1
 
 
 @pytest.mark.integration
@@ -551,5 +711,46 @@ def test_label_corpus_quarantines_a_failing_aggressive_compile(tmp_path):
     (res,) = label_corpus([("saxpy.c::saxpy", _simple_fn())], cfg)
     assert res.quarantine_reason.startswith("compile[aggr]: "), res.quarantine_reason
     assert "no-such-flag" in res.quarantine_reason
-    assert (tmp_path / "saxpy.c_saxpy_basic.bin").exists()  # basic compiled
-    assert not (tmp_path / "saxpy.c_saxpy_aggr.bin").exists()
+    assert (tmp_path / "ot_k0_basic.o").exists()  # basic compiled
+    assert not (tmp_path / "ot_k0_aggr.o").exists()
+
+
+def _repeat_fn(name, rounds, path):
+    return parse_one(
+        "void %s(int n, float a[N]) {\n"
+        "  for (int r = 0; r < %d; r++)\n"
+        "    for (int i = 0; i < n; i++) a[i] = a[i] * 0.5 + 1.0;\n"
+        "}" % (name, rounds),
+        path=path,
+    )
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_label_corpus_keeps_kernels_whose_ids_sanitize_alike_apart(tmp_path):
+    # "a/b.c::k" and "a_b.c::k" once mapped to one file name, and all three
+    # define a symbol "k"; each must still be timed on its own code
+    fns = [
+        ("a/b.c::k", _repeat_fn("k", 1, "a/b.c")),
+        ("a_b.c::k", _repeat_fn("k", 8, "a_b.c")),
+        ("c.c::k", _repeat_fn("k", 64, "c.c")),
+    ]
+    cfg = LabelerConfig(repetitions=3, min_runtime_s=0.01, array_extent=256, workdir=str(tmp_path))
+    results = label_corpus(fns, cfg)
+    assert [r.quarantine_reason for r in results] == [None, None, None]
+    t_basic = [r.timing.t_basic for r in results]
+    assert t_basic[0] * 3 < t_basic[1] and t_basic[1] * 3 < t_basic[2], t_basic
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_label_corpus_quarantines_only_the_kernel_cc_rejects(tmp_path):
+    import dataclasses
+
+    broken = dataclasses.replace(_simple_fn("g"), source_text="void g(int n) { this is not C }\n")
+    fns = [("a.c::f", _simple_fn("f")), ("b.c::g", broken), ("c.c::h", _simple_fn("h"))]
+    cfg = LabelerConfig(repetitions=3, min_runtime_s=0.01, array_extent=64, workdir=str(tmp_path))
+    first, bad, last = label_corpus(fns, cfg)
+    assert bad.quarantine_reason.startswith("compile[basic]: "), bad.quarantine_reason
+    assert first.quarantine_reason is None and first.label in ("easy", "hard")
+    assert last.quarantine_reason is None and last.label in ("easy", "hard")

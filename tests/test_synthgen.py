@@ -7,7 +7,7 @@ import pytest
 
 from opttriage import SourceUnit, compute_max_depth, parse_unit
 from opttriage.features import FeatureSchema, extract
-from opttriage.labeler import LabelerConfig, compile_variant, synthesize_driver
+from opttriage.labeler import LabelerConfig, label_corpus
 from opttriage.synthgen import GenConfig, GenConfigError, generate
 
 from conftest import requires_compiler
@@ -116,9 +116,13 @@ def test_branches_appear_when_requested():
 @pytest.mark.integration
 @requires_compiler
 def test_generated_functions_compile(tmp_path):
-    cfg = LabelerConfig(repetitions=1, min_runtime_s=0.0, array_extent=16, timeout_s=120.0)
+    # each kernel alone with its bound symbols defined, and one driver with
+    # all eight harnesses linked against their objects
+    cfg = LabelerConfig(
+        repetitions=1, min_runtime_s=0.0, array_extent=16, timeout_s=120.0, workdir=str(tmp_path)
+    )
     units = generate(GenConfig(seed=12, n_functions=8))
-    for i, unit in enumerate(units):
-        fns, _ = parse_unit(unit, strict=True)
-        driver = synthesize_driver(fns[0], cfg)
-        compile_variant(driver, ("-O1",), cfg, tmp_path, stem=f"k{i}")
+    fns = [(unit.path, parse_unit(unit, strict=True)[0][0]) for unit in units]
+    results = label_corpus(fns, cfg)
+    assert [r.quarantine_reason for r in results] == [None] * len(units)
+    assert (tmp_path / "ot_driver.bin").exists()
