@@ -247,9 +247,9 @@ def _load_fake_timer(path: str):
 
 
 def _cmd_label(args) -> int:
-    from opttriage.labeler import LabelerConfig, label_corpus
+    from opttriage.labeler import label_corpus
     from opttriage.manifest import (
-        CorpusManifest, ManifestRow, config_digest, dumps_manifest, read_manifest,
+        CorpusManifest, LabelerConfig, ManifestRow, config_digest, dumps_manifest, read_manifest,
     )
 
     man = read_manifest(args.manifest)
@@ -399,8 +399,7 @@ def _cmd_classify(args) -> int:
 
     from opttriage import forest
     from opttriage.features import DepthError, extract
-    from opttriage.labeler import LabelerConfig
-    from opttriage.manifest import function_id
+    from opttriage.manifest import LabelerConfig, function_id
 
     model = forest.load_model(args.model)
     try:

@@ -74,15 +74,20 @@ def split_scan(
     decrease = np.zeros(n_nodes)
     sizes = np.asarray(sizes, dtype=np.int64)
     # Entry (c, r) is row r under its node's candidate c, in column j*k + c.
+    # The batch's few entry-sized arrays are built in place, which keeps a
+    # large step's peak memory to two of them.
     index = np.repeat(cands.T * n_rows, sizes, axis=1)
     index += rows
     key = ranked.codes.take(index)
-    column = np.arange(n_nodes * k).reshape(n_nodes, k).T
-    key += np.repeat(column * (2 * n_rows), sizes, axis=1)
+    del index
+    key += np.repeat(np.arange(n_nodes) * (k * 2 * n_rows), sizes)
+    key += (np.arange(k) * (2 * n_rows))[:, None]
     key = key.ravel()
     key.sort()
-    hard = np.zeros(len(key) + 1, dtype=np.int64)  # hard[p]: hard rows among the first p
-    np.cumsum(key & 1, out=hard[1:])
+    # hard[p]: hard rows among the first p, int32 while the batch allows
+    hard = np.zeros(len(key) + 1, dtype=np.int32 if len(key) < 2**31 else np.int64)
+    np.bitwise_and(key, 1, out=hard[1:], casting="unsafe")
+    np.cumsum(hard[1:], out=hard[1:])
     key >>= 1  # column * n_rows + rank
 
     # Usable cuts: the value changes at entry p, and the cut respects min_leaf.

@@ -3,10 +3,12 @@
 Determinism contract: training depends only on the rows, the params, and
 the seed. Tree t draws from numpy's default generator seeded with
 ``rng_seed ^ t``: first its bootstrap sample, then one candidate set per
-node that may split, in preorder. The trees of a forest advance together,
-a node of each per step, but each tree draws only from its own generator
-in its own preorder, so it depends only on its own index, and a trained
-model serializes to identical bytes across runs.
+node that may split (its ``choice(width, k, replace=False)``), in preorder.
+The trees of a forest advance together, a node of each per step, and
+cross-validation grows the forests of all its folds in that one growth;
+but each tree draws only from its own generator in its own preorder, so
+it depends only on its own index and rows, and a trained model serializes
+to identical bytes across runs.
 Every tie breaks the same way: equal split quality keeps the lower feature
 index then the lower threshold, and vote or leaf-count ties go to hard,
 the safe side for flag selection.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 from math import ceil, sqrt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -287,16 +289,25 @@ def _training_rows(x_rows, y, width: int) -> tuple[np.ndarray, np.ndarray]:
     return x_rows, y
 
 
-def _forest(
-    x_rows: np.ndarray, y: np.ndarray, schema: FeatureSchema, params: ForestParams, fingerprint: str
-) -> RandomForestModel:
-    params = params.resolved(schema.width)
-    rngs = (np.random.default_rng(params.rng_seed ^ t) for t in range(params.n_trees))
-    roots = ((rng, grow.bootstrap(rng, len(x_rows), params.bootstrap_fraction)) for rng in rngs)
-    nodes = NodeTable(**grow.grow_trees(x_rows, y, params, roots))
-    return RandomForestModel(
-        schema=schema, params=params, nodes=nodes, training_fingerprint=fingerprint
-    )
+def _grow_forests(
+    x_rows: np.ndarray, y: np.ndarray, params: ForestParams, subsets: Sequence[np.ndarray]
+) -> Iterator[NodeTable]:
+    """One forest per subset of rows (int32 indices into x_rows), all grown in one growth.
+
+    Each forest's tree t draws its bootstrap from default_rng(rng_seed ^ t)
+    over the subset's own positions, so a forest equals one trained on
+    x_rows[subset] alone. The growth runs at the call; each forest's table
+    is built when the caller reaches it. params must be resolved.
+    """
+
+    def roots():
+        for subset in subsets:
+            for t in range(params.n_trees):
+                rng = np.random.default_rng(params.rng_seed ^ t)
+                yield rng, subset[grow.bootstrap(rng, len(subset), params.bootstrap_fraction)]
+
+    forests = grow.grow_trees(x_rows, y, params, roots(), params.n_trees)
+    return (NodeTable(**fields) for fields in forests)
 
 
 def train(
@@ -310,7 +321,11 @@ def train(
     x_rows, y = _training_rows(x_rows, y, schema.width)
     if ids is None:
         ids = [str(i) for i in range(len(x_rows))]
-    return _forest(x_rows, y, schema, params, _fingerprint(ids, x_rows, y))
+    params = params.resolved(schema.width)
+    (nodes,) = _grow_forests(x_rows, y, params, [np.arange(len(x_rows), dtype=np.int32)])
+    return RandomForestModel(
+        schema=schema, params=params, nodes=nodes, training_fingerprint=_fingerprint(ids, x_rows, y)
+    )
 
 
 # ------------------------------------------------------------------ prediction
@@ -394,6 +409,8 @@ def cross_validate(
         raise ValueError("k must be at least 2")
     if k > n:
         raise ValueError("more folds than rows")
+    x_rows, y = _training_rows(x_rows, y, schema.width)
+    params = params.resolved(schema.width)
 
     fold_of = np.zeros(n, dtype=np.int64)
     for cls in (EASY, HARD):
@@ -401,17 +418,20 @@ def cross_validate(
         members.sort(key=lambda i: str(ids[i]))
         for j, i in enumerate(members):
             fold_of[i] = j % k
-
-    folds = []
     for f in range(k):
         test = fold_of == f
         if not test.any() or test.all():
             raise ValueError(f"fold {f} would leave an empty split; lower k")
+
+    # The forests of all folds grow together, each on its fold's training rows.
+    trained = [np.flatnonzero(fold_of != f).astype(np.int32) for f in range(k)]
+    folds = []
+    for f, nodes in enumerate(_grow_forests(x_rows, y, params, trained)):
         # a fold model is evaluated and dropped, so it carries no fingerprint
-        fold_x, fold_y = _training_rows(x_rows[~test], y[~test], schema.width)
-        model = _forest(fold_x, fold_y, schema, params, fingerprint="")
-        metrics = evaluate(model, x_rows[test], y[test])
-        folds.append(metrics)
+        model = RandomForestModel(schema=schema, params=params, nodes=nodes)
+        test = fold_of == f
+        folds.append(evaluate(model, x_rows[test], y[test]))
+        del model, nodes  # before the next fold's table is built
     return {
         "k": k,
         "folds": folds,

@@ -18,11 +18,11 @@ import shlex
 import subprocess
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
-from opttriage.manifest import ManifestRow, TimingRecord, checked_seconds
+from opttriage.manifest import LabelerConfig, ManifestRow, TimingRecord, checked_seconds
 
 if TYPE_CHECKING:
     from opttriage.minic import FunctionUnit
@@ -53,69 +53,6 @@ class RunError(Exception):
     def __init__(self, message: str, variant: str = "basic"):
         super().__init__(message)
         self.variant = variant
-
-
-@dataclass(frozen=True)
-class LabelerConfig:
-    delta: float = 0.8
-    compiler_cmd: str = "cc -ffp-contract=off {flags} -o {output} {source}"
-    flags_basic: tuple[str, ...] = ("-O1",)
-    flags_aggr: tuple[str, ...] = ("-O3",)
-    repetitions: int = 7
-    timeout_s: float = 60.0  # per compile, and per launch: one kernel's calibration and batches, both variants
-    min_runtime_s: float = 0.2
-    array_extent: int = 512
-    rng_seed: int = 20260814
-    workdir: Optional[str] = None  # None: a throwaway temp dir per run
-
-    def __post_init__(self):
-        for key in ("repetitions", "array_extent", "rng_seed"):
-            if type(getattr(self, key)) is not int:
-                raise ValueError(f"{key} must be an integer, not {getattr(self, key)!r}")
-        for key in ("delta", "timeout_s", "min_runtime_s"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{key} must be a number, not {value!r}")
-        if not isinstance(self.compiler_cmd, str):
-            raise ValueError(f"compiler_cmd must be a string, not {self.compiler_cmd!r}")
-        if self.workdir is not None and not isinstance(self.workdir, str):
-            raise ValueError(f"workdir must be a string or null, not {self.workdir!r}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
-        if self.repetitions < 1 or self.repetitions % 2 == 0:
-            raise ValueError("repetitions must be a positive odd count")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.min_runtime_s < 0:
-            raise ValueError("min_runtime_s must be non-negative")
-        if self.array_extent < 1:
-            raise ValueError("array_extent must be positive")
-        if "{source}" not in self.compiler_cmd or "{output}" not in self.compiler_cmd:
-            raise ValueError("compiler_cmd must mention {source} and {output}")
-        for key in ("flags_basic", "flags_aggr"):
-            flags = getattr(self, key)
-            if not isinstance(flags, tuple) or not all(isinstance(f, str) for f in flags):
-                raise ValueError(f"{key} must be a tuple of strings, not {flags!r}")
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["flags_basic"] = list(self.flags_basic)
-        doc["flags_aggr"] = list(self.flags_aggr)
-        return doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "LabelerConfig":
-        known = {f for f in LabelerConfig.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown labeler config keys: {sorted(unknown)}")
-        clean = dict(doc)
-        for key in ("flags_basic", "flags_aggr"):
-            if key in clean:
-                if not isinstance(clean[key], (list, tuple)):  # a bare string is not a flag list
-                    raise ValueError(f"{key} must be a list of strings, not {clean[key]!r}")
-                clean[key] = tuple(clean[key])
-        return LabelerConfig(**clean)
 
 
 def label_from_ratio(t_basic: float, t_aggr: float, delta: float) -> str:

@@ -3,8 +3,10 @@
 A manifest is one header record followed by one record per function, each
 on its own line of compact, key-sorted JSON. That keeps files diffable
 line-by-line and makes equality checks byte-exact: the same records
-always serialize to the same bytes. The row and its timing record are
-defined here only; the labeler builds rows, it does not define them.
+always serialize to the same bytes. The row, its timing record and
+the labeler configuration a manifest records are defined here only; the
+labeler builds rows, it does not define them, and `classify` reads a
+configuration's flags without loading the labeler.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -30,6 +32,69 @@ class ManifestFormatError(ValueError):
 def canonical_json(obj) -> str:
     """Compact, key-sorted JSON; floats keep their shortest exact repr."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@dataclass(frozen=True)
+class LabelerConfig:
+    delta: float = 0.8
+    compiler_cmd: str = "cc -ffp-contract=off {flags} -o {output} {source}"
+    flags_basic: tuple[str, ...] = ("-O1",)
+    flags_aggr: tuple[str, ...] = ("-O3",)
+    repetitions: int = 7
+    timeout_s: float = 60.0  # per compile, and per launch: one kernel's calibration and batches, both variants
+    min_runtime_s: float = 0.2
+    array_extent: int = 512
+    rng_seed: int = 20260814
+    workdir: Optional[str] = None  # None: a throwaway temp dir per run
+
+    def __post_init__(self):
+        for key in ("repetitions", "array_extent", "rng_seed"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be an integer, not {getattr(self, key)!r}")
+        for key in ("delta", "timeout_s", "min_runtime_s"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{key} must be a number, not {value!r}")
+        if not isinstance(self.compiler_cmd, str):
+            raise ValueError(f"compiler_cmd must be a string, not {self.compiler_cmd!r}")
+        if self.workdir is not None and not isinstance(self.workdir, str):
+            raise ValueError(f"workdir must be a string or null, not {self.workdir!r}")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must be in (0, 1]")
+        if self.repetitions < 1 or self.repetitions % 2 == 0:
+            raise ValueError("repetitions must be a positive odd count")
+        if self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive")
+        if self.min_runtime_s < 0:
+            raise ValueError("min_runtime_s must be non-negative")
+        if self.array_extent < 1:
+            raise ValueError("array_extent must be positive")
+        if "{source}" not in self.compiler_cmd or "{output}" not in self.compiler_cmd:
+            raise ValueError("compiler_cmd must mention {source} and {output}")
+        for key in ("flags_basic", "flags_aggr"):
+            flags = getattr(self, key)
+            if not isinstance(flags, tuple) or not all(isinstance(f, str) for f in flags):
+                raise ValueError(f"{key} must be a tuple of strings, not {flags!r}")
+
+    def to_dict(self) -> dict:
+        doc = asdict(self)
+        doc["flags_basic"] = list(self.flags_basic)
+        doc["flags_aggr"] = list(self.flags_aggr)
+        return doc
+
+    @staticmethod
+    def from_dict(doc: dict) -> "LabelerConfig":
+        known = {f for f in LabelerConfig.__dataclass_fields__}
+        unknown = set(doc) - known
+        if unknown:
+            raise ValueError(f"unknown labeler config keys: {sorted(unknown)}")
+        clean = dict(doc)
+        for key in ("flags_basic", "flags_aggr"):
+            if key in clean:
+                if not isinstance(clean[key], (list, tuple)):  # a bare string is not a flag list
+                    raise ValueError(f"{key} must be a list of strings, not {clean[key]!r}")
+                clean[key] = tuple(clean[key])
+        return LabelerConfig(**clean)
 
 
 def config_digest(doc: dict) -> str:

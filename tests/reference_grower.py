@@ -116,7 +116,8 @@ def grow_one_tree(x_rows, y, params, rng) -> tuple[NodeTable, np.ndarray]:
     """One tree through the forest's grower, on a bootstrap sample drawn first
     from rng; returns the tree and the sample. params must be resolved."""
     sample = grow.bootstrap(rng, len(x_rows), params.bootstrap_fraction)
-    return NodeTable(**grow.grow_trees(x_rows, y, params, [(rng, sample)])), sample
+    (fields,) = grow.grow_trees(x_rows, y, params, [(rng, sample)], forest_size=1)
+    return NodeTable(**fields), sample
 
 
 def assert_same_trees(got, want) -> None:

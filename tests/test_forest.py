@@ -515,6 +515,63 @@ def test_cross_validate_validates():
         cross_validate(x, y, ids[:-1] + [ids[0]], FeatureSchema(1), k=2)
 
 
+def test_cross_validate_names_the_row_of_a_non_finite_value():
+    x, y = _separable(n=20)
+    x[7, 0] = np.nan
+    ids = [f"f{i:02d}" for i in range(20)]
+    # the row's index in the table, as train gives it, not within a fold
+    for fit in (lambda: train(x, y, FeatureSchema(1), ForestParams(n_trees=3)),
+                lambda: cross_validate(x, y, ids, FeatureSchema(1), ForestParams(n_trees=3), k=4)):
+        with pytest.raises(ValueError, match=r"^row 7 has a non-finite feature value$"):
+            fit()
+
+
+def _seeded_table(n=157):
+    rng = np.random.default_rng(2024)
+    x = rng.integers(0, 7, size=(n, 16)).astype(np.float64)
+    y = (x[:, 0] + x[:, 3] + rng.integers(0, 4, size=n) >= 9).astype(np.int8)
+    return x, y, [f"fn{i:03d}" for i in range(n)]
+
+
+# An odd bootstrap fraction leaves half a generator output over for the first
+# candidate draw of some trees.
+_CV_PARAMS = ForestParams(n_trees=6, max_tree_depth=6, rng_seed=11, bootstrap_fraction=0.9)
+
+
+def test_cross_validate_report_is_pinned():
+    # the reports of the former grower, one growth per fold
+    x, y, ids = _seeded_table()
+    pinned = {
+        3: (0.6881954523463958, [[[25, 10], [9, 9]], [[20, 14], [4, 14]], [[26, 8], [4, 14]]]),
+        5: (0.7325672043010752, [[[16, 5], [4, 7]], [[19, 2], [4, 7]], [[14, 7], [3, 8]],
+                                 [[15, 5], [5, 6]], [[15, 5], [2, 8]]]),
+    }
+    for k, (mean_accuracy, confusions) in pinned.items():
+        report = cross_validate(x, y, ids, FeatureSchema(3), _CV_PARAMS, k=k)
+        assert report["mean_accuracy"] == mean_accuracy
+        assert [fold["confusion"] for fold in report["folds"]] == confusions
+
+
+def test_cross_validate_fold_forests_equal_reference_on_their_rows(monkeypatch):
+    from opttriage.forest import model as model_module
+
+    x, y, ids = _seeded_table()  # 157 rows: folds of unequal size for k=3 and k=5
+    evaluate_fold = model_module.evaluate
+    for k in (3, 5):
+        seen = []
+        monkeypatch.setattr(model_module, "evaluate",
+                            lambda m, xs, ys: seen.append(m) or evaluate_fold(m, xs, ys))
+        cross_validate(x, y, ids, FeatureSchema(3), _CV_PARAMS, k=k)
+        fold_of = np.zeros(len(y), dtype=np.int64)
+        for cls in (EASY, HARD):
+            members = sorted(np.flatnonzero(y == cls).tolist(), key=lambda i: ids[i])
+            fold_of[members] = np.arange(len(members)) % k
+        assert len(seen) == k
+        for f, fold_model in enumerate(seen):
+            rows = fold_of != f
+            assert_same_trees(fold_model.trees, reference_forest(x[rows], y[rows], fold_model.params))
+
+
 # -------------------------------------------------------------- serialization
 
 

@@ -45,8 +45,9 @@ def _loaded_modules(cwd, *argv):
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     (tmp_path / "timer.json").write_text('{"default": [1.0, 0.5]}')
+    (tmp_path / "labeler.json").write_text('{"flags_aggr": ["-O2"]}')
     front_end = {"opttriage.minic.analyze", "opttriage.synthgen"}
-    labeler = "opttriage.labeler"  # only label and classify time or configure anything
+    labeler = "opttriage.labeler"  # only label times anything
     assert _loaded_modules(tmp_path).isdisjoint(
         {"numpy", "opttriage.forest", "opttriage.minic.interp", labeler, *front_end}
     )
@@ -61,3 +62,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                   "--out", "report.json"],
                  ["export", "--model", "model.json", "--out", "decide.c"]):
         assert _loaded_modules(tmp_path, *argv).isdisjoint({labeler, *front_end})
+    # classify reads a labeler config's flags without loading the labeler
+    assert labeler not in _loaded_modules(tmp_path, "classify", "--model", "model.json",
+                                          "--config", "labeler.json", "corpus/manifest.jsonl",
+                                          "--out", "classified.json")
+    report = json.loads((tmp_path / "classified.json").read_text())
+    assert {"-O2"} <= {flag for fn in report["functions"] for flag in fn["recommended_flags"]}
