@@ -1,28 +1,32 @@
-"""Forest growth: all trees grow together, one batched split scan per step.
+"""Forest growth: all trees grow together, each step a fixed number of array ops.
 
-Each tree keeps its own generator and its own preorder stack of row-index
-arrays. A step takes the next node that may split from every tree with
-work left, draws the candidate features of all of them at once
-(`draws.candidates`), scores them in one `kernels.split_scan` call and
-pushes the children of each split. A tree visits its nodes in preorder and
-draws from its own generator in that order, so it comes out as if grown
-alone.
+Each tree keeps its own generator and its own preorder stack, one row of a
+dense (trees, max_tree_depth + 1) table; a preorder stack never holds more.
+A step pops, for every tree it takes, the run of leaves on top of its stack
+(the pure and depth-capped nodes) and the next node that may split; draws
+the candidate features of all of them at once (`draws.candidates`); scores
+them in one `kernels.split_scan` call; and pushes the children of each
+split. A tree visits its nodes in preorder and draws from its own
+generator in that order, so it comes out as if grown alone.
+
+Each tree's bootstrap rows fill one segment of an int32 pool for the
+whole growth, and a node's rows are a slice of it: a split partitions its
+node's slice in place, stably, its left rows first, so its children are
+the two halves, as in depth-first builders (Pedregosa et al., "Scikit-learn:
+Machine Learning in Python", JMLR 12, 2011). Popped nodes go to an
+append-only log. Once the growth is done it is sorted by tree, each node
+numbered by its place in its tree's preorder, and joined per forest.
 
 The trees of one growth may come from several forests: cross-validation
 grows the forests of all its folds in one growth, over one ranking of the
 whole table, each tree on a bootstrap of its own fold's rows. At seed 901
 (2000 rows, 25 trees, 5 folds) that takes the folds' split scans from
-1,291 in five growths to 306 in one. To keep the memory of 125 concurrent
-trees near that of 25, a tree starts (and draws its bootstrap) only when a
-step first reaches it, row indices are int32, node fields grow in typed
-arrays, and each forest's table is joined only when the caller reaches it.
+1,291 in five growths to 306 in one.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -36,49 +40,12 @@ if TYPE_CHECKING:
 # makes 747 scans at 2048 rows a step and 306 at 8192.
 _STEP_ROWS = 8192
 
-# Each node field's typed-array code while it grows (a numpy type code too),
-# and the dtype a grown forest returns it in.
-_FIELDS = {
-    "feature": ("i", np.int32),
-    "threshold": ("d", np.float64),
-    "right": ("i", np.int32),
-    "count_easy": ("i", np.int64),  # at most the rows of one sample
-    "count_hard": ("i", np.int64),
-}
-
-
-class _Growing:
-    """One tree being grown: its generator's words, its nodes so far in preorder,
-    and a stack of the nodes still to visit, each as (rows, depth, n_easy,
-    n_hard, parent), where parent is the node whose right child it is, or -1."""
-
-    __slots__ = ("words", "stack", *_FIELDS)
-
-    def __init__(self, rng: np.random.Generator, sample: np.ndarray, n_hard: int):
-        self.words = draws.WordStream(rng)
-        self.stack = [(sample, 0, len(sample) - n_hard, n_hard, -1)]
-        for key, (code, _) in _FIELDS.items():
-            setattr(self, key, array(code))
-
-    def next_drawing_node(self, max_depth: int) -> Optional[tuple[int, np.ndarray, int]]:
-        """Visit nodes in preorder up to the next one that may split: (node, rows, depth).
-
-        The pure and depth-capped nodes on the way become leaves; None when
-        the tree is done.
-        """
-        while self.stack:
-            rows, depth, n_easy, n_hard, parent = self.stack.pop()
-            node = len(self.feature)
-            if parent >= 0:
-                self.right[parent] = node
-            self.feature.append(-1)
-            self.threshold.append(0.0)
-            self.right.append(-1)
-            self.count_easy.append(n_easy)
-            self.count_hard.append(n_hard)
-            if n_easy and n_hard and depth < max_depth:
-                return node, rows, depth
-        return None
+# A stack entry: its rows pool[lo : lo+n], its depth, its hard rows, and the
+# log index of the node whose right child it is, or -1.
+_LO, _DEPTH, _N, _HARD, _PARENT = range(5)
+# The rows of the growth's int32 node log: a node's tree, its rows, its hard
+# rows, its parent as in the stack, and its feature (-1 at leaves).
+_TREE, _FEATURE = 0, 4
 
 
 def bootstrap(rng: np.random.Generator, n_rows: int, fraction: float) -> np.ndarray:
@@ -103,75 +70,101 @@ def grow_trees(
     next step. Each tree keeps its own preorder and its own draws, so the
     order in which trees advance changes none.
     """
-    width = x_rows.shape[1]
-    k = params.features_per_split
-    ranked = kernels.rank_rows(x_rows, y)
-    trees: list[_Growing] = []
-    started = _started(roots, y, trees)
-    waiting: list[_Growing] = []
-    while True:
-        n_started = len(trees)
-        taken, step_rows = [], 0
-        for tree in chain(waiting, started):
-            if step_rows >= _STEP_ROWS:
-                break
-            found = tree.next_drawing_node(params.max_tree_depth)
-            if found is not None:
-                taken.append((tree, *found))
-                step_rows += len(found[1])
-        if taken:
-            cands = draws.candidates([tree.words for tree, *_ in taken], width, k)
-            _split_taken(x_rows, ranked, y, params.min_samples_leaf, taken, cands)
-        waiting = [tree for tree in chain(waiting, trees[n_started:]) if tree.stack]
-        if not waiting:
-            break
-    return (_joined(trees[i : i + forest_size]) for i in range(0, len(trees), forest_size))
+    rngs, samples = zip(*roots)
+    cap, width, k = params.max_tree_depth, x_rows.shape[1], params.features_per_split
+    sizes, hard = np.array([(len(sample), np.count_nonzero(y[sample])) for sample in samples]).T
+    pool = np.concatenate(samples, dtype=np.int32)
+    del samples
+    n_trees, starts = len(rngs), np.cumsum(sizes) - sizes
+    stack = np.zeros((5, n_trees, cap + 1), dtype=np.int64)
+    stack[:, :, 0] = np.broadcast_arrays(starts, 0, sizes, hard, -1)
+    top = np.ones(n_trees, dtype=np.int64)
+    log, logged = [], 0  # per step, its popped nodes: (int32[5, m], their thresholds)
+    words = draws.WordBuffer(rngs, 2 * k)
+    ranked, x_flat = kernels.rank_rows(x_rows, y), x_rows.ravel()
+    slots, every = np.arange(cap + 1), np.arange(n_trees)
+    while top.any():
+        # Per tree, the slot of its topmost node that may split (else 0), and its rows.
+        n, hard = stack[_N], stack[_HARD]
+        live = (hard > 0) & (hard < n) & (stack[_DEPTH] < cap) & (slots < top[:, None])
+        has = live.any(axis=1)
+        base = np.where(has, cap - live[:, ::-1].argmax(axis=1), 0)
+        rows_at = n[every, base] * has
+        trees = np.flatnonzero((top > 0) & (np.cumsum(rows_at) - rows_at < _STEP_ROWS))
 
-
-def _joined(trees: list[_Growing]) -> dict[str, np.ndarray]:
-    """The `NodeTable` fields of grown trees, tree after tree; frees each tree's buffers."""
-    fields = {"sizes": np.array([len(tree.feature) for tree in trees], dtype=np.int64)}
-    for key, (code, dtype) in _FIELDS.items():
-        parts = [np.frombuffer(getattr(tree, key), dtype=code) for tree in trees]
-        fields[key] = np.concatenate(parts, dtype=dtype)
-        del parts
-        for tree in trees:
-            delattr(tree, key)
-    return fields
-
-
-def _started(roots, y, trees: list[_Growing]) -> Iterator[_Growing]:
-    """Start each root's tree when a step first reaches it, appending it to trees."""
-    for rng, sample in roots:
-        tree = _Growing(rng, sample.astype(np.int32, copy=False), int(np.count_nonzero(y[sample])))
-        trees.append(tree)
-        yield tree
-
-
-def _split_taken(x_rows, ranked, y, min_leaf: int, taken, cands) -> None:
-    """Score a step's taken nodes in one kernel call; record each split and push its children."""
-    sizes = np.array([len(rows) for _, _, rows, _ in taken])
-    rows = np.concatenate([rows for _, _, rows, _ in taken])
-    feature, threshold, _ = kernels.split_scan(ranked, rows, sizes, cands, min_leaf)
-    # The side of each row under its node's split; rows of unsplit nodes
-    # read feature -1, the last column, and are never used.
-    node_of = np.repeat(np.arange(len(taken)), sizes)
-    goes_left = x_rows[rows, feature[node_of]] <= threshold[node_of]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    left = np.zeros((2, len(rows) + 1), dtype=np.int64)  # running left rows, left hard rows
-    np.cumsum(goes_left, out=left[0, 1:])
-    np.cumsum(goes_left & (y[rows] != 0), out=left[1, 1:])
-    n_left, h_left = left[:, ends] - left[:, starts]
-    for (tree, node, node_rows, depth), f, thr, start, end, nl, hl in zip(
-        taken, feature.tolist(), threshold.tolist(), starts.tolist(), ends.tolist(),
-        n_left.tolist(), h_left.tolist(),
-    ):
-        if f < 0:
+        # Log each taken tree's slots top-1 .. base, popped in that order.
+        count = top[trees] - base[trees]
+        ends = np.cumsum(count)
+        slot = np.repeat(top[trees] - 1 + ends - count, count) - np.arange(ends[-1])
+        popped = stack[:, np.repeat(trees, count), slot]
+        nodes, thresholds = np.empty((5, len(slot)), dtype=np.int32), np.zeros(len(slot))
+        nodes[_TREE] = np.repeat(trees, count)
+        nodes[1:_FEATURE] = popped[_N:]
+        nodes[_FEATURE] = -1
+        log.append((nodes, thresholds))
+        top[trees] = base[trees]
+        drawing = has[trees]
+        trees, last = trees[drawing], ends[drawing] - 1
+        taken, at = popped[:, last], logged + last
+        logged += len(slot)
+        if not len(trees):
             continue
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        side = goes_left[start:end]
-        n_easy, n_hard = tree.count_easy[node], tree.count_hard[node]
-        tree.stack.append((node_rows[~side], depth + 1, n_easy - nl + hl, n_hard - hl, node))
-        tree.stack.append((node_rows[side], depth + 1, nl - hl, hl, -1))
+
+        cands = draws.candidates(words, trees, width, k)
+        lo, n = taken[_LO], taken[_N]
+        starts = np.cumsum(n) - n
+        in_pool = np.arange(starts[-1] + n[-1]) + np.repeat(lo - starts, n)
+        rows = pool[in_pool]
+        feature, threshold, _ = kernels.split_scan(ranked, rows, n, cands, params.min_samples_leaf)
+        nodes[_FEATURE, last] = feature
+        thresholds[last] = threshold
+
+        # The side of each row under its node's split; rows of unsplit nodes
+        # read feature -1, a value of no use, and are never used again.
+        key_type = np.int16 if len(trees) < 2**14 else np.int64  # int16 sorts by radix
+        node_of = np.repeat(np.arange(len(trees), dtype=key_type), n)
+        at_x = np.multiply(rows, width, dtype=np.int64) + feature[node_of]
+        goes_left = x_flat[at_x] <= threshold[node_of]
+        # A stable partition of each node's slice: its left rows, then its right rows.
+        pool[in_pool] = rows[np.argsort(2 * node_of + ~goes_left, kind="stable")]
+        n_left = np.add.reduceat(goes_left, starts, dtype=np.int64)
+        h_left = np.add.reduceat(goes_left & y[rows], starts, dtype=np.int64)
+
+        # Push each split node's right child, then its left child, in its slot.
+        taken[_DEPTH] += 1
+        right = taken.copy()
+        right[_LO], right[_N], right[_HARD], right[_PARENT] = (
+            lo + n_left, n - n_left, taken[_HARD] - h_left, at
+        )
+        taken[_N], taken[_HARD], taken[_PARENT] = n_left, h_left, -1
+        split = feature >= 0
+        trees, slot = trees[split], base[trees[split]]
+        stack[:, trees, slot] = right[:, split]
+        stack[:, trees, slot + 1] = taken[:, split]
+        top[trees] = slot + 2
+    return _forests(log, n_trees, forest_size)
+
+
+def _forests(log: list, n_trees: int, forest_size: int) -> Iterator[dict[str, np.ndarray]]:
+    """The `NodeTable` fields of each forest in the log, tree after tree, each in preorder."""
+    thresholds = np.concatenate([block for _, block in log])
+    tree, n, hard, parent, feature = np.concatenate([nodes for nodes, _ in log], axis=1)
+    del log[:]  # the steps' blocks, before the forests' tables are built
+    order = np.argsort(tree, kind="stable")  # a tree's nodes are logged in preorder
+    sizes = np.bincount(tree, minlength=n_trees)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    local = np.empty(len(tree), dtype=np.int32)  # each node's index within its tree
+    local[order] = np.arange(len(tree), dtype=np.int32) - np.repeat(bounds[:-1], sizes)
+    right = np.full(len(tree), -1, dtype=np.int32)
+    is_right = parent >= 0
+    right[parent[is_right]] = local[is_right]
+    for a in range(0, n_trees, forest_size):
+        picked = order[bounds[a] : bounds[a + forest_size]]
+        yield {
+            "sizes": sizes[a : a + forest_size].astype(np.int64),
+            "feature": feature[picked],
+            "threshold": thresholds[picked],
+            "right": right[picked],
+            "count_easy": (n[picked] - hard[picked]).astype(np.int64),
+            "count_hard": hard[picked].astype(np.int64),
+        }

@@ -51,6 +51,13 @@ class ForestParams:
     rng_seed: int = 0
 
     def validate(self, width: Optional[int] = None) -> None:
+        # exact types, as a model file stores them: a bool is no int
+        for key, value in vars(self).items():
+            if key != "bootstrap_fraction" and type(value) is not int:
+                if not (key == "features_per_split" and value is None):
+                    raise ValueError(f"{key} must be an integer, not {value!r}")
+        if type(self.bootstrap_fraction) not in (int, float):
+            raise ValueError(f"bootstrap_fraction must be a number, not {self.bootstrap_fraction!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
         if self.max_tree_depth < 1:
@@ -321,6 +328,8 @@ def train(
     x_rows, y = _training_rows(x_rows, y, schema.width)
     if ids is None:
         ids = [str(i) for i in range(len(x_rows))]
+    elif len(ids) != len(x_rows):
+        raise ValueError("need one id per row")
     params = params.resolved(schema.width)
     (nodes,) = _grow_forests(x_rows, y, params, [np.arange(len(x_rows), dtype=np.int32)])
     return RandomForestModel(

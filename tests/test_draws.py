@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from opttriage.forest.draws import WordStream, candidates
+from opttriage.forest import draws
+from opttriage.forest.draws import WordBuffer, candidates
 
 
 def _twins(seed: int, bootstrap: int):
@@ -18,9 +19,9 @@ def test_candidates_equal_choice_set_for_set():
     for width in range(1, 25):
         for k in range(1, width + 1):
             twins = [_twins(seed, bootstrap=7 + seed) for seed in range(4)]
-            streams = [WordStream(ours) for ours, _ in twins]
+            words = WordBuffer([ours for ours, _ in twins], 2 * k)
             for _ in range(12):
-                got = candidates(streams, width, k)
+                got = candidates(words, np.arange(len(twins)), width, k)
                 want = [sorted(theirs.choice(width, size=k, replace=False)) for _, theirs in twins]
                 assert got.tolist() == want, (width, k)
 
@@ -42,23 +43,58 @@ def test_a_rejected_word_is_drawn_again():
     # below 2**32 % 13 == 9, so choice(16, 4)'s first draw, in [0, 12],
     # rejects it and reads the next word.
     index = 143352593
-    word = int(WordStream(_at_word(index)).take(1)[0])
+    word = int(WordBuffer([_at_word(index)], 1).take(np.array([0]), 1)[0, 0])
     assert (word * 13) & 0xFFFFFFFF < 9
     ours = [np.random.default_rng(1), _at_word(index), np.random.default_rng(2)]
     theirs = [np.random.default_rng(1), _at_word(index), np.random.default_rng(2)]
-    streams = [WordStream(rng) for rng in ours]
+    words = WordBuffer(ours, 8)
     for _ in range(3):  # the draws after the rejected word stay in step too
-        got = candidates(streams, 16, 4)
+        got = candidates(words, np.arange(3), 16, 4)
         assert got.tolist() == [sorted(rng.choice(16, size=4, replace=False)) for rng in theirs]
 
 
 def test_a_population_above_ten_thousand_uses_choice_itself():
     # numpy draws these by a partial shuffle, not by Floyd's algorithm
     ours, theirs = _twins(3, bootstrap=5)
-    got = candidates([WordStream(ours)], 10_001, 300)
-    assert got.tolist() == [sorted(theirs.choice(10_001, size=300, replace=False))]
+    words = WordBuffer([ours], 600)
+    for width, k in ((10_001, 300), (10_001, 200), (20_000, 5)):  # a shuffle, then Floyd's
+        got = candidates(words, np.array([0]), width, k)
+        assert got.tolist() == [sorted(theirs.choice(width, size=k, replace=False))]
 
 
 def test_only_the_default_generator_is_accepted():
     with pytest.raises(TypeError):
-        WordStream(np.random.Generator(np.random.MT19937(1)))
+        WordBuffer([np.random.Generator(np.random.MT19937(1))], 2)
+
+
+def test_gathered_words_match_choice_across_rejections_and_refills(monkeypatch):
+    # Tree 1 meets the rejected word of the test above in its third draw,
+    # inside a gathered block; 150 draws of 7 words refill every row of the
+    # buffer twice. Every set, and the word after the last draw, match.
+    index = 143352593 - 14
+    ours = [np.random.default_rng(5), _at_word(index), _twins(6, bootstrap=3)[0]]
+    theirs = [np.random.default_rng(5), _at_word(index), _twins(6, bootstrap=3)[1]]
+    redone = []
+    word_by_word = draws._choice_word_by_word
+    monkeypatch.setattr(
+        draws, "_choice_word_by_word",
+        lambda words, tree, *a: redone.append(int(tree[0])) or word_by_word(words, tree, *a),
+    )
+    words = WordBuffer(ours, 8)
+    for draw in range(150):
+        got = candidates(words, np.arange(3), 16, 4)
+        assert got.tolist() == [sorted(rng.choice(16, size=4, replace=False)) for rng in theirs]
+        assert redone == ([1] if draw >= 2 else [])
+    next_word = words.take(np.arange(3), 1)[:, 0].tolist()
+    assert next_word == [int(rng.integers(0, 2**32, dtype=np.uint32)) for rng in theirs]
+
+
+def test_only_the_drawing_trees_read_words():
+    ours, theirs = _twins(8, bootstrap=1)
+    words = WordBuffer([np.random.default_rng(9), ours], 8)
+    for _ in range(3):
+        got = candidates(words, np.array([1]), 16, 4)
+        assert got.tolist() == [sorted(theirs.choice(16, size=4, replace=False))]
+    assert candidates(words, np.array([0]), 16, 4).tolist() == [
+        sorted(np.random.default_rng(9).choice(16, size=4, replace=False))
+    ]

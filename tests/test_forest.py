@@ -313,6 +313,28 @@ def test_forest_params_validation():
         ForestParams(features_per_split=0).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_trees", 2.0), ("max_tree_depth", 4.5), ("min_samples_leaf", True), ("rng_seed", "3"),
+    ("features_per_split", 2.0), ("features_per_split", False), ("bootstrap_fraction", True),
+    ("bootstrap_fraction", "0.5"),
+])
+def test_forest_params_of_the_wrong_type_are_rejected(field, value):
+    # a model trained with them would dump, and then not load
+    x, y = _separable()
+    with pytest.raises(ValueError, match=field):
+        train(x, y, FeatureSchema(1), ForestParams(**{field: value}))
+
+
+def test_forest_params_take_an_int_bootstrap_fraction_and_no_features_per_split():
+    ForestParams(bootstrap_fraction=1, features_per_split=None).validate(12)
+
+
+def test_train_rejects_ids_of_another_length():
+    x, y = _separable()
+    with pytest.raises(ValueError, match="one id per row"):
+        train(x, y, FeatureSchema(1), ForestParams(n_trees=2), ids=["a", "b"])
+
+
 def test_features_per_split_default_is_sqrt_width():
     assert ForestParams().resolved(16).features_per_split == 4
     assert ForestParams().resolved(12).features_per_split == 4  # ceil(sqrt(12))

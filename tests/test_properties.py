@@ -3,6 +3,7 @@
 import copy
 import functools
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from opttriage.forest import (
     predict_batch,
     train,
 )
+from opttriage.forest import grow
+from opttriage.forest.model import _grow_forests
 from opttriage.labeler import label_from_ratio
 from opttriage.manifest import ManifestRow, TimingRecord
 
@@ -135,6 +138,56 @@ def test_forest_equals_reference_tree_for_tree(
     )
     model = train(x, y, FeatureSchema(1), params)
     assert_same_trees(model.trees, reference_forest(x, y, model.params))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    width=st.integers(1, 20),
+    kind=st.sampled_from(["ties", "floats"]),
+    copied=st.integers(0, 3),
+    constant=st.booleans(),
+    one_class=st.booleans(),
+    n_trees=st.integers(1, 3),
+    max_tree_depth=st.integers(1, 12),
+    min_samples_leaf=st.integers(1, 300),
+    whole_width=st.booleans(),
+    bootstrap_fraction=st.sampled_from([1.0, 0.7, 0.3]),
+    n_folds=st.integers(1, 3),
+    step_rows=st.sampled_from([1, 16, 200, 8192]),
+    seed=st.integers(0, 2**16),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_growth_equals_reference_tree_for_tree(
+    n, width, kind, copied, constant, one_class, n_trees, max_tree_depth, min_samples_leaf,
+    whole_width, bootstrap_fraction, n_folds, step_rows, seed, rnd,
+):
+    x, y = _table(rnd, n, width, kind)
+    for _ in range(copied):  # a duplicate column ties every cut of its original
+        x[:, rnd.randrange(width)] = x[:, rnd.randrange(width)]
+    if constant:
+        x[:, rnd.randrange(width)] = 0.5
+    if one_class:
+        y[:] = rnd.randint(0, 1)
+    params = ForestParams(
+        n_trees=n_trees,
+        max_tree_depth=max_tree_depth,
+        min_samples_leaf=min(min_samples_leaf, n),
+        features_per_split=width if whole_width else None,
+        bootstrap_fraction=bootstrap_fraction,
+        rng_seed=seed,
+    ).resolved(width)
+    # the folds' training rows, as cross-validation grows them in one growth
+    folds = min(n_folds, n)
+    fold_of = np.arange(n) % folds
+    subsets = [np.flatnonzero(fold_of != f) for f in range(folds)] if folds > 1 else [np.arange(n)]
+    subsets = [rows.astype(np.int32) for rows in subsets]
+    # a small step leaves trees waiting for later steps, some with their roots
+    with mock.patch.object(grow, "_STEP_ROWS", step_rows):
+        forests = list(_grow_forests(x, y, params, subsets))
+    assert len(forests) == len(subsets)
+    for rows, nodes in zip(subsets, forests):
+        assert_same_trees(nodes.trees, reference_forest(x[rows], y[rows], params))
 
 
 @settings(max_examples=60, deadline=None)
