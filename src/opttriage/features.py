@@ -11,7 +11,7 @@ layout for ``max_depth`` D is::
 
 Shallower nests are padded with zeros. A function with several nests
 contributes the depth-weighted average of its per-nest blocks, so nest
-order never matters.
+order never matters. No schema is wider than ``MAX_WIDTH``, so D <= 4995.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ if TYPE_CHECKING:  # numpy loads with the first array, so a schema alone costs n
 
 _COUNT_NAMES = ("logical_ops", "arith_ops", "branches", "arrays", "scalars")
 
+# Up to this population numpy's choice() draws by Floyd's algorithm for every
+# k, the one rule forest/draws.py reproduces; the parser's nesting limit keeps
+# real schemas far narrower. A model or manifest naming a wider schema is
+# refused here, before any row of its width is built.
+MAX_WIDTH = 10_000
+
 
 class DepthError(ValueError):
     """A loop nest is deeper than the schema; rebuild the schema to fit."""
@@ -38,6 +44,8 @@ class FeatureSchema:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
+        if self.width > MAX_WIDTH:
+            raise ValueError(f"max_depth {self.max_depth} makes the width exceed {MAX_WIDTH}")
 
     @property
     def width(self) -> int:

@@ -1,22 +1,22 @@
 """Candidate features of many nodes at once, word for word numpy's own draws.
 
 A node's candidates are its tree generator's `choice(width, k,
-replace=False)`, sorted. numpy draws them by Floyd's algorithm unless the
-population exceeds 10,000 and k exceeds 1/50 of it: for j = width-k ..
-width-1 an integer in [0, j], kept unless already chosen, else j itself;
-then k-1 more draws shuffle the set, which the sort undoes. Each draw in
-[0, b] (b > 0) takes 32-bit words from the generator until Lemire's rule
-accepts one: the word w gives (w * (b+1)) >> 32 unless the low half of
-that product is below 2^32 mod (b+1), a chance under (b+1) in 2^32
-(Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS 2019).
+replace=False)`, sorted. For a population of at most 10,000, which
+`FeatureSchema` guarantees, numpy draws them by Floyd's algorithm: for
+j = width-k .. width-1 an integer in [0, j], kept unless already chosen,
+else j itself; then k-1 more draws shuffle the set, which the sort undoes.
+Each draw in [0, b] (b > 0) takes 32-bit words from the generator until
+Lemire's rule accepts one: the word w gives (w * (b+1)) >> 32 unless the
+low half of that product is below 2^32 mod (b+1), a chance under (b+1) in
+2^32 (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+2019).
 
 A growth reads the words of all its generators into one `WordBuffer`, a
 row per tree, refilled a block at a time. `candidates` gathers the words of
 every node of a growth step from it in one indexing op and scores them
-together; a node with a rejected word, and every node of numpy's other
-rule (a partial shuffle of the whole population), is redone a word at a
-time. The generators must be numpy's default (PCG64); tests check the
-sets, and through the draws that follow them the words consumed, against
+together; a node with a rejected word is redone a word at a time. The
+generators must be numpy's default (PCG64); tests check the sets, and
+through the draws that follow them the words consumed, against
 `Generator.choice`.
 """
 
@@ -83,16 +83,11 @@ def candidates(words: WordBuffer, trees: np.ndarray, width: int, k: int) -> np.n
         taken = (chosen[:, :c] == value[:, c : c + 1]).any(axis=1)
         chosen[taken, c] = floyd[c]
     redo = (scaled.astype(np.uint32) < limit).any(axis=1)  # a low half rejects its word
-    for r in np.flatnonzero(redo | _shuffles(width, k)).tolist():
+    for r in np.flatnonzero(redo).tolist():
         words.at[trees[r]] -= len(span)
         chosen[r] = _choice_word_by_word(words, trees[r : r + 1], width, k)
     chosen.sort(axis=1)
     return chosen
-
-
-def _shuffles(width: int, k: int) -> bool:
-    """Whether numpy draws choice(width, k, replace=False) by a partial shuffle, not by Floyd's."""
-    return width > 10_000 and k > width // 50
 
 
 @lru_cache(maxsize=8)
@@ -106,12 +101,6 @@ def _floyd_draws(width: int, k: int) -> tuple[np.ndarray, int, np.ndarray, np.nd
 
 
 def _choice_word_by_word(words: WordBuffer, tree: np.ndarray, width: int, k: int) -> list[int]:
-    if _shuffles(width, k):  # swap each of the last k places with one at or below it
-        swapped: dict[int, int] = {}
-        for i in range(width - 1, max(width - k, 1) - 1, -1):
-            j = _bounded(words, tree, i)
-            swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
-        return [swapped.get(i, i) for i in range(width - k, width)]
     chosen: list[int] = []
     for j in range(width - k, width):
         value = _bounded(words, tree, j)

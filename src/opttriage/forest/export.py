@@ -15,19 +15,22 @@ from opttriage.minic import ast, function_text
 ARG_NAME = "f"
 
 
-def _tree_expr(tree: NodeTable, node: int) -> ast.Expr:
-    if tree.feature[node] < 0:
-        return ast.Num(int(tree.label[node]))
-    test = ast.Binary(
-        "<=",
-        ast.Index(ast.Name(ARG_NAME), (ast.Num(int(tree.feature[node])),)),
-        ast.Num(float(tree.threshold[node])),
-    )
-    return ast.Ternary(
-        cond=test,
-        then=_tree_expr(tree, int(tree.left[node])),
-        orelse=_tree_expr(tree, int(tree.right[node])),
-    )
+def _tree_expr(tree: NodeTable) -> ast.Expr:
+    """One tree's vote, its arrays read once as Python lists."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right, label = tree.left.tolist(), tree.right.tolist(), tree.label.tolist()
+
+    def expr(node: int) -> ast.Expr:
+        if feature[node] < 0:
+            return ast.Num(label[node])
+        test = ast.Binary(
+            "<=",
+            ast.Index(ast.Name(ARG_NAME), (ast.Num(feature[node]),)),
+            ast.Num(threshold[node]),
+        )
+        return ast.Ternary(cond=test, then=expr(left[node]), orelse=expr(right[node]))
+
+    return expr(0)
 
 
 def decision_function_ast(
@@ -39,7 +42,7 @@ def decision_function_ast(
         ast.Assign(votes, ast.Num(0)),
     ]
     for tree in model.trees:
-        body.append(ast.Assign(votes, ast.Binary("+", votes, _tree_expr(tree, 0))))
+        body.append(ast.Assign(votes, ast.Binary("+", votes, _tree_expr(tree))))
     tally = ast.Binary(">=", ast.Binary("*", ast.Num(2), votes), ast.Num(model.n_trees))
     body.append(ast.Return(ast.Ternary(tally, ast.Num(1), ast.Num(0))))
     param = ast.ParamDecl(ARG_NAME, "float", (model.schema.width,))

@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from opttriage.features import FeatureSchema
-from opttriage.forest import grow, kernels
+from opttriage.forest import kernels
 
 EASY, HARD = 0, 1
 LABEL_NAMES = ("easy", "hard")
@@ -79,50 +79,6 @@ class ForestParams:
         if self.features_per_split is not None:
             return self
         return replace(self, features_per_split=min(width, ceil(sqrt(width))))
-
-
-def gini(class_counts: Sequence[int]) -> float:
-    """Gini impurity of an (easy, hard) count pair."""
-    e, h = class_counts
-    if e < 0 or h < 0:
-        raise ValueError("class counts must be non-negative")
-    n = e + h
-    if n == 0:
-        raise ValueError("empty node has no impurity")
-    pe = e / n
-    ph = h / n
-    return 1.0 - pe * pe - ph * ph
-
-
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    decrease: float
-
-
-def best_split(
-    x_rows: np.ndarray,
-    y: np.ndarray,
-    candidates: Sequence[int],
-    min_samples_leaf: int,
-) -> Optional[Split]:
-    """Exhaustive best split over the candidate features, or None.
-
-    None means no candidate threshold both respects min_samples_leaf and
-    strictly reduces Gini impurity. Candidates are scored in ascending
-    order, so ties keep the lowest feature index, then the lowest threshold.
-    This is the split search of one node, as a batch of one.
-    """
-    cands = np.array(sorted(map(int, candidates)), dtype=np.int64).reshape(1, -1)
-    rows = np.arange(len(y))
-    ranked = kernels.rank_rows(x_rows, y)
-    feature, threshold, decrease = kernels.split_scan(
-        ranked, rows, [len(y)], cands, min_samples_leaf
-    )
-    if feature[0] < 0:
-        return None
-    return Split(feature=int(feature[0]), threshold=float(threshold[0]), decrease=float(decrease[0]))
 
 
 # The stored per-node arrays of a `NodeTable`, in the fixed little-endian
@@ -306,6 +262,7 @@ def _grow_forests(
     x_rows[subset] alone. The growth runs at the call; each forest's table
     is built when the caller reaches it. params must be resolved.
     """
+    from opttriage.forest import grow  # only training loads the grower and its draws
 
     def roots():
         for subset in subsets:

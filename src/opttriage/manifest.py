@@ -16,6 +16,7 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -133,11 +134,11 @@ class TimingRecord:
         if not math.isfinite(self.ratio):
             raise ValueError("timing ratio is not finite")
 
-    @property
+    @cached_property
     def t_basic(self) -> float:
         return statistics.median(self.samples_basic)
 
-    @property
+    @cached_property
     def t_aggr(self) -> float:
         return statistics.median(self.samples_aggr)
 
@@ -282,13 +283,15 @@ _LINE_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_fini
 
 
 def loads_manifest(text: str) -> CorpusManifest:
-    lines = [line for line in text.splitlines() if line.strip()]
+    # (physical line number, text) of each non-blank line, so errors name the line as read
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ManifestFormatError("empty manifest")
+    at, first = lines[0]
     try:
-        header = _LINE_DECODER.decode(lines[0])
+        header = _LINE_DECODER.decode(first)
     except ValueError as e:
-        raise ManifestFormatError(f"line 1: bad header: {e}") from e
+        raise ManifestFormatError(f"line {at}: bad header: {e}") from e
     if not isinstance(header, dict) or header.get("format") != MANIFEST_FORMAT:
         raise ManifestFormatError("not a corpus manifest")
     if header.get("format_version") != MANIFEST_FORMAT_VERSION:
@@ -299,19 +302,22 @@ def loads_manifest(text: str) -> CorpusManifest:
     schema = None
     if raw_schema is not None:
         depth = raw_schema.get("max_depth") if isinstance(raw_schema, dict) else None
-        if type(depth) is not int or depth < 1:
+        if type(depth) is not int:
             raise ManifestFormatError(
-                f"line 1: header schema {raw_schema!r} needs an integer max_depth of at least 1"
+                f"line {at}: header schema {raw_schema!r} needs an integer max_depth"
             )
-        schema = FeatureSchema(depth)
+        try:
+            schema = FeatureSchema(depth)
+        except ValueError as e:
+            raise ManifestFormatError(f"line {at}: header schema {raw_schema!r}: {e}") from e
     tables = {}
     for key in ("config_hashes", "meta"):
         value = header.get(key)
         if value is not None and not isinstance(value, dict):
-            raise ManifestFormatError(f"line 1: header {key} is not an object")
+            raise ManifestFormatError(f"line {at}: header {key} is not an object")
         tables[key] = dict(value or {})
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             doc = _LINE_DECODER.decode(line)
             if not isinstance(doc, dict) or doc.get("kind") != "row":

@@ -18,7 +18,7 @@ import pytest
 from opttriage import FeatureSchema, compute_max_depth, extract, parse_unit
 from opttriage import forest
 from opttriage.cli import main
-from opttriage.forest import ForestParams, Split, best_split, gini
+from opttriage.forest import ForestParams
 from opttriage.labeler import LabelerConfig, label_corpus, label_from_ratio
 from opttriage.manifest import read_manifest
 from opttriage.minic import parse_functions
@@ -26,6 +26,7 @@ from opttriage.minic.interp import call_function
 from opttriage.synthgen import GenConfig, generate
 
 from conftest import DATA, has_compiler, parse_one, reference_decision
+from split_oracle import brute_split, scan_one_node
 
 RESULTS: list[str] = []
 
@@ -90,27 +91,6 @@ def test_acceptance_2_delta_rule_table():
             assert got == want, (t_basic, t_aggr, delta, got)
 
 
-def _brute_split(x, y, min_leaf):
-    n = len(y)
-    parent = gini((int(n - y.sum()), int(y.sum())))
-    best = None
-    for f in range(x.shape[1]):
-        vals = np.unique(x[:, f])
-        for a, b in zip(vals[:-1], vals[1:]):
-            thr = (float(a) + float(b)) / 2.0
-            left = x[:, f] <= thr
-            n_l = int(left.sum())
-            n_r = n - n_l
-            if n_l < min_leaf or n_r < min_leaf:
-                continue
-            g_l = gini((int((y[left] == 0).sum()), int((y[left] == 1).sum())))
-            g_r = gini((int((y[~left] == 0).sum()), int((y[~left] == 1).sum())))
-            dec = parent - (n_l * g_l + n_r * g_r) / n
-            if dec > 0.0 and (best is None or dec > best.decrease):
-                best = Split(feature=f, threshold=thr, decrease=dec)
-    return best
-
-
 def test_acceptance_3_forest_oracle():
     with criterion(3, "vote recount and brute-force splits", 10.0):
         rng = np.random.default_rng(301)
@@ -131,7 +111,7 @@ def test_acceptance_3_forest_oracle():
                 xx = rng.uniform(0.0, 1.0, size=(n, width))
             yy = rng.integers(0, 2, size=n).astype(np.int8)
             min_leaf = int(rng.integers(1, 4))
-            assert best_split(xx, yy, range(width), min_leaf) == _brute_split(xx, yy, min_leaf)
+            assert scan_one_node(xx, yy, range(width), min_leaf) == brute_split(xx, yy, min_leaf)
 
 
 def test_acceptance_4_planted_rule_learnability():

@@ -173,6 +173,15 @@ def test_extract_depth_below_one_is_fatal(tmp_path, corpus, capsys, depth):
     assert not out.exists()
 
 
+def test_extract_depth_wider_than_ten_thousand_is_fatal(tmp_path, corpus, capsys):
+    out = tmp_path / "o.jsonl"
+    rc = main(["extract", str(corpus / "manifest.jsonl"), "--max-depth", "4996", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: --max-depth: max_depth 4996 makes the width exceed 10000" in err
+    assert not out.exists()
+
+
 def test_extract_parse_failure_quarantines(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text(

@@ -53,13 +53,15 @@ def test_a_rejected_word_is_drawn_again():
         assert got.tolist() == [sorted(rng.choice(16, size=4, replace=False)) for rng in theirs]
 
 
-def test_a_population_above_ten_thousand_uses_choice_itself():
-    # numpy draws these by a partial shuffle, not by Floyd's algorithm
+def test_the_widest_schema_draws_as_choice_does():
+    # 10,000 is the widest schema; numpy draws a population of that size by
+    # Floyd's algorithm for every k, here at, just above and far above 1/50 of it
     ours, theirs = _twins(3, bootstrap=5)
-    words = WordBuffer([ours], 600)
-    for width, k in ((10_001, 300), (10_001, 200), (20_000, 5)):  # a shuffle, then Floyd's
-        got = candidates(words, np.array([0]), width, k)
-        assert got.tolist() == [sorted(theirs.choice(width, size=k, replace=False))]
+    words = WordBuffer([ours], 2 * 5_000)
+    for k in (200, 201, 5_000):
+        got = candidates(words, np.array([0]), 10_000, k)
+        assert got.tolist() == [sorted(theirs.choice(10_000, size=k, replace=False))], k
+    assert words.take(np.array([0]), 1)[0, 0] == theirs.integers(0, 2**32, dtype=np.uint32)
 
 
 def test_only_the_default_generator_is_accepted():

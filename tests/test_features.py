@@ -40,6 +40,13 @@ def test_schema_rejects_zero_depth():
         FeatureSchema(0)
 
 
+def test_schema_width_is_at_most_ten_thousand():
+    assert FeatureSchema(4995).width == 10_000
+    for depth in (4996, 10**9):
+        with pytest.raises(ValueError, match="exceed 10000"):
+            FeatureSchema(depth)
+
+
 def test_schema_index_unknown_name():
     with pytest.raises(KeyError):
         FeatureSchema(2).index("niter_known_9")

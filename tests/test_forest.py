@@ -15,13 +15,10 @@ from opttriage.forest import (
     ModelFormatError,
     NodeTable,
     RandomForestModel,
-    Split,
-    best_split,
     cross_validate,
     dumps_model,
     evaluate,
     export_decision_code,
-    gini,
     hard_votes,
     load_model,
     loads_model,
@@ -35,6 +32,7 @@ from opttriage.forest.kernels import rank_rows, split_scan
 
 from conftest import DATA, reference_decision, set_v2_node_arrays, v2_node_arrays
 from reference_grower import assert_same_trees, grow_one_tree, reference_forest, reference_tree
+from split_oracle import Split, brute_split, gini, scan_one_node
 
 
 def _model_of_leaves(labels: list[int], max_depth: int = 1) -> RandomForestModel:
@@ -69,74 +67,50 @@ def test_gini_rejects_bad_counts():
         gini((-1, 2))
 
 
-# ----------------------------------------------------------------- best_split
+# ------------------------------------------------------ one node's split scan
 
 
 def test_best_split_midpoint_example():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1], dtype=np.int8)
-    split = best_split(x, y, [0], min_samples_leaf=1)
+    split = scan_one_node(x, y, [0], min_leaf=1)
     assert split == Split(feature=0, threshold=2.5, decrease=0.5)
 
 
 def test_best_split_pure_node_returns_none():
     x = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1, 1, 1], dtype=np.int8)
-    assert best_split(x, y, [0], 1) is None
+    assert scan_one_node(x, y, [0], 1) is None
 
 
 def test_best_split_constant_feature_returns_none():
     x = np.array([[5.0], [5.0], [5.0], [5.0]])
     y = np.array([0, 1, 1, 0], dtype=np.int8)
-    assert best_split(x, y, [0], 1) is None
-    assert best_split(x, y, [], 1) is None  # no candidates
+    assert scan_one_node(x, y, [0], 1) is None
+    assert scan_one_node(x, y, [], 1) is None  # no candidates
 
 
 def test_best_split_respects_min_samples_leaf():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 1, 1, 1], dtype=np.int8)
-    assert best_split(x, y, [0], 1).threshold == 1.5
-    assert best_split(x, y, [0], 2).threshold == 2.5
-    assert best_split(x, y, [0], 3) is None
+    assert scan_one_node(x, y, [0], 1).threshold == 1.5
+    assert scan_one_node(x, y, [0], 2).threshold == 2.5
+    assert scan_one_node(x, y, [0], 3) is None
 
 
 def test_best_split_tie_keeps_lowest_threshold():
     # both cut points reduce impurity by exactly the same amount
     x = np.array([[1.0], [2.0], [3.0]])
     y = np.array([0, 1, 0], dtype=np.int8)
-    assert best_split(x, y, [0], 1).threshold == 1.5
+    assert scan_one_node(x, y, [0], 1).threshold == 1.5
 
 
 def test_best_split_tie_keeps_lowest_feature():
     col = np.array([1.0, 2.0, 3.0, 4.0])
     x = np.column_stack([col, col])
     y = np.array([0, 0, 1, 1], dtype=np.int8)
-    assert best_split(x, y, [0, 1], 1).feature == 0
-    assert best_split(x, y, [1], 1).feature == 1
-
-
-def _brute_split(x, y, min_leaf):
-    """Independent exhaustive reference mirroring the update rule."""
-    n = len(y)
-    parent = gini((int(n - y.sum()), int(y.sum())))
-    best = None
-    for f in range(x.shape[1]):
-        vals = np.unique(x[:, f])
-        for a, b in zip(vals[:-1], vals[1:]):
-            thr = (float(a) + float(b)) / 2.0
-            left = x[:, f] <= thr
-            n_l = int(left.sum())
-            n_r = n - n_l
-            if n_l < min_leaf or n_r < min_leaf:
-                continue
-            g_l = gini((int((y[left] == 0).sum()), int((y[left] == 1).sum())))
-            g_r = gini((int((y[~left] == 0).sum()), int((y[~left] == 1).sum())))
-            dec = parent - (n_l * g_l + n_r * g_r) / n
-            if dec <= 0.0:
-                continue
-            if best is None or dec > best.decrease:
-                best = Split(feature=f, threshold=thr, decrease=dec)
-    return best
+    assert scan_one_node(x, y, [0, 1], 1).feature == 0
+    assert scan_one_node(x, y, [1], 1).feature == 1
 
 
 def test_best_split_matches_brute_force():
@@ -150,8 +124,8 @@ def test_best_split_matches_brute_force():
             x = rng.uniform(0.0, 1.0, size=(n, width))
         y = rng.integers(0, 2, size=n).astype(np.int8)
         min_leaf = int(rng.integers(1, 4))
-        got = best_split(x, y, range(width), min_leaf)
-        want = _brute_split(x, y, min_leaf)
+        got = scan_one_node(x, y, range(width), min_leaf)
+        want = brute_split(x, y, min_leaf)
         assert got == want, f"trial {trial}"
 
 
@@ -934,6 +908,14 @@ def test_loads_model_rejects_header_field_of_wrong_type(mutation):
     doc = _v2_doc()
     _set(doc, path, value)
     with pytest.raises(ModelFormatError, match=path[-1]):
+        loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("depth", [4996, 10**9])
+def test_loads_model_rejects_a_schema_wider_than_ten_thousand(depth):
+    doc = _v2_doc()
+    _set(doc, ("schema", "max_depth"), depth)
+    with pytest.raises(ModelFormatError, match="exceed 10000"):
         loads_model(json.dumps(doc))
 
 

@@ -179,12 +179,16 @@ def _manifest_text(header=None, row=None) -> str:
         (_manifest_text(header={"schema": {"max_depth": 1.5}}), 1),
         (_manifest_text(header={"schema": {"max_depth": True}}), 1),
         (_manifest_text(header={"schema": {"max_depth": 0}}), 1),
+        (_manifest_text(header={"schema": {"max_depth": 4996}}), 1),
+        (_manifest_text(header={"schema": {"max_depth": 10**9}}), 1),
+        ("\n\n" + _manifest_text(header={"schema": {"max_depth": 4996}}), 3),
         (_manifest_text(header={"config_hashes": ["sha256:00"]}), 1),
         (_manifest_text(header={"meta": "fixture"}), 1),
         (_manifest_text(row={"feature_values": [float("nan")] * 12}), 2),
         (_manifest_text(row={"feature_values": [0.0] * 11 + [float("-inf")]}), 2),
         (_manifest_text().replace('"feature_values": [0.0', '"feature_values": [1e999'), 2),
         (_manifest_text().splitlines()[0] + "\n[1, 2]\n", 2),
+        ("\n".join(_manifest_text().splitlines()[:2]) + "\n\n\n\n[1, 2]\n", 6),
         (_manifest_text().replace('"feature_values": [0.0', '"feature_values": [1' + "0" * 400), 2),
         (_manifest_text(header={"meta": {"note": float("nan")}}), 1),
         (_manifest_text(header={"meta": {"runs": [1.0, float("inf")]}}), 1),
@@ -226,8 +230,10 @@ def _manifest_text(header=None, row=None) -> str:
     ],
     ids=[
         "schema-not-object", "schema-no-depth", "depth-string", "depth-float",
-        "depth-bool", "depth-zero", "hashes-not-object", "meta-not-object",
+        "depth-bool", "depth-zero", "depth-above-bound", "depth-huge",
+        "header-behind-blank-lines", "hashes-not-object", "meta-not-object",
         "feature-nan", "feature-inf", "feature-overflow", "row-not-object",
+        "row-behind-blank-lines",
         "feature-int-overflow", "meta-nan", "meta-nested-inf", "hashes-inf", "meta-overflow",
         "timing-nan", "timing-inf", "timing-overflow", "timing-no-samples",
         "timing-t-basic-tampered", "timing-t-aggr-tampered", "timing-ratio-tampered",

@@ -57,14 +57,20 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                                           "--fit-schema", "--out", "features.jsonl")
     assert "numpy" not in _loaded_modules(tmp_path, "label", "--manifest", "features.jsonl",
                                           "--fake-timer", "timer.json", "--out", "labeled.jsonl")
+    grower = {"opttriage.forest.grow", "opttriage.forest.draws"}
     for argv in (["train", "--manifest", "labeled.jsonl", "--trees", "3", "--out", "model.json"],
                  ["eval", "--manifest", "labeled.jsonl", "--model", "model.json",
                   "--out", "report.json"],
                  ["export", "--model", "model.json", "--out", "decide.c"]):
-        assert _loaded_modules(tmp_path, *argv).isdisjoint({labeler, *front_end})
-    # classify reads a labeler config's flags without loading the labeler
-    assert labeler not in _loaded_modules(tmp_path, "classify", "--model", "model.json",
-                                          "--config", "labeler.json", "corpus/manifest.jsonl",
-                                          "--out", "classified.json")
+        loaded = _loaded_modules(tmp_path, *argv)
+        assert loaded.isdisjoint({labeler, *front_end})
+        if argv[0] == "train":
+            assert grower <= loaded
+        else:  # a model is read, not grown
+            assert loaded.isdisjoint(grower)
+    # classify reads a labeler config's flags without loading the labeler, and grows no tree
+    assert _loaded_modules(tmp_path, "classify", "--model", "model.json",
+                           "--config", "labeler.json", "corpus/manifest.jsonl",
+                           "--out", "classified.json").isdisjoint({labeler, *grower})
     report = json.loads((tmp_path / "classified.json").read_text())
     assert {"-O2"} <= {flag for fn in report["functions"] for flag in fn["recommended_flags"]}

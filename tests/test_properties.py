@@ -13,10 +13,7 @@ from opttriage import FeatureSchema
 from opttriage.forest import (
     ForestParams,
     ModelFormatError,
-    Split,
-    best_split,
     dumps_model,
-    gini,
     loads_model,
     predict_batch,
     train,
@@ -28,6 +25,7 @@ from opttriage.manifest import ManifestRow, TimingRecord
 
 from conftest import DATA, MODEL_V2_DTYPES, set_v2_node_arrays, v2_node_arrays
 from reference_grower import assert_same_trees, grow_one_tree, reference_forest, reference_tree
+from split_oracle import brute_split, gini, scan_one_node
 
 finite_times = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
 deltas = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -75,24 +73,7 @@ def test_best_split_equals_exhaustive_search(n, width, min_leaf, rnd):
         [[rnd.randint(0, 3) for _ in range(width)] for _ in range(n)], dtype=np.float64
     )
     y = np.array([rnd.randint(0, 1) for _ in range(n)], dtype=np.int8)
-    got = best_split(x, y, range(width), min_leaf)
-
-    best = None
-    parent = gini((int(n - y.sum()), int(y.sum())))
-    for f in range(width):
-        vals = np.unique(x[:, f])
-        for a, b in zip(vals[:-1], vals[1:]):
-            thr = (float(a) + float(b)) / 2.0
-            left = x[:, f] <= thr
-            n_l, n_r = int(left.sum()), n - int(left.sum())
-            if n_l < min_leaf or n_r < min_leaf:
-                continue
-            g_l = gini((int((y[left] == 0).sum()), int((y[left] == 1).sum())))
-            g_r = gini((int((y[~left] == 0).sum()), int((y[~left] == 1).sum())))
-            dec = parent - (n_l * g_l + n_r * g_r) / n
-            if dec > 0.0 and (best is None or dec > best.decrease):
-                best = Split(feature=f, threshold=thr, decrease=dec)
-    assert got == best
+    assert scan_one_node(x, y, range(width), min_leaf) == brute_split(x, y, min_leaf)
 
 
 def _table(rnd, n, width, kind):
