@@ -104,7 +104,10 @@ def _input_files(inputs: list[str]) -> tuple[list[Path], dict, dict]:
 def _parse_source_file(
     path: Path, strict: bool
 ) -> tuple[list[FunctionUnit], list[ManifestRow]]:
-    """Parse one file into units plus quarantine rows for its failures."""
+    """Parse one file into units plus quarantine rows for its failures.
+
+    The rows carry no source_path: only the caller knows what it is relative to.
+    """
     from opttriage.manifest import ManifestRow, function_id
     from opttriage.minic.analyze import parse_unit
     from opttriage.minic.units import SourceUnit
@@ -121,7 +124,6 @@ def _parse_source_file(
         quarantined.append(
             ManifestRow(
                 function_id=function_id(path.name, who),
-                source_path=path.name,
                 quarantine_reason=f"parse: {d.message}",
             )
         )
@@ -185,22 +187,22 @@ def _cmd_extract(args) -> int:
     except ValueError as e:
         raise _Fatal(f"--max-depth: {e}") from e
     files, in_hashes, in_meta = _input_files(args.sources)
-    parsed: list[tuple[Path, list[FunctionUnit]]] = []
+    parsed: list[tuple[Path, str, list[FunctionUnit]]] = []
     quarantined: list[ManifestRow] = []
     for path in files:
         units, bad_rows = _parse_source_file(path, args.strict)
-        parsed.append((path, units))
-        quarantined.extend(bad_rows)
+        rel = _relative_to(path, args.out)
+        parsed.append((path, rel, units))
+        quarantined.extend(replace(row, source_path=rel) for row in bad_rows)
 
-    all_units = [u for _, units in parsed for u in units]
+    all_units = [u for _, _, units in parsed for u in units]
     if args.fit_schema:
         if not all_units:
             raise _Fatal("no functions parsed; cannot fit a schema")
         schema = FeatureSchema(compute_max_depth(all_units))
 
     rows: list[ManifestRow] = []
-    for path, units in parsed:
-        rel = _relative_to(path, args.out)
+    for path, rel, units in parsed:
         for fn in units:
             try:
                 vec = extract(fn, schema)

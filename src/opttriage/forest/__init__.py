@@ -3,7 +3,7 @@
 from opttriage import _lazy
 
 _EXPORTS = {
-    "opttriage.forest.export": ("decision_function_ast", "export_decision_code"),
+    "opttriage.forest.export": ("export_decision_code",),
     "opttriage.forest.model": (
         "EASY", "HARD", "LABEL_NAMES", "ForestParams", "ModelFormatError", "NodeTable",
         "RandomForestModel", "cross_validate", "dumps_model", "evaluate", "hard_votes",

@@ -293,11 +293,10 @@ def loads_manifest(text: str) -> CorpusManifest:
     except ValueError as e:
         raise ManifestFormatError(f"line {at}: bad header: {e}") from e
     if not isinstance(header, dict) or header.get("format") != MANIFEST_FORMAT:
-        raise ManifestFormatError("not a corpus manifest")
-    if header.get("format_version") != MANIFEST_FORMAT_VERSION:
-        raise ManifestFormatError(
-            f"unsupported manifest version {header.get('format_version')!r}"
-        )
+        raise ManifestFormatError(f"line {at}: not a corpus manifest")
+    version = header.get("format_version")
+    if type(version) is not int or version != MANIFEST_FORMAT_VERSION:
+        raise ManifestFormatError(f"line {at}: unsupported manifest version {version!r}")
     raw_schema = header.get("schema")
     schema = None
     if raw_schema is not None:

@@ -6,7 +6,6 @@ _EXPORTS = {
     "opttriage.minic.analyze": (
         "build_function_unit", "classify_operator", "parse_functions", "parse_unit",
     ),
-    "opttriage.minic.interp": ("EvalError", "call_function"),
     "opttriage.minic.lexer": ("Tokens", "tokenize"),
     "opttriage.minic.printer": ("expr_text", "function_text"),
     "opttriage.minic.units": (

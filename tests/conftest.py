@@ -1,12 +1,13 @@
 import base64
 import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opttriage import FeatureSchema, SourceUnit, parse_unit
-from opttriage.minic import parse_functions
+from opttriage.minic import ast, parse_functions
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +58,82 @@ def reference_decision(model, values) -> int:
                 node = int(tree.right[node])
         votes += int(tree.label[node])
     return 1 if 2 * votes >= model.n_trees else 0
+
+
+def read_back(model, code: str) -> None:
+    """Decode exported decision code and require it to be exactly the model.
+
+    Each `votes = votes + <ternary>` is read in preorder: a test
+    `f[k] <= <literal>` is an internal node whose `then` arm is its left
+    child, and a literal is a leaf's class. The decoded node arrays must
+    equal each tree's, thresholds with exact float equality, and the
+    function must end with the tie rule `2 * votes >= n_trees ? 1 : 0`.
+    """
+    (fn,), _ = parse_functions(code, strict=True)
+    votes = ast.Name("votes")
+    assert fn.params == (ast.ParamDecl("f", "float", (model.schema.width,)),)
+    decl, init, *sums, tally = fn.body.items
+    assert (decl, init) == (ast.Decl("int", ("votes",)), ast.Assign(votes, ast.Num(0)))
+    tie_rule = ast.Binary(">=", ast.Binary("*", ast.Num(2), votes), ast.Num(model.n_trees))
+    assert tally == ast.Return(ast.Ternary(tie_rule, ast.Num(1), ast.Num(0)))
+    assert len(sums) == model.n_trees
+
+    def decode(e, nodes: list) -> None:  # appends [feature, threshold, left, right, label]
+        match e:
+            case ast.Num(label):
+                nodes.append([-1, 0.0, -1, -1, label])
+            case ast.Ternary(ast.Binary("<=", ast.Index(ast.Name("f"), (ast.Num(k),)),
+                                        ast.Num(threshold)), then, orelse):
+                at = len(nodes)
+                nodes.append([k, threshold, at + 1, -1, -1])
+                decode(then, nodes)
+                nodes[at][3] = len(nodes)
+                decode(orelse, nodes)
+            case _:
+                raise AssertionError(f"not a node of the decision code: {e!r}")
+
+    for t, (tree, stmt) in enumerate(zip(model.trees, sums)):
+        assert stmt.target == votes and (stmt.value.op, stmt.value.left) == ("+", votes)
+        nodes: list = []
+        decode(stmt.value.right, nodes)
+        for key, column in zip(("feature", "threshold", "left", "right", "label"), zip(*nodes)):
+            assert np.array_equal(getattr(tree, key), column), f"tree {t} {key}"
+
+
+_DECIDE_MAIN = r"""
+#include <stdio.h>
+
+int main(void)
+{
+    float f[WIDTH];
+    double v;
+    int j = 0;
+    while (scanf("%la", &v) == 1) {
+        f[j++] = (float)v;
+        if (j == WIDTH) {
+            printf("%d\n", classify_function(f));
+            j = 0;
+        }
+    }
+    return 0;
+}
+"""
+
+
+def compiled_decisions(code: str, rows: np.ndarray, workdir: Path) -> np.ndarray:
+    """Build exported `classify_function` code with `cc -O0` and run it per row.
+
+    A small main reads each row as `%la` hex doubles into a `float f[W]`, as
+    a real caller passes features, and prints the function's result.
+    """
+    source, binary = workdir / "decide.c", workdir / "decide"
+    source.write_text(f"#define WIDTH {rows.shape[1]}\n{code}{_DECIDE_MAIN}", encoding="utf-8")
+    subprocess.run(["cc", "-O0", "-o", str(binary), str(source)], check=True,
+                   capture_output=True, timeout=120)
+    text = "".join(" ".join(float(v).hex() for v in row) + "\n" for row in rows)
+    out = subprocess.run([str(binary)], input=text, check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    return np.array(out.split(), dtype=np.int8)
 
 
 # A v2 model document stores each node array as base64 of one fixed

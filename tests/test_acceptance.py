@@ -21,11 +21,12 @@ from opttriage.cli import main
 from opttriage.forest import ForestParams
 from opttriage.labeler import LabelerConfig, label_corpus, label_from_ratio
 from opttriage.manifest import read_manifest
-from opttriage.minic import parse_functions
-from opttriage.minic.interp import call_function
 from opttriage.synthgen import GenConfig, generate
 
-from conftest import DATA, has_compiler, parse_one, reference_decision
+from conftest import (
+    DATA, compiled_decisions, has_compiler, parse_one, read_back, reference_decision,
+    requires_compiler,
+)
 from split_oracle import brute_split, scan_one_node
 
 RESULTS: list[str] = []
@@ -158,19 +159,30 @@ def test_acceptance_5_training_determinism(tmp_path):
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+def _acceptance_6_model_and_vectors():
+    rng = np.random.default_rng(600)
+    x = rng.uniform(0.0, 4.0, size=(150, 12))
+    y = ((x[:, 0] > 2.0) ^ (x[:, 5] > 1.5)).astype(np.int8)
+    model = forest.train(x, y, FeatureSchema(1), ForestParams(n_trees=25, rng_seed=600))
+    return model, rng.uniform(-1.0, 5.0, size=(1000, 12))
+
+
 def test_acceptance_6_export_fidelity():
     with criterion(6, "exported code matches predict on 1000 vectors", 30.0):
-        rng = np.random.default_rng(600)
-        x = rng.uniform(0.0, 4.0, size=(150, 12))
-        y = ((x[:, 0] > 2.0) ^ (x[:, 5] > 1.5)).astype(np.int8)
-        model = forest.train(x, y, FeatureSchema(1), ForestParams(n_trees=25, rng_seed=600))
-        code = forest.export_decision_code(model)
-        (fn,), _ = parse_functions(code, strict=True)
-        probes = rng.uniform(-1.0, 5.0, size=(1000, 12))
-        labels, _ = forest.predict_batch(model, probes)
-        for i, row in enumerate(probes):
-            got = call_function(fn, [[float(v) for v in row]])
-            assert got == int(labels[i]), f"vector {i}"
+        model, vectors = _acceptance_6_model_and_vectors()
+        read_back(model, forest.export_decision_code(model))
+        labels, _ = forest.predict_batch(model, vectors)
+        for i, row in enumerate(vectors):
+            assert reference_decision(model, row) == int(labels[i]), f"vector {i}"
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_acceptance_6_compiled_export_matches_predict(tmp_path):
+    model, vectors = _acceptance_6_model_and_vectors()
+    got = compiled_decisions(forest.export_decision_code(model), vectors, tmp_path)
+    labels, _ = forest.predict_batch(model, vectors)
+    assert np.flatnonzero(got != labels).tolist() == []
 
 
 def test_acceptance_7_hermetic_pipeline(tmp_path):

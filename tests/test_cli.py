@@ -196,6 +196,30 @@ def test_extract_parse_failure_quarantines(tmp_path):
     assert "while" in reasons["bad.c::f"]
 
 
+def test_extract_quarantine_row_names_its_source_as_parsed_rows_do(tmp_path, labeled,
+                                                                    monkeypatch):
+    # a manifest holding a quarantine row re-extracts and classifies from its own
+    # directory, with the quarantine kept
+    model = tmp_path / "model.json"
+    assert main(["train", "--manifest", str(labeled), "--out", str(model)]) == 0
+    work = tmp_path / "work"
+    (work / "corpus").mkdir(parents=True)
+    (work / "corpus" / "mixed.c").write_text(
+        "void f(int n) { while (n) { n = n - 1; } }\n"
+        "void g(int n, float a[N]) { for (int i = 0; i < n; i++) a[i] = 0.0; }\n"
+    )
+    monkeypatch.chdir(work)
+    assert main(["extract", "corpus/mixed.c", "--max-depth", "2", "--out", "features.jsonl"]) == 2
+    assert {r.source_path for r in read_manifest("features.jsonl").rows} == {"corpus/mixed.c"}
+    assert main(["extract", "features.jsonl", "--max-depth", "2", "--out", "again.jsonl"]) == 2
+    reasons = {r.function_id: r.quarantine_reason for r in read_manifest("again.jsonl").rows}
+    assert reasons["mixed.c::g"] is None and "while" in reasons["mixed.c::f"]
+    assert main(["classify", "--model", str(model), "features.jsonl", "--out", "report.json"]) == 2
+    doc = json.loads(Path("report.json").read_text())
+    assert [q["name"] for q in doc["quarantined"]] == ["mixed.c::f"]
+    assert [fn["name"] for fn in doc["functions"]] == ["mixed.c::g"]
+
+
 def test_extract_out_of_int_range_literal_quarantines(tmp_path):
     src = tmp_path / "big.c"
     src.write_text(

@@ -10,10 +10,11 @@ from opttriage.forest import (
     predict_batch,
     train,
 )
-from opttriage.minic import parse_functions
-from opttriage.minic.interp import call_function
+from opttriage.minic import ast, parse_functions
 
-from conftest import parse_ast, reference_decision
+from conftest import (
+    compiled_decisions, parse_ast, read_back, reference_decision, requires_compiler,
+)
 
 
 def _toy_model(n_trees=9, seed=13, n=80):
@@ -51,15 +52,27 @@ def test_export_round_trips_through_printer():
     assert function_text(parse_ast(code)) == code
 
 
+def _probes():
+    return np.random.default_rng(99).uniform(-1.0, 5.0, size=(200, 12))
+
+
 def test_interpreted_code_matches_predict():
+    # the export reads back as the model, and the model's plain walk is predict_batch
     model = _toy_model()
-    fn = parse_ast(export_decision_code(model))
-    rng = np.random.default_rng(99)
-    probes = rng.uniform(-1.0, 5.0, size=(200, 12))
+    read_back(model, export_decision_code(model))
+    probes = _probes()
     labels, _votes = predict_batch(model, probes)
-    for i, row in enumerate(probes):
-        got = call_function(fn, [[float(v) for v in row]])
-        assert got == int(labels[i]), f"row {i}"
+    assert [reference_decision(model, row) for row in probes] == labels.tolist()
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_compiled_code_matches_predict(tmp_path):
+    model = _toy_model()
+    probes = _probes()
+    labels, _votes = predict_batch(model, probes)
+    assert compiled_decisions(export_decision_code(model), probes, tmp_path).tolist() == \
+        labels.tolist()
 
 
 def test_reference_walker_matches_predict():
@@ -71,13 +84,23 @@ def test_reference_walker_matches_predict():
         assert reference_decision(model, row) == int(labels[i])
 
 
-def test_exported_votes_respect_tie_rule():
+def _tie_case():
     # single split-free scenario: every probe reaches the same leaves
-    model = _toy_model(n_trees=2, seed=3, n=20)
-    fn = parse_ast(export_decision_code(model))
-    probe = [0.0] * 12
-    got = call_function(fn, [probe])
-    assert got == reference_decision(model, np.zeros(12))
+    return _toy_model(n_trees=2, seed=3, n=20), np.zeros((1, 12))
+
+
+def test_exported_votes_respect_tie_rule():
+    model, probe = _tie_case()
+    read_back(model, export_decision_code(model))
+    assert reference_decision(model, probe[0]) == predict_batch(model, probe)[0][0]
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_compiled_votes_respect_tie_rule(tmp_path):
+    model, probe = _tie_case()
+    got = compiled_decisions(export_decision_code(model), probe, tmp_path)
+    assert got.tolist() == [reference_decision(model, probe[0])]
 
 
 def test_threshold_boundary_goes_left():
@@ -85,31 +108,41 @@ def test_threshold_boundary_goes_left():
     tree = model.trees[0]
     if tree.feature[0] < 0:
         pytest.skip("degenerate root leaf")
+    root = parse_ast(export_decision_code(model)).body.items[2].value.right
+    f_k = ast.Index(ast.Name("f"), (ast.Num(int(tree.feature[0])),))
+    assert root.cond == ast.Binary("<=", f_k, ast.Num(float(tree.threshold[0])))
     probe = np.zeros(12)
     probe[tree.feature[0]] = tree.threshold[0]  # exactly on the cut
-    fn = parse_ast(export_decision_code(model))
     want = int(tree.label[tree.left[0]]) if tree.feature[tree.left[0]] < 0 else None
     got_walk = reference_decision(model, probe)
-    got_interp = call_function(fn, [[float(v) for v in probe]])
-    assert got_walk == got_interp
     if want is not None:
         assert got_walk == (1 if 2 * want >= 1 else 0)
 
 
-def test_export_fidelity_sweep_over_forest_sizes():
+def _sweep_cases():
+    """Forests of 1, 2, 3 and 8 trees, with 40 probes each and their predicted labels."""
     rng = np.random.default_rng(123)
-    program_texts = []
     for n_trees in (1, 2, 3, 8):
         model = _toy_model(n_trees=n_trees, seed=n_trees)
-        code = export_decision_code(model)
-        program_texts.append(code)
-        fn = parse_ast(code)
         probes = rng.uniform(0.0, 4.0, size=(40, 12))
-        labels, _ = predict_batch(model, probes)
-        for i, row in enumerate(probes):
-            assert call_function(fn, [[float(v) for v in row]]) == int(labels[i])
+        yield model, export_decision_code(model), probes, predict_batch(model, probes)[0]
+
+
+def test_export_fidelity_sweep_over_forest_sizes():
+    program_texts = []
+    for model, code, probes, labels in _sweep_cases():
+        program_texts.append(code)
+        read_back(model, code)
+        assert [reference_decision(model, row) for row in probes] == labels.tolist()
     # each forest exports distinct code
     assert len(set(program_texts)) == 4
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_compiled_fidelity_sweep_over_forest_sizes(tmp_path):
+    for model, code, probes, labels in _sweep_cases():
+        assert compiled_decisions(code, probes, tmp_path).tolist() == labels.tolist()
 
 
 def test_exported_program_with_multiple_functions_parses():

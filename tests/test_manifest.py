@@ -173,6 +173,9 @@ def _manifest_text(header=None, row=None) -> str:
 @pytest.mark.parametrize(
     "text, line",
     [
+        (_manifest_text(header={"format": "other"}), 1),
+        (_manifest_text(header={"format_version": True}), 1),
+        (_manifest_text(header={"format_version": 1.0}), 1),
         (_manifest_text(header={"schema": 5}), 1),
         (_manifest_text(header={"schema": {}}), 1),
         (_manifest_text(header={"schema": {"max_depth": "1"}}), 1),
@@ -229,6 +232,7 @@ def _manifest_text(header=None, row=None) -> str:
         (_manifest_text(row={"label": None, "timing": None, "quarantine_reason": ["x"]}), 2),
     ],
     ids=[
+        "not-a-manifest", "version-true", "version-float",
         "schema-not-object", "schema-no-depth", "depth-string", "depth-float",
         "depth-bool", "depth-zero", "depth-above-bound", "depth-huge",
         "header-behind-blank-lines", "hashes-not-object", "meta-not-object",

@@ -49,7 +49,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     front_end = {"opttriage.minic.analyze", "opttriage.synthgen"}
     labeler = "opttriage.labeler"  # only label times anything
     assert _loaded_modules(tmp_path).isdisjoint(
-        {"numpy", "opttriage.forest", "opttriage.minic.interp", labeler, *front_end}
+        {"numpy", "opttriage.forest", labeler, *front_end}
     )
     assert _loaded_modules(tmp_path, "gen", "--seed", "3", "--count", "8",
                            "--out", "corpus").isdisjoint({"numpy", labeler})

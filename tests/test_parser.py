@@ -17,7 +17,6 @@ from opttriage.minic import (
 )
 from opttriage.minic import ast as A
 from opttriage.minic.analyze import build_function_unit, classify_operator
-from opttriage.minic.interp import EvalError, call_function
 from opttriage.minic.lexer import KEYWORDS, RESERVED_UNSUPPORTED, tokenize
 from opttriage.minic.parser import Parser, split_functions
 from opttriage.minic.printer import BIN_PREC, expr_text, function_text
@@ -468,53 +467,6 @@ def test_expr_text_ternary_nesting():
         A.Ternary(A.Binary("<", A.Name("b"), A.Name("c")), A.Name("b"), A.Name("c")),
     )
     assert expr_text(e) == "a < b ? a : (b < c ? b : c)"
-
-
-# ------------------------------------------------------------------ evaluator
-
-
-def test_interp_scalar_sum():
-    fn = parse_ast(
-        "float f(int n, float a[N]) {\n"
-        "  float s;\n  s = 0.0;\n"
-        "  for (int i = 0; i < n; i++) s = s + a[i];\n"
-        "  return s;\n}"
-    )
-    assert call_function(fn, [4, [1.0, 2.0, 3.0, 4.0]]) == 10.0
-
-
-def test_interp_division_truncates_toward_zero():
-    fn = parse_ast("int f(int n) { return n / 2; }")
-    assert call_function(fn, [-3]) == -1
-    assert call_function(fn, [3]) == 1
-
-
-def test_interp_comparisons_yield_ints():
-    fn = parse_ast("int f(int n) { return n > 2 && n < 5; }")
-    assert call_function(fn, [3]) == 1
-    assert call_function(fn, [7]) == 0
-
-
-def test_interp_short_circuit_skips_division_by_zero():
-    fn = parse_ast("int f(int n) { return n != 0 && 4 / n > 1; }")
-    assert call_function(fn, [0]) == 0
-
-
-def test_interp_uninitialized_read_fails():
-    fn = parse_ast("float f(int n) { float s; return s; }")
-    with pytest.raises(EvalError):
-        call_function(fn, [1])
-
-
-def test_interp_2d_array():
-    fn = parse_ast(
-        "float f(int n, float m[N][N]) {\n"
-        "  float s;\n  s = 0.0;\n"
-        "  for (int i = 0; i < n; i++) {\n"
-        "    for (int j = 0; j < n; j++) s = s + m[i][j];\n"
-        "  }\n  return s;\n}"
-    )
-    assert call_function(fn, [2, [[1.0, 2.0], [3.0, 4.0]]]) == 10.0
 
 
 # ------------------------------------------------------ golden front-end output
