@@ -75,7 +75,7 @@ def grow_trees(
     sizes, hard = np.array([(len(sample), np.count_nonzero(y[sample])) for sample in samples]).T
     pool = np.concatenate(samples, dtype=np.int32)
     del samples
-    n_trees, starts = len(rngs), np.cumsum(sizes) - sizes
+    n_trees, starts = len(rngs), sizes.cumsum() - sizes
     stack = np.zeros((5, n_trees, cap + 1), dtype=np.int64)
     stack[:, :, 0] = np.broadcast_arrays(starts, 0, sizes, hard, -1)
     top = np.ones(n_trees, dtype=np.int64)
@@ -83,22 +83,25 @@ def grow_trees(
     words = draws.WordBuffer(rngs, 2 * k)
     ranked, x_flat = kernels.rank_rows(x_rows, y), x_rows.ravel()
     slots, every = np.arange(cap + 1), np.arange(n_trees)
-    while top.any():
+    # A step calls array methods and ufuncs, which run in C, rather than
+    # numpy's functions of the same names, which are Python wrappers.
+    while np.logical_or.reduce(top):
         # Per tree, the slot of its topmost node that may split (else 0), and its rows.
         n, hard = stack[_N], stack[_HARD]
         live = (hard > 0) & (hard < n) & (stack[_DEPTH] < cap) & (slots < top[:, None])
-        has = live.any(axis=1)
-        base = np.where(has, cap - live[:, ::-1].argmax(axis=1), 0)
+        has = np.logical_or.reduce(live, axis=1)
+        base = (cap - live[:, ::-1].argmax(axis=1)) * has
         rows_at = n[every, base] * has
-        trees = np.flatnonzero((top > 0) & (np.cumsum(rows_at) - rows_at < _STEP_ROWS))
+        trees = ((top > 0) & (rows_at.cumsum() - rows_at < _STEP_ROWS)).nonzero()[0]
 
         # Log each taken tree's slots top-1 .. base, popped in that order.
         count = top[trees] - base[trees]
-        ends = np.cumsum(count)
-        slot = np.repeat(top[trees] - 1 + ends - count, count) - np.arange(ends[-1])
-        popped = stack[:, np.repeat(trees, count), slot]
+        ends = count.cumsum()
+        tree_of = trees.repeat(count)
+        slot = (top[trees] - 1 + ends - count).repeat(count) - np.arange(ends[-1])
+        popped = stack[:, tree_of, slot]
         nodes, thresholds = np.empty((5, len(slot)), dtype=np.int32), np.zeros(len(slot))
-        nodes[_TREE] = np.repeat(trees, count)
+        nodes[_TREE] = tree_of
         nodes[1:_FEATURE] = popped[_N:]
         nodes[_FEATURE] = -1
         log.append((nodes, thresholds))
@@ -112,8 +115,8 @@ def grow_trees(
 
         cands = draws.candidates(words, trees, width, k)
         lo, n = taken[_LO], taken[_N]
-        starts = np.cumsum(n) - n
-        in_pool = np.arange(starts[-1] + n[-1]) + np.repeat(lo - starts, n)
+        starts = n.cumsum() - n
+        in_pool = np.arange(starts[-1] + n[-1]) + (lo - starts).repeat(n)
         rows = pool[in_pool]
         feature, threshold, _ = kernels.split_scan(ranked, rows, n, cands, params.min_samples_leaf)
         nodes[_FEATURE, last] = feature
@@ -122,11 +125,11 @@ def grow_trees(
         # The side of each row under its node's split; rows of unsplit nodes
         # read feature -1, a value of no use, and are never used again.
         key_type = np.int16 if len(trees) < 2**14 else np.int64  # int16 sorts by radix
-        node_of = np.repeat(np.arange(len(trees), dtype=key_type), n)
+        node_of = np.arange(len(trees), dtype=key_type).repeat(n)
         at_x = np.multiply(rows, width, dtype=np.int64) + feature[node_of]
         goes_left = x_flat[at_x] <= threshold[node_of]
         # A stable partition of each node's slice: its left rows, then its right rows.
-        pool[in_pool] = rows[np.argsort(2 * node_of + ~goes_left, kind="stable")]
+        pool[in_pool] = rows[(2 * node_of + ~goes_left).argsort(kind="stable")]
         n_left = np.add.reduceat(goes_left, starts, dtype=np.int64)
         h_left = np.add.reduceat(goes_left & y[rows], starts, dtype=np.int64)
 

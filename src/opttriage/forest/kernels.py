@@ -4,7 +4,10 @@
 one pass, so a growth step of a whole forest costs one kernel call. Class
 counts are whole numbers, exact in float64, and every Gini term is
 evaluated in one fixed order, so the same rows, params and seed always
-give the same thresholds and the same model bytes.
+give the same thresholds and the same model bytes. It calls array methods
+and ufuncs, not numpy's Python wrappers of the same names (`np.repeat`,
+`np.cumsum`, ...), whose cost is fixed per call and adds up over a
+growth's hundreds of steps.
 """
 
 from __future__ import annotations
@@ -69,32 +72,33 @@ def split_scan(
     """
     n_nodes, k = cands.shape
     n_rows = ranked.codes.shape[1]
-    feature = np.full(n_nodes, -1, dtype=np.int64)
+    feature = np.empty(n_nodes, dtype=np.int64)
+    feature[:] = -1
     threshold = np.zeros(n_nodes)
     decrease = np.zeros(n_nodes)
     sizes = np.asarray(sizes, dtype=np.int64)
     # Entry (c, r) is row r under its node's candidate c, in column j*k + c.
     # The batch's few entry-sized arrays are built in place, which keeps a
     # large step's peak memory to two of them.
-    index = np.repeat(cands.T * n_rows, sizes, axis=1)
+    index = (cands.T * n_rows).repeat(sizes, axis=1)
     index += rows
     key = ranked.codes.take(index)
     del index
-    key += np.repeat(np.arange(n_nodes) * (k * 2 * n_rows), sizes)
+    key += (np.arange(n_nodes) * (k * 2 * n_rows)).repeat(sizes)
     key += (np.arange(k) * (2 * n_rows))[:, None]
     key = key.ravel()
     key.sort()
     # hard[p]: hard rows among the first p, int32 while the batch allows
     hard = np.zeros(len(key) + 1, dtype=np.int32 if len(key) < 2**31 else np.int64)
     np.bitwise_and(key, 1, out=hard[1:], casting="unsafe")
-    np.cumsum(hard[1:], out=hard[1:])
+    hard[1:].cumsum(out=hard[1:])
     key >>= 1  # column * n_rows + rank
 
     # Usable cuts: the value changes at entry p, and the cut respects min_leaf.
     # Column j*k + c holds node j's entries, so it starts at k*start_j + c*n_j.
-    col_size = np.repeat(sizes, k)
-    col_start = np.cumsum(col_size) - col_size
-    p = np.flatnonzero(_run_starts(key))
+    col_size = sizes.repeat(k)
+    col_start = col_size.cumsum() - col_size
+    p = _run_starts(key).nonzero()[0]
     col = key[p] // n_rows
     cut = p - col_start[col]
     j = col // k
@@ -117,9 +121,9 @@ def split_scan(
 
     # The first maximum of each node's run of cuts, if it decreases impurity.
     starts = _run_starts(j)
-    first = np.flatnonzero(starts)
+    first = starts.nonzero()[0]
     best = np.maximum.reduceat(dec, first)
-    at_max = np.flatnonzero(dec == best[np.cumsum(starts) - 1])
+    at_max = (dec == best[starts.cumsum() - 1]).nonzero()[0]
     win = at_max[_run_starts(j[at_max])]
     win = win[dec[win] > 0.0]
 
@@ -135,7 +139,8 @@ def split_scan(
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """bool like a: True where a run of equal values begins."""
-    starts = np.ones(len(a), dtype=bool)
+    starts = np.empty(len(a), dtype=bool)
+    starts[:1] = True
     np.not_equal(a[1:], a[:-1], out=starts[1:])
     return starts
 

@@ -21,7 +21,6 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 from math import ceil, sqrt
 from typing import Iterator, Optional, Sequence
 
@@ -218,13 +217,11 @@ def _fingerprint(ids: Sequence[str], x_rows: np.ndarray, y: np.ndarray) -> str:
     """sha256 of the compact JSON text of [[id, row, label], ...], hashed
     _FINGERPRINT_ROWS rows at a time so the whole text is never held."""
     digest = hashlib.sha256(b"[")
-    rows = zip(ids, x_rows, y)
-    separator = b""
-    while chunk := list(islice(rows, _FINGERPRINT_ROWS)):
-        doc = [[str(i), [float(v) for v in row], int(lab)] for i, row, lab in chunk]
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))[1:-1]  # no brackets
-        digest.update(separator + text.encode())
-        separator = b","
+    for a in range(0, len(ids), _FINGERPRINT_ROWS):
+        b = a + _FINGERPRINT_ROWS
+        chunk = zip(ids[a:b], x_rows[a:b].tolist(), y[a:b].tolist())
+        text = json.dumps([[str(i), row, lab] for i, row, lab in chunk], separators=(",", ":"))
+        digest.update((b"," if a else b"") + text[1:-1].encode())  # no brackets
     digest.update(b"]")
     return "sha256:" + digest.hexdigest()
 
@@ -241,15 +238,22 @@ def _feature_rows(x_rows: np.ndarray, width: int) -> np.ndarray:
     return x_rows
 
 
+def _labels(y, n_rows: int) -> np.ndarray:
+    """y as int8, checked to hold one label per row, each 0 (easy) or 1 (hard)."""
+    y = np.asarray(y)
+    if y.shape != (n_rows,):
+        raise ValueError("need one label per row")
+    if not ((y == EASY) | (y == HARD)).all():
+        raise ValueError("labels must be 0 (easy) or 1 (hard)")
+    return y.astype(np.int8, copy=False)
+
+
 def _training_rows(x_rows, y, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked training data: finite float64 rows of the width, one 0/1 int8 label each."""
     x_rows = _feature_rows(x_rows, width)
-    y = np.asarray(y, dtype=np.int8)
-    if len(y) != len(x_rows) or len(y) == 0:
-        raise ValueError("need one label per row and at least one row")
-    if not np.all((y == EASY) | (y == HARD)):
-        raise ValueError("labels must be 0 (easy) or 1 (hard)")
-    return x_rows, y
+    if not len(x_rows):
+        raise ValueError("need at least one row")
+    return x_rows, _labels(y, len(x_rows))
 
 
 def _grow_forests(
@@ -326,13 +330,11 @@ def evaluate(model: RandomForestModel, x_rows: np.ndarray, y: np.ndarray) -> dic
 
     Confusion rows are the true class, columns the predicted class, in
     (easy, hard) order. Undefined ratios (empty class or empty prediction)
-    report as 0.0.
+    report as 0.0. y must hold one 0/1 label per row.
     """
-    y = np.asarray(y, dtype=np.int8)
     predicted, _votes = predict_batch(model, x_rows)
-    confusion = [[0, 0], [0, 0]]
-    for t, p in zip(y, predicted):
-        confusion[int(t)][int(p)] += 1
+    y = _labels(y, len(predicted))
+    confusion = np.bincount(2 * y + predicted, minlength=4).reshape(2, 2).tolist()
     correct = confusion[EASY][EASY] + confusion[HARD][HARD]
     total = len(y)
     precision = {
@@ -365,7 +367,6 @@ def cross_validate(
     Stratified deterministically: within each class, rows are ordered by id
     and dealt round-robin into folds, so every id lands in exactly one fold.
     """
-    y = np.asarray(y, dtype=np.int8)
     n = len(y)
     if len(ids) != n or len(x_rows) != n:
         raise ValueError("need one id and one label per row")
@@ -380,10 +381,8 @@ def cross_validate(
 
     fold_of = np.zeros(n, dtype=np.int64)
     for cls in (EASY, HARD):
-        members = [i for i in range(n) if y[i] == cls]
-        members.sort(key=lambda i: str(ids[i]))
-        for j, i in enumerate(members):
-            fold_of[i] = j % k
+        members = sorted((y == cls).nonzero()[0].tolist(), key=lambda i: str(ids[i]))
+        fold_of[members] = np.arange(len(members)) % k
     for f in range(k):
         test = fold_of == f
         if not test.any() or test.all():

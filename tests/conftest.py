@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opttriage import FeatureSchema, SourceUnit, parse_unit
-from opttriage.minic import ast, parse_functions
+from opttriage.minic import ast, function_text, parse_functions
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,7 +65,8 @@ def read_back(model, code: str) -> None:
 
     Each `votes = votes + <ternary>` is read in preorder: a test
     `f[k] <= <literal>` is an internal node whose `then` arm is its left
-    child, and a literal is a leaf's class. The decoded node arrays must
+    child (a negative literal parses as a minus on its magnitude), and a
+    literal is a leaf's class. The decoded node arrays must
     equal each tree's, thresholds with exact float equality, and the
     function must end with the tie rule `2 * votes >= n_trees ? 1 : 0`.
     """
@@ -78,14 +79,22 @@ def read_back(model, code: str) -> None:
     assert tally == ast.Return(ast.Ternary(tie_rule, ast.Num(1), ast.Num(0)))
     assert len(sums) == model.n_trees
 
+    def literal(e) -> float:  # a negative threshold reads as a minus and its magnitude
+        match e:
+            case ast.Num(value):
+                return value
+            case ast.Unary("-", ast.Num(value)):
+                return -value
+        raise AssertionError(f"not a threshold: {e!r}")
+
     def decode(e, nodes: list) -> None:  # appends [feature, threshold, left, right, label]
         match e:
             case ast.Num(label):
                 nodes.append([-1, 0.0, -1, -1, label])
             case ast.Ternary(ast.Binary("<=", ast.Index(ast.Name("f"), (ast.Num(k),)),
-                                        ast.Num(threshold)), then, orelse):
+                                        threshold), then, orelse):
                 at = len(nodes)
-                nodes.append([k, threshold, at + 1, -1, -1])
+                nodes.append([k, literal(threshold), at + 1, -1, -1])
                 decode(then, nodes)
                 nodes[at][3] = len(nodes)
                 decode(orelse, nodes)
@@ -98,6 +107,39 @@ def read_back(model, code: str) -> None:
         decode(stmt.value.right, nodes)
         for key, column in zip(("feature", "threshold", "left", "right", "label"), zip(*nodes)):
             assert np.array_equal(getattr(tree, key), column), f"tree {t} {key}"
+
+
+def ast_export(model, name: str = "classify_function") -> str:
+    """The decision code as the printer renders its syntax tree: each tree's
+    vote a nested `Ternary` over `f[k] <= threshold` tests, leaves `Num`s.
+
+    `export_decision_code` writes the same text from the node arrays; this
+    is the reference it must equal byte for byte.
+    """
+
+    def vote(tree) -> ast.Expr:
+        feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+        left, right, label = tree.left.tolist(), tree.right.tolist(), tree.label.tolist()
+
+        def expr(node: int) -> ast.Expr:
+            if feature[node] < 0:
+                return ast.Num(label[node])
+            test = ast.Binary(
+                "<=", ast.Index(ast.Name("f"), (ast.Num(feature[node]),)), ast.Num(threshold[node])
+            )
+            return ast.Ternary(cond=test, then=expr(left[node]), orelse=expr(right[node]))
+
+        return expr(0)
+
+    votes = ast.Name("votes")
+    body: list = [ast.Decl("int", ("votes",)), ast.Assign(votes, ast.Num(0))]
+    body += [ast.Assign(votes, ast.Binary("+", votes, vote(tree))) for tree in model.trees]
+    tally = ast.Binary(">=", ast.Binary("*", ast.Num(2), votes), ast.Num(model.n_trees))
+    body.append(ast.Return(ast.Ternary(tally, ast.Num(1), ast.Num(0))))
+    param = ast.ParamDecl("f", "float", (model.schema.width,))
+    return function_text(
+        ast.Function(name=name, return_type="int", params=(param,), body=ast.Block(tuple(body)))
+    )
 
 
 _DECIDE_MAIN = r"""

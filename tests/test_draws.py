@@ -100,3 +100,41 @@ def test_only_the_drawing_trees_read_words():
     assert candidates(words, np.array([0]), 16, 4).tolist() == [
         sorted(np.random.default_rng(9).choice(16, size=4, replace=False))
     ]
+
+
+def test_blocks_equal_word_by_word_draws_on_streams_dense_with_rejections(monkeypatch):
+    # Every 23rd word each generator hands the buffer is made 0, which Lemire's
+    # rule rejects for a bound b+1 that is not a power of two: blocks end
+    # early, sets are redone, and rows that draw in no call get new blocks.
+    seen = {}  # (buffer, row) -> words its generator has handed it
+    refill = WordBuffer._refill
+
+    def refill_with_zeros(words, t):
+        unread = words.words.shape[1] - words.at[t]
+        refill(words, t)
+        fresh = words.words[t, words.at[t] + unread :]
+        start = seen.get((words, t), 0)
+        fresh[(start + np.arange(len(fresh))) % 23 == 0] = 0
+        seen[words, t] = start + len(fresh)
+
+    monkeypatch.setattr(WordBuffer, "_refill", refill_with_zeros)
+    pick = np.random.default_rng(0)
+    for width, k in ((16, 4), (20, 4), (7, 7), (30, 9)):
+        ours, theirs = (WordBuffer([np.random.default_rng(s) for s in range(5)], 2 * k)
+                        for _ in range(2))
+        for _ in range(200):
+            trees = np.flatnonzero(pick.random(5) < 0.6)
+            want = [sorted(draws._choice_word_by_word(theirs, trees[i : i + 1], width, k))
+                    for i in range(len(trees))]
+            assert candidates(ours, trees, width, k).tolist() == want, (width, k)
+        assert ours.take(np.arange(5), 3).tolist() == theirs.take(np.arange(5), 3).tolist()
+
+
+def test_a_take_between_draws_reads_the_words_the_next_set_would_have():
+    ours, theirs = _twins(4, bootstrap=2)
+    words = WordBuffer([ours], 8)
+    for n in (1, 2, 7, 0):
+        got = candidates(words, np.array([0]), 16, 4)
+        assert got.tolist() == [sorted(theirs.choice(16, size=4, replace=False))]
+        taken = words.take(np.array([0]), n)[0].tolist()
+        assert taken == theirs.integers(0, 2**32, size=n, dtype=np.uint32).tolist()

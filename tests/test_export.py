@@ -1,19 +1,27 @@
 """Exported decision code must behave exactly like the in-memory model."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from opttriage import FeatureSchema
 from opttriage.forest import (
     ForestParams,
+    NodeTable,
+    RandomForestModel,
+    dumps_model,
     export_decision_code,
+    loads_model,
     predict_batch,
     train,
 )
 from opttriage.minic import ast, parse_functions
 
 from conftest import (
-    compiled_decisions, parse_ast, read_back, reference_decision, requires_compiler,
+    ast_export, compiled_decisions, parse_ast, read_back, reference_decision, requires_compiler,
+    set_v2_node_arrays, v2_node_arrays,
 )
 
 
@@ -150,3 +158,54 @@ def test_exported_program_with_multiple_functions_parses():
         export_decision_code(_toy_model(n_trees=3), name="b")
     functions, _ = parse_functions(code, strict=True)
     assert [f.name for f in functions] == ["a", "b"]
+
+
+@pytest.mark.parametrize("name", ["", "1st", "two words", "f;", "classify-function", "x\n", "é"])
+def test_export_refuses_a_name_that_is_no_c_identifier(name):
+    with pytest.raises(ValueError, match="not a C function name"):
+        export_decision_code(_toy_model(n_trees=1), name=name)
+
+
+def test_export_equals_the_printed_syntax_tree_over_forest_sizes():
+    for model, code, _probes, _labels in _sweep_cases():
+        assert code == ast_export(model)
+    model = _toy_model(n_trees=3)
+    assert export_decision_code(model, name="_Triage9") == ast_export(model, name="_Triage9")
+
+
+def test_export_of_one_leaf_trees_equals_the_printed_syntax_tree():
+    x = np.random.default_rng(2).uniform(0.0, 4.0, size=(30, 12))
+    for y in (np.zeros(30, dtype=np.int8), np.ones(30, dtype=np.int8)):
+        model = train(x, y, FeatureSchema(1), ForestParams(n_trees=2))
+        assert (model.nodes.sizes == 1).all()
+        assert export_decision_code(model) == ast_export(model)
+    # a one-leaf tree, hard, between two grown ones
+    grown = _toy_model(n_trees=2)
+    t, a = grown.nodes, int(grown.nodes.sizes[0])
+    leaf = {"feature": -1, "threshold": 0.0, "right": -1, "count_easy": 2, "count_hard": 5}
+    nodes = NodeTable(
+        sizes=[a, 1, int(t.sizes[1])],
+        **{key: np.concatenate((getattr(t, key)[:a], [leaf[key]], getattr(t, key)[a:]))
+           for key in leaf},
+    )
+    model = RandomForestModel(grown.schema, replace(grown.params, n_trees=3), nodes)
+    code = export_decision_code(model)
+    assert "    votes = votes + 1;\n" in code
+    assert code == ast_export(model)
+    read_back(model, code)
+
+
+def test_export_of_loaded_thresholds_equals_the_printed_syntax_tree():
+    # negative, signed-zero and 17-significant-digit thresholds print as repr(float)
+    model = _toy_model(n_trees=3)
+    doc = json.loads(dumps_model(model))
+    arrays = v2_node_arrays(doc)
+    special = [-1.5, -0.0, 0.1 + 0.2, -2.0000000000000004, 1e-300, 1.2345678901234567e20]
+    arrays["threshold"] = np.resize(special, len(arrays["threshold"]))
+    set_v2_node_arrays(doc, arrays)
+    loaded = loads_model(json.dumps(doc))
+    code = export_decision_code(loaded)
+    for text in ("-1.5", "-0.0", "0.30000000000000004", "1.2345678901234567e+20"):
+        assert f"<= {text} ?" in code
+    assert code == ast_export(loaded)
+    read_back(loaded, code)

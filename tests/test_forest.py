@@ -481,6 +481,34 @@ def test_evaluate_confusion_orientation():
     assert m["n_rows"] == 3
 
 
+def test_evaluate_needs_one_label_per_row():
+    x, y = _separable(n=40)
+    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=3))
+    with pytest.raises(ValueError, match="one label per row"):
+        evaluate(model, x, y[:10])  # not the prefix's score
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_evaluate_refuses_a_label_other_than_0_or_1(bad):
+    x, y = _separable(n=40)
+    model = train(x, y, FeatureSchema(1), ForestParams(n_trees=3))
+    y = y.copy()
+    y[7] = bad  # -1 would count as hard, 2 would index past the confusion matrix
+    with pytest.raises(ValueError, match="labels must be 0"):
+        evaluate(model, x, y)
+
+
+def test_a_label_that_int8_would_wrap_to_1_is_refused():
+    x, y = _separable(n=40)
+    y = y.astype(np.int64)
+    y[3] = 257  # 257 as int8 is 1
+    ids = [f"f{i:02d}" for i in range(len(y))]
+    with pytest.raises(ValueError, match="labels must be 0"):
+        train(x, y, FeatureSchema(1), ForestParams(n_trees=2))
+    with pytest.raises(ValueError, match="labels must be 0"):
+        cross_validate(x, y, ids, FeatureSchema(1), ForestParams(n_trees=2), k=4)
+
+
 def test_cross_validate_reports_folds():
     x, y = _separable(n=40)
     ids = [f"f{i:02d}" for i in range(len(y))]

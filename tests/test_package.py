@@ -64,6 +64,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                  ["export", "--model", "model.json", "--out", "decide.c"]):
         loaded = _loaded_modules(tmp_path, *argv)
         assert loaded.isdisjoint({labeler, *front_end})
+        assert not [m for m in loaded if m.startswith("opttriage.minic")], argv[0]
         if argv[0] == "train":
             assert grower <= loaded
         else:  # a model is read, not grown
