@@ -50,22 +50,24 @@ class WordBuffer:
     """The unread 32-bit words each of a growth's PCG64 generators hands its
     bounded draws: row t holds generator t's, right-aligned from at[t] on.
 
-    Each row also has a block of candidate sets, for the (width, k) in
-    drawn_for: the sets its unread words give, one per L of them, in order,
-    as int16, which holds every feature of a population of up to 10,000.
+    Each row also has a block of candidate sets, for the one (width, k) the
+    buffer draws: the sets its unread words give, one per L of them, in
+    order, as int16, which holds every feature of a population of up to
+    10,000.
     Row t's block is sets[t*M : t*M + M], M = len(sets) // rows; its next
     set is sets[cursor[t]], and sets[block_end[t]] is the first it cannot
     serve. A take moves the pointer past words the block counted on, so it
     empties the block."""
 
-    __slots__ = ("rngs", "words", "at", "drawn_for", "sets", "cursor", "block_end")
+    __slots__ = ("rngs", "width", "k", "words", "at", "sets", "cursor", "block_end")
 
-    def __init__(self, rngs: Sequence[np.random.Generator], most: int):
-        """most is the largest number of words one take asks for."""
+    def __init__(self, rngs: Sequence[np.random.Generator], width: int, k: int):
+        """Draws choice(width, k) sets; one take may ask for up to 2k words."""
         self.rngs = list(rngs)
-        width = max(_BLOCK_WORDS, most + 2)
-        self.words = np.zeros((len(self.rngs), width), dtype=np.uint32)
-        self.at = np.full(len(self.rngs), width, dtype=np.int64)
+        self.width, self.k = width, k
+        row = max(_BLOCK_WORDS, 2 * k + 2)  # a set reads at most 2k - 1 words
+        self.words = np.zeros((len(self.rngs), row), dtype=np.uint32)
+        self.at = np.full(len(self.rngs), row, dtype=np.int64)
         for t, rng in enumerate(self.rngs):
             if type(rng.bit_generator) is not np.random.PCG64:
                 raise TypeError("candidate draws need numpy's default PCG64 generator")
@@ -73,10 +75,11 @@ class WordBuffer:
             if state["has_uint32"]:
                 self.words[t, -1] = state["uinteger"]
                 self.at[t] -= 1
-        self.drawn_for = (0, 0)
-        self.sets = np.empty((0, 0), dtype=np.int16)
-        self.cursor = np.zeros(len(self.rngs), dtype=np.int64)
-        self.block_end = np.zeros(len(self.rngs), dtype=np.int64)
+        n_words = len(_floyd_draws(width, k)[2])
+        per_row = row // n_words if n_words else 0
+        self.sets = np.empty((len(self.rngs) * per_row, k), dtype=np.int16)
+        self.cursor = np.arange(len(self.rngs)) * per_row
+        self.block_end = self.cursor.copy()
 
     def take(self, trees: np.ndarray, n: int) -> np.ndarray:
         """The next n words of each of trees (distinct row numbers), as uint32[len(trees), n]."""
@@ -101,27 +104,21 @@ class WordBuffer:
         self.words[t, self.at[t] :] = words
 
 
-def candidates(words: WordBuffer, trees: np.ndarray, width: int, k: int) -> np.ndarray:
+def candidates(words: WordBuffer, trees: np.ndarray) -> np.ndarray:
     """Per tree, its generator's next choice(width, k, replace=False), ascending: int64[J, k].
 
-    trees holds distinct rows of words.
+    trees holds distinct rows of words; width and k are the buffer's.
     """
-    n_words = len(_floyd_draws(width, k)[2])
+    n_words = len(_floyd_draws(words.width, words.k)[2])
     if not n_words:  # choice(1, 1) reads no word
-        return np.zeros((len(trees), k), dtype=np.int64)
-    if words.drawn_for != (width, k):
-        words.drawn_for = (width, k)
-        per_row = words.words.shape[1] // n_words
-        words.sets = np.empty((len(words.rngs) * per_row, k), dtype=np.int16)
-        words.cursor = np.arange(len(words.rngs)) * per_row
-        words.block_end = words.cursor.copy()
+        return np.zeros((len(trees), words.k), dtype=np.int64)
     cursor = words.cursor[trees]
     stale = (cursor >= words.block_end[trees]).nonzero()[0]
     if len(stale):  # new blocks for every row with less than half a block left
         per_row = len(words.sets) // len(words.rngs)
         renew = (2 * (words.block_end - words.cursor) < per_row).nonzero()[0]
         for a in range(0, len(renew), _PASS_ROWS):
-            _draw_blocks(words, renew[a : a + _PASS_ROWS], width, k)
+            _draw_blocks(words, renew[a : a + _PASS_ROWS])
         cursor = words.cursor[trees]
         stale = (cursor >= words.block_end[trees]).nonzero()[0]  # a set with a rejected word
     chosen = words.sets.take(cursor, axis=0).astype(np.int64)
@@ -130,14 +127,15 @@ def candidates(words: WordBuffer, trees: np.ndarray, width: int, k: int) -> np.n
     words.at[trees] += n_words
     for r in stale.tolist():
         words.at[trees[r]] -= n_words
-        chosen[r] = sorted(_choice_word_by_word(words, trees[r : r + 1], width, k))
+        chosen[r] = sorted(_choice_word_by_word(words, trees[r : r + 1]))
     return chosen
 
 
-def _draw_blocks(words: WordBuffer, trees: np.ndarray, width: int, k: int) -> None:
+def _draw_blocks(words: WordBuffer, trees: np.ndarray) -> None:
     """Fill the blocks of trees from their pointers on, refilling first a row
     whose unread words do not fill a block."""
-    floyd, n_reading, span, limit = _floyd_draws(width, k)
+    k = words.k
+    floyd, n_reading, span, limit = _floyd_draws(words.width, k)
     n_words, row = len(span), words.words.shape[1]
     per_row = len(words.sets) // len(words.rngs)
     for t in trees[words.at[trees] + per_row * n_words > row].tolist():
@@ -172,7 +170,8 @@ def _floyd_draws(width: int, k: int) -> tuple[np.ndarray, int, np.ndarray, np.nd
     return floyd, len(reading), span, (1 << 32) % span
 
 
-def _choice_word_by_word(words: WordBuffer, tree: np.ndarray, width: int, k: int) -> list[int]:
+def _choice_word_by_word(words: WordBuffer, tree: np.ndarray) -> list[int]:
+    width, k = words.width, words.k
     chosen: list[int] = []
     for j in range(width - k, width):
         value = _bounded(words, tree, j)

@@ -1,7 +1,9 @@
 """Forest growth: all trees grow together, each step a fixed number of array ops.
 
 Each tree keeps its own generator and its own preorder stack, one row of a
-dense (trees, max_tree_depth + 1) table; a preorder stack never holds more.
+dense (trees, D + 1) table, D the smaller of max_tree_depth and the largest
+sample; a preorder stack never holds more, for no node of an n-row sample
+is deeper than n - 1.
 A step pops, for every tree it takes, the run of leaves on top of its stack
 (the pure and depth-capped nodes) and the next node that may split; draws
 the candidate features of all of them at once (`draws.candidates`); scores
@@ -76,13 +78,14 @@ def grow_trees(
     pool = np.concatenate(samples, dtype=np.int32)
     del samples
     n_trees, starts = len(rngs), sizes.cumsum() - sizes
-    stack = np.zeros((5, n_trees, cap + 1), dtype=np.int64)
+    deepest = min(cap, int(sizes.max()))
+    stack = np.zeros((5, n_trees, deepest + 1), dtype=np.int64)
     stack[:, :, 0] = np.broadcast_arrays(starts, 0, sizes, hard, -1)
     top = np.ones(n_trees, dtype=np.int64)
     log, logged = [], 0  # per step, its popped nodes: (int32[5, m], their thresholds)
-    words = draws.WordBuffer(rngs, 2 * k)
+    words = draws.WordBuffer(rngs, width, k)
     ranked, x_flat = kernels.rank_rows(x_rows, y), x_rows.ravel()
-    slots, every = np.arange(cap + 1), np.arange(n_trees)
+    slots, every = np.arange(deepest + 1), np.arange(n_trees)
     # A step calls array methods and ufuncs, which run in C, rather than
     # numpy's functions of the same names, which are Python wrappers.
     while np.logical_or.reduce(top):
@@ -90,7 +93,7 @@ def grow_trees(
         n, hard = stack[_N], stack[_HARD]
         live = (hard > 0) & (hard < n) & (stack[_DEPTH] < cap) & (slots < top[:, None])
         has = np.logical_or.reduce(live, axis=1)
-        base = (cap - live[:, ::-1].argmax(axis=1)) * has
+        base = (deepest - live[:, ::-1].argmax(axis=1)) * has
         rows_at = n[every, base] * has
         trees = ((top > 0) & (rows_at.cumsum() - rows_at < _STEP_ROWS)).nonzero()[0]
 
@@ -113,7 +116,7 @@ def grow_trees(
         if not len(trees):
             continue
 
-        cands = draws.candidates(words, trees, width, k)
+        cands = draws.candidates(words, trees)
         lo, n = taken[_LO], taken[_N]
         starts = n.cumsum() - n
         in_pool = np.arange(starts[-1] + n[-1]) + (lo - starts).repeat(n)

@@ -3,7 +3,8 @@
 One call labels a whole corpus. Each function is compiled alone, once
 with basic and once with aggressive flags, into an object whose symbol
 is renamed after the function's position. One driver, with a timing
-harness per function, is linked with all those objects; one launch per
+harness per function that names the function's parameters and sizes by
+position and value only, is linked with all those objects; one launch per
 function times both variants in alternating batches of one process. The
 ratio rule then applies: the function is easy to optimize when
 aggressive flags barely help, i.e. t_aggr / t_basic > delta. Functions
@@ -32,7 +33,7 @@ HARD_NAME = "hard"
 
 
 class DriverError(Exception):
-    """The function's signature cannot be wrapped in a timing driver."""
+    """The function cannot be wrapped in a timing driver: it has no source text."""
 
 
 class CompileError(Exception):
@@ -164,53 +165,39 @@ def _alias(k: int, tag: str) -> str:
     return f"ot_k{k}_{tag}"
 
 
-def _buffer_dims(param, defines: dict[str, int], extent: int) -> list[str]:
-    dims = []
-    for ext in param.extents:
-        if isinstance(ext, int):
-            dims.append(str(ext))
-        elif ext in defines:
-            dims.append(ext)  # macro carries the value
-        else:
-            dims.append(str(extent))  # extent named after another parameter
-    return dims
-
-
 def _harness(k: int, fn: FunctionUnit, cfg: LabelerConfig) -> str:
-    """Driver code that times kernel k's two objects; raises DriverError."""
+    """Driver code that times kernel k's two objects; raises DriverError.
+
+    Outside its comment the harness names nothing of the kernel's source:
+    a symbolic extent is written as its size, prototype parameters are
+    unnamed, and each global is named after kernel k and its parameter's
+    position, so every identifier is a C keyword or starts with ot_.
+    """
     if not fn.source_text.strip():
         raise DriverError("function has no source text to embed")
-    for name in fn.bound_symbols:
-        if name.startswith("ot_"):  # every name the driver defines starts so, main aside
-            raise DriverError(f"bound symbol {name!r} collides with the driver's ot_* names")
     pre = f"ot_k{k}"
     extent = _extent(fn, cfg)
-    defines = {name: extent for name in fn.bound_symbols}
 
     lines = [f"/* kernel {k}: {fn.name} */"]
-    lines.extend(f"#define {name} {extent}" for name in sorted(defines))
     proto_params = []
     call_args = []
     globals_decl = []
     fills = []
     sums = []
-    for p in fn.params:
-        if p.tag == "scalar-int":
-            proto_params.append(f"int {p.name}")
-            globals_decl.append(f"static volatile int {pre}_s_{p.name} = {extent};")
-            call_args.append(f"{pre}_s_{p.name}")
-        elif p.tag == "scalar-float":
-            proto_params.append(f"float {p.name}")
-            globals_decl.append(f"static volatile float {pre}_s_{p.name} = 1.5f;")
-            call_args.append(f"{pre}_s_{p.name}")
+    for i, p in enumerate(fn.params):
+        if not p.extents:
+            value = extent if p.base_type == "int" else "1.5f"
+            proto_params.append(p.base_type)
+            globals_decl.append(f"static volatile {p.base_type} {pre}_s{i} = {value};")
+            call_args.append(f"{pre}_s{i}")
         else:
-            dims = _buffer_dims(p, defines, extent)
+            dims = [ext if isinstance(ext, int) else extent for ext in p.extents]
             decl_dims = "".join(f"[{d}]" for d in dims)
-            proto_params.append(f"{p.base_type} {p.name}{decl_dims}")
-            globals_decl.append(f"static {p.base_type} {pre}_g_{p.name}{decl_dims};")
-            call_args.append(f"{pre}_g_{p.name}")
+            proto_params.append(f"{p.base_type}{decl_dims}")
+            globals_decl.append(f"static {p.base_type} {pre}_g{i}{decl_dims};")
+            call_args.append(f"{pre}_g{i}")
             idx = [f"ot_i{d}" for d in range(len(dims))]
-            ref = f"{pre}_g_{p.name}" + "".join(f"[{v}]" for v in idx)
+            ref = f"{pre}_g{i}" + "".join(f"[{v}]" for v in idx)
             cast = "(float)ot_rng_next()" if p.base_type == "float" else f"(int)(ot_rng_next() * {extent}.0)"
             open_loops = "".join(
                 f"for (long {v} = 0; {v} < {d}; {v}++) " for v, d in zip(idx, dims)
@@ -241,20 +228,6 @@ def _harness(k: int, fn: FunctionUnit, cfg: LabelerConfig) -> str:
     lines.append("    return ot_sum;")
     lines.append("}")
     lines.append("")
-
-    # the verification call's checksum does not depend on how far the timing
-    # loop scales; every batch runs on freshly initialized data
-    lines.append(f"static double {pre}_verify(int ot_aggr)")
-    lines.append("{")
-    lines.append("    double ot_check = 0.0;")
-    lines.append(f"    {pre}_init();")
-    for keyword, tag in (("if (ot_aggr)", "aggr"), ("else", "basic")):
-        lines.append(f"    {keyword}")
-        lines.append(f"        ot_check += (double){calls[tag]};" if nonvoid else f"        {calls[tag]};")
-    lines.append(f"    ot_check += {pre}_checksum();")
-    lines.append("    return ot_check;")
-    lines.append("}")
-    lines.append("")
     lines.append(f"static double {pre}_batch(int ot_aggr, long ot_calls)")
     lines.append("{")
     lines.append(f"    {pre}_init();")
@@ -268,7 +241,14 @@ def _harness(k: int, fn: FunctionUnit, cfg: LabelerConfig) -> str:
         lines.append("        }")
     lines.append("    return ot_now_seconds() - ot_start;")
     lines.append("}")
-    lines.extend(f"#undef {name}" for name in sorted(defines))
+    lines.append("")
+    # one call on freshly initialized data, so the checksum does not depend
+    # on how far the timing loop scales
+    lines.append(f"static double {pre}_verify(int ot_aggr)")
+    lines.append("{")
+    lines.append(f"    {pre}_batch(ot_aggr, 1);")
+    lines.append(f"    return {pre}_sink + {pre}_checksum();" if nonvoid else f"    return {pre}_checksum();")
+    lines.append("}")
     return "\n".join(lines) + "\n"
 
 
@@ -299,20 +279,24 @@ def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerC
 
     Each kernel k is compiled alone, once per variant, as a symbol renamed
     ``ot_k<k>_basic`` or ``ot_k<k>_aggr``; the driver is linked with those
-    objects. Per kernel it holds one harness: every symbolic array extent
-    and loop bound bound to one concrete size by ``#define`` (and
-    ``#undef`` after the harness), arrays filled from a seeded generator,
-    scalars passed through ``volatile`` globals, a compiler barrier after
-    every call, and a checksum of the buffers.
+    objects. Per kernel it holds one harness, which names the kernel's
+    parameters by position only: every symbolic array extent written as
+    the one concrete size the kernel's objects get as ``-D<name>=<size>``,
+    arrays filled from a seeded generator, scalars passed through
+    ``volatile`` globals, a compiler barrier after every call, and a
+    checksum of the buffers. No identifier of the kernel's source reaches
+    the driver, so kernels whose names clash with the C library's or the
+    driver's own share one driver.
 
     ``driver <k>`` runs kernel k. Stdout is line-buffered, and the driver
     prints ``running <variant>`` before each step, so a crash or a timeout
     is charged to the variant that was running. Per variant it prints the
-    checksum of one verification call, then calibrates that variant on its
-    own: it doubles the call count while a batch lasts under
-    cfg.min_runtime_s/16, then jumps to ceil(calls * 1.1 * min_runtime_s /
-    elapsed), and stops at the first batch of at least cfg.min_runtime_s
-    or at 2^30 calls. That calibration is the warm-up. It then times
+    checksum of one verification call (a batch of one call on fresh data:
+    the buffers' checksum plus the return value, if any), then calibrates
+    that variant on its own: it doubles the call count while a batch lasts
+    under cfg.min_runtime_s/16, then jumps to ceil(calls * 1.1 *
+    min_runtime_s / elapsed), and stops at the first batch of at least
+    cfg.min_runtime_s or at 2^30 calls. That calibration is the warm-up. It then times
     cfg.repetitions batches of each variant, alternating basic and aggr,
     and prints per batch the per-call seconds and a checksum of the buffers
     taken after the clock stopped. Raises DriverError when a kernel cannot

@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shlex
 import statistics
+import string
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -70,8 +72,13 @@ class LabelerConfig:
             raise ValueError("min_runtime_s must be non-negative")
         if self.array_extent < 1:
             raise ValueError("array_extent must be positive")
-        if "{source}" not in self.compiler_cmd or "{output}" not in self.compiler_cmd:
-            raise ValueError("compiler_cmd must mention {source} and {output}")
+        try:  # the labeler fills in exactly these fields, then splits the command
+            fields = {f[1:] for f in string.Formatter().parse(self.compiler_cmd) if f[1] is not None}
+            if fields != {(name, "", None) for name in ("flags", "source", "output")}:
+                raise ValueError("it must use exactly the fields {flags}, {source} and {output}")
+            shlex.split(self.compiler_cmd.format(flags="-O1", source="a.c", output="a.o"))
+        except ValueError as e:
+            raise ValueError(f"compiler_cmd {self.compiler_cmd!r}: {e}") from None
         for key in ("flags_basic", "flags_aggr"):
             flags = getattr(self, key)
             if not isinstance(flags, tuple) or not all(isinstance(f, str) for f in flags):

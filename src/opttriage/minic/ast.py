@@ -111,15 +111,7 @@ Extent = Union[int, str]  # literal size or a symbolic name
 class ParamDecl:
     name: str
     base_type: str  # "int" | "float"
-    extents: tuple[Extent, ...] = ()
-
-    @property
-    def tag(self) -> str:
-        if len(self.extents) == 2:
-            return "array-2d"
-        if len(self.extents) == 1:
-            return "array-1d"
-        return f"scalar-{self.base_type}"
+    extents: tuple[Extent, ...] = ()  # empty for a scalar
 
 
 @dataclass(slots=True)

@@ -18,6 +18,11 @@ from opttriage.minic import SourceUnit, ast, function_text
 
 SYMBOL_EXTENT = "N"  # macro-style size every driver binds
 
+# Each loop level opens two of Parser.MAX_NESTING's levels, and the function
+# body and the deepest statement up to ten more: (MAX_NESTING - 10) // 2,
+# written out so that gen does not import the parser (a test ties the two).
+MAX_LOOP_DEPTH = 45
+
 
 class GenConfigError(ValueError):
     pass
@@ -56,6 +61,8 @@ class GenConfig:
             raise GenConfigError("n_functions must be positive")
         if self.depth_range[0] < 1:
             raise GenConfigError("depth_range must start at 1 or more")
+        if self.depth_range[1] > MAX_LOOP_DEPTH:
+            raise GenConfigError(f"depth_range must end at {MAX_LOOP_DEPTH} or less")
         if self.niter_range[0] < 1:
             raise GenConfigError("niter_range must start at 1 or more")
         for name in ("p_symbolic", "p_branch"):

@@ -484,6 +484,28 @@ def test_compiler_flags_that_are_not_strings_are_a_bad_config(
     assert not report.exists()
 
 
+# Each template once crashed `label` (the first four with a traceback) or
+# quarantined every kernel (no {flags}: the driver's sizes never reached cc).
+@pytest.mark.parametrize(
+    "template, complaint",
+    [
+        ("cc {flags} -o {output} {source} {extra}", "it must use exactly the fields"),
+        ("cc {flags} -o {output} {source} -DX={0}", "it must use exactly the fields"),
+        ("cc {flags} -o {output} {source} -DX=}", "Single '}' encountered"),
+        ('cc {flags} -o {output} "{source}', "No closing quotation"),
+        ("cc -o {output} {source}", "it must use exactly the fields"),
+    ],
+    ids=["unknown-field", "positional-field", "single-brace", "open-quote", "no-flags"],
+)
+def test_malformed_compiler_command_is_a_bad_config(tmp_path, labeled, capsys, template, complaint):
+    cfg = _write_json(tmp_path / "labeler.json", {"compiler_cmd": template})
+    out = tmp_path / "relabeled.jsonl"
+    assert main(["label", "--manifest", str(labeled), "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: bad labeler config: compiler_cmd" in err and complaint in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key,value",
     [

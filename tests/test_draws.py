@@ -19,9 +19,9 @@ def test_candidates_equal_choice_set_for_set():
     for width in range(1, 25):
         for k in range(1, width + 1):
             twins = [_twins(seed, bootstrap=7 + seed) for seed in range(4)]
-            words = WordBuffer([ours for ours, _ in twins], 2 * k)
+            words = WordBuffer([ours for ours, _ in twins], width, k)
             for _ in range(12):
-                got = candidates(words, np.arange(len(twins)), width, k)
+                got = candidates(words, np.arange(len(twins)))
                 want = [sorted(theirs.choice(width, size=k, replace=False)) for _, theirs in twins]
                 assert got.tolist() == want, (width, k)
 
@@ -43,30 +43,30 @@ def test_a_rejected_word_is_drawn_again():
     # below 2**32 % 13 == 9, so choice(16, 4)'s first draw, in [0, 12],
     # rejects it and reads the next word.
     index = 143352593
-    word = int(WordBuffer([_at_word(index)], 1).take(np.array([0]), 1)[0, 0])
+    word = int(WordBuffer([_at_word(index)], 16, 4).take(np.array([0]), 1)[0, 0])
     assert (word * 13) & 0xFFFFFFFF < 9
     ours = [np.random.default_rng(1), _at_word(index), np.random.default_rng(2)]
     theirs = [np.random.default_rng(1), _at_word(index), np.random.default_rng(2)]
-    words = WordBuffer(ours, 8)
+    words = WordBuffer(ours, 16, 4)
     for _ in range(3):  # the draws after the rejected word stay in step too
-        got = candidates(words, np.arange(3), 16, 4)
+        got = candidates(words, np.arange(3))
         assert got.tolist() == [sorted(rng.choice(16, size=4, replace=False)) for rng in theirs]
 
 
 def test_the_widest_schema_draws_as_choice_does():
     # 10,000 is the widest schema; numpy draws a population of that size by
     # Floyd's algorithm for every k, here at, just above and far above 1/50 of it
-    ours, theirs = _twins(3, bootstrap=5)
-    words = WordBuffer([ours], 2 * 5_000)
     for k in (200, 201, 5_000):
-        got = candidates(words, np.array([0]), 10_000, k)
+        ours, theirs = _twins(3, bootstrap=5)
+        words = WordBuffer([ours], 10_000, k)
+        got = candidates(words, np.array([0]))
         assert got.tolist() == [sorted(theirs.choice(10_000, size=k, replace=False))], k
-    assert words.take(np.array([0]), 1)[0, 0] == theirs.integers(0, 2**32, dtype=np.uint32)
+        assert words.take(np.array([0]), 1)[0, 0] == theirs.integers(0, 2**32, dtype=np.uint32)
 
 
 def test_only_the_default_generator_is_accepted():
     with pytest.raises(TypeError):
-        WordBuffer([np.random.Generator(np.random.MT19937(1))], 2)
+        WordBuffer([np.random.Generator(np.random.MT19937(1))], 16, 4)
 
 
 def test_gathered_words_match_choice_across_rejections_and_refills(monkeypatch):
@@ -82,9 +82,9 @@ def test_gathered_words_match_choice_across_rejections_and_refills(monkeypatch):
         draws, "_choice_word_by_word",
         lambda words, tree, *a: redone.append(int(tree[0])) or word_by_word(words, tree, *a),
     )
-    words = WordBuffer(ours, 8)
+    words = WordBuffer(ours, 16, 4)
     for draw in range(150):
-        got = candidates(words, np.arange(3), 16, 4)
+        got = candidates(words, np.arange(3))
         assert got.tolist() == [sorted(rng.choice(16, size=4, replace=False)) for rng in theirs]
         assert redone == ([1] if draw >= 2 else [])
     next_word = words.take(np.arange(3), 1)[:, 0].tolist()
@@ -93,11 +93,11 @@ def test_gathered_words_match_choice_across_rejections_and_refills(monkeypatch):
 
 def test_only_the_drawing_trees_read_words():
     ours, theirs = _twins(8, bootstrap=1)
-    words = WordBuffer([np.random.default_rng(9), ours], 8)
+    words = WordBuffer([np.random.default_rng(9), ours], 16, 4)
     for _ in range(3):
-        got = candidates(words, np.array([1]), 16, 4)
+        got = candidates(words, np.array([1]))
         assert got.tolist() == [sorted(theirs.choice(16, size=4, replace=False))]
-    assert candidates(words, np.array([0]), 16, 4).tolist() == [
+    assert candidates(words, np.array([0])).tolist() == [
         sorted(np.random.default_rng(9).choice(16, size=4, replace=False))
     ]
 
@@ -120,21 +120,21 @@ def test_blocks_equal_word_by_word_draws_on_streams_dense_with_rejections(monkey
     monkeypatch.setattr(WordBuffer, "_refill", refill_with_zeros)
     pick = np.random.default_rng(0)
     for width, k in ((16, 4), (20, 4), (7, 7), (30, 9)):
-        ours, theirs = (WordBuffer([np.random.default_rng(s) for s in range(5)], 2 * k)
+        ours, theirs = (WordBuffer([np.random.default_rng(s) for s in range(5)], width, k)
                         for _ in range(2))
         for _ in range(200):
             trees = np.flatnonzero(pick.random(5) < 0.6)
-            want = [sorted(draws._choice_word_by_word(theirs, trees[i : i + 1], width, k))
+            want = [sorted(draws._choice_word_by_word(theirs, trees[i : i + 1]))
                     for i in range(len(trees))]
-            assert candidates(ours, trees, width, k).tolist() == want, (width, k)
+            assert candidates(ours, trees).tolist() == want, (width, k)
         assert ours.take(np.arange(5), 3).tolist() == theirs.take(np.arange(5), 3).tolist()
 
 
 def test_a_take_between_draws_reads_the_words_the_next_set_would_have():
     ours, theirs = _twins(4, bootstrap=2)
-    words = WordBuffer([ours], 8)
+    words = WordBuffer([ours], 16, 4)
     for n in (1, 2, 7, 0):
-        got = candidates(words, np.array([0]), 16, 4)
+        got = candidates(words, np.array([0]))
         assert got.tolist() == [sorted(theirs.choice(16, size=4, replace=False))]
         taken = words.take(np.array([0]), n)[0].tolist()
         assert taken == theirs.integers(0, 2**32, size=n, dtype=np.uint32).tolist()

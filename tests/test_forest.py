@@ -337,6 +337,30 @@ def test_forest_whose_roots_exceed_a_step_equals_reference():
     assert_same_trees(model.trees, reference_forest(x, y, model.params))
 
 
+def test_stack_table_is_sized_by_the_largest_sample_not_the_depth_cap():
+    import tracemalloc
+
+    # no node of a 200-row sample is deeper than 199, so a cap of 100,000
+    # grows the trees a cap of 200 does, in a stack table of 201 slots
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(200, 12))
+    y = rng.integers(0, 2, size=200).astype(np.int8)  # noise: deep trees
+    texts = []
+    for depth in (200, 100_000):
+        params = ForestParams(n_trees=25, max_tree_depth=depth, min_samples_leaf=1, rng_seed=4)
+        tracemalloc.start()
+        try:
+            model = train(x, y, FeatureSchema(1), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, (depth, peak)
+        doc = json.loads(dumps_model(model))
+        assert doc["params"].pop("max_tree_depth") == depth
+        texts.append(json.dumps(doc, sort_keys=True))
+    assert texts[0] == texts[1]
+
+
 def test_build_tree_single_class_is_one_leaf():
     x = np.zeros((5, 12))
     y = np.zeros(5, dtype=np.int8)

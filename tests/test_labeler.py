@@ -5,6 +5,7 @@ injecting a timer.
 """
 
 import itertools
+import re
 import statistics
 import subprocess
 import threading
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from opttriage import labeler
+from opttriage import SourceUnit, labeler, parse_unit
 from opttriage.labeler import (
     VARIANTS,
     CompileError,
@@ -29,7 +30,9 @@ from opttriage.manifest import (
     CorpusManifest, ManifestRow, TimingRecord, dumps_manifest, loads_manifest,
 )
 
-from conftest import parse_one, requires_compiler
+from opttriage.synthgen import GenConfig, generate
+
+from conftest import DATA, parse_one, requires_compiler
 
 FAST_CFG = LabelerConfig(repetitions=3, min_runtime_s=0.01, array_extent=64)
 
@@ -203,14 +206,16 @@ def test_config_accepts_int_seconds_and_a_null_workdir():
 def test_driver_contains_measurement_guards():
     code = synthesize_driver([(0, _simple_fn())], FAST_CFG)
     assert "setvbuf(stdout, NULL, _IOLBF, 0);" in code  # a crash keeps what was printed
-    assert "static volatile int ot_k0_s_n" in code  # scalar args defeat constant folding
+    assert "static volatile int ot_k0_s0 = 64;" in code  # scalar args defeat constant folding
     assert '__asm__ __volatile__("" ::: "memory")' in code
     assert "checksum" in code
     assert "rng_next" in code  # deterministic data fill
     assert "CLOCK_MONOTONIC" in code
-    # both renamed variants of the kernel, declared and never defined here
-    assert "void ot_k0_basic(int n, float x[N], float y[N]);" in code
-    assert "void ot_k0_aggr(int n, float x[N], float y[N]);" in code
+    # both renamed variants of the kernel, declared and never defined here,
+    # their parameters unnamed
+    assert "void ot_k0_basic(int, float[64], float[64]);" in code
+    assert "void ot_k0_aggr(int, float[64], float[64]);" in code
+    assert "static float ot_k0_g1[64];" in code and "static float ot_k0_g2[64];" in code
     assert "saxpy" not in code.replace("/* kernel 0: saxpy */", "")
     # one calibration routine for every variant, then the repetitions alternate
     assert code.count("for (;;)") == 1
@@ -222,22 +227,27 @@ def test_driver_contains_measurement_guards():
     assert code.count('printf("per_call_seconds') == 1
     assert code.count('printf("rep_checksum %s %.6e\\n", ot_variants[v], h->checksum());') == 1
     assert code.count('printf("checksum') == 1
+    # verification is a batch of one call: the kernel's calls are written once
+    assert code.count("ot_k0_basic(ot_k0_s0, ot_k0_g1, ot_k0_g2);") == 1
+    assert "ot_k0_batch(ot_aggr, 1);" in code
 
 
-def test_driver_holds_one_harness_per_kernel_with_its_own_defines():
+def test_driver_holds_one_harness_per_kernel_with_literal_sizes():
     wide = parse_one("void g(float a[M][N]) { for (int i = 0; i < M; i++) a[i][0] = 1.0; }")
     code = synthesize_driver([(0, _simple_fn()), (3, wide)], FAST_CFG)
     assert "{0, ot_k0_verify, ot_k0_batch, ot_k0_checksum}," in code
     assert "{3, ot_k3_verify, ot_k3_batch, ot_k3_checksum}," in code
     first, second = code.split("/* kernel 3: g */")
-    assert first.count("#define N 64") == 1 and first.count("#undef N") == 1
-    assert second.index("#define M 64") < second.index("#undef M") < second.index("int main")
+    assert "#define" not in code and "#undef" not in code
+    assert "void ot_k0_basic(int, float[64], float[64]);" in first
+    assert "void ot_k3_basic(float[64][64]);" in second
+    assert "static float ot_k3_g0[64][64];" in second
 
 
-def test_driver_defines_symbolic_extent():
+def test_driver_writes_symbolic_extent_as_its_size():
     code = synthesize_driver([(0, _simple_fn())], FAST_CFG)
-    assert "#define N 64" in code
-    assert "#undef N" in code
+    assert "for (long ot_i0 = 0; ot_i0 < 64; ot_i0++) ot_k0_g1[ot_i0] = (float)ot_rng_next();" in code
+    assert "N" not in code.split("/* kernel 0: saxpy */")[1].split("struct ot_harness")[0]
 
 
 def test_driver_respects_minimum_extent():
@@ -247,16 +257,44 @@ def test_driver_respects_minimum_extent():
         "}"
     )
     code = synthesize_driver([(0, fn)], FAST_CFG)  # cfg extent 64 is too small
-    assert "#define N 100" in code
+    assert "void ot_k0_basic(int, float[100]);" in code
+    assert "static volatile int ot_k0_s0 = 100;" in code
+    assert "static float ot_k0_g1[100];" in code
 
 
-def test_driver_rejects_reserved_names():
-    # a bound symbol is #defined across its harness, so it may not take a driver name
+def test_driver_accepts_names_the_driver_uses():
+    # no name of the kernel reaches the driver, so none can collide with one of its own
     fn = parse_one("void f(float a[ot_n]) { for (int i = 0; i < ot_n; i++) a[i] = 1.0; }")
-    with pytest.raises(DriverError, match="'ot_n' collides"):
-        synthesize_driver([(0, fn)], FAST_CFG)
+    code = synthesize_driver([(0, fn)], FAST_CFG)
+    assert not re.search(r"\bot_n\b", code) and "void ot_k0_basic(float[64]);" in code
     # the kernel's own name never reaches the driver: its objects are renamed
     assert "int main(int argc" in synthesize_driver([(0, parse_one("void main(int n) { }"))], FAST_CFG)
+
+
+C_KEYWORDS = frozenset(
+    "auto break case char const continue default do double else enum extern float for goto if "
+    "inline int long register restrict return short signed sizeof static struct switch typedef "
+    "union unsigned void volatile while __asm__ __volatile__".split()
+)
+
+
+def _identifiers(code: str) -> set:
+    """The identifiers of C code, outside comments, string literals and numbers."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", code, flags=re.S)
+    code = re.sub(r'"(?:\\.|[^"\\])*"', " ", code)
+    code = re.sub(r"(?<![\w.])\.?\d(?:[eEpP][+-]|[\w.])*", " ", code)
+    return set(re.findall(r"[A-Za-z_]\w*", code))
+
+
+def test_harnesses_name_nothing_of_the_kernel():
+    units = generate(GenConfig(seed=1, n_functions=500))
+    units += [SourceUnit(p.name, p.read_text()) for p in sorted(DATA.glob("*.c"))]
+    functions = [fn for unit in units for fn in parse_unit(unit)[0]]
+    assert len(functions) > 500
+    for k, fn in enumerate(functions):
+        names = _identifiers(labeler._harness(k, fn, LabelerConfig()))
+        assert {n for n in names if n not in C_KEYWORDS and not n.startswith("ot_")} == set(), fn.name
+    assert _identifiers('/* f */ x = 1.5f + 20ULL + 1e-9 + "y z";') == {"x"}
 
 
 def test_driver_rejects_functions_without_source():
@@ -713,6 +751,61 @@ def test_label_corpus_quarantines_a_failing_aggressive_compile(tmp_path):
     assert "no-such-flag" in res.quarantine_reason
     assert (tmp_path / "ot_k0_basic.o").exists()  # basic compiled
     assert not (tmp_path / "ot_k0_aggr.o").exists()
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_label_corpus_shares_one_driver_among_kernels_named_like_c_library_or_driver_names(
+    tmp_path, monkeypatch
+):
+    # each name reached the driver once and broke it, or was refused
+    sources = [
+        "void plain(int n, float a[N]) { for (int i = 0; i < n; i++) a[i] = a[i] * 0.5 + 1.0; }",
+        "void null_ext(float a[NULL]) { for (int i = 0; i < NULL; i++) a[i] = a[i] + 1.0; }",
+        "float eof_arg(int EOF, float a[N]) { float s; s = 0.0;"
+        " for (int i = 0; i < EOF; i++) s = s + a[i]; return s; }",
+        "void asm_ext(float a[__asm__]) { for (int i = 0; i < __asm__; i++) a[i] = a[i] * 2.0; }",
+        "void ot_ext(float a[ot_n]) { for (int i = 0; i < ot_n; i++) a[i] = 1.0; }",
+    ]
+    fns = [(f"k{i}.c::k", parse_one(text, path=f"k{i}.c")) for i, text in enumerate(sources)]
+    drivers = []
+    real_compile = labeler.compile_variant
+
+    def counting_compile(source, flags, cfg, workdir, stem="driver", link=None):
+        if link is not None:
+            drivers.append(stem)
+        return real_compile(source, flags, cfg, workdir, stem, link)
+
+    monkeypatch.setattr(labeler, "compile_variant", counting_compile)
+    cfg = LabelerConfig(repetitions=3, min_runtime_s=0.01, array_extent=64, workdir=str(tmp_path))
+    results = label_corpus(fns, cfg)
+    assert [r.quarantine_reason for r in results] == [None] * 5
+    assert all(r.label in ("easy", "hard") for r in results)
+    assert drivers == ["ot_driver"]
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_verification_checksum_counts_the_return_value(tmp_path):
+    # a kernel that returns K and stores nothing, next to its void twin
+    cfg = LabelerConfig(repetitions=1, min_runtime_s=0.0, array_extent=64)
+    checksums = []
+    for k, text in enumerate((
+        "float f(float a[N]) { return 1000.0; }",
+        "void f(float a[N]) { }",
+    )):
+        fn = parse_one(text)
+        objects = [
+            compile_variant(fn.source_text, (*flags, f"-Df=ot_k{k}_{tag}", "-DN=64"), cfg, tmp_path, f"ot_k{k}_{tag}")
+            for tag, flags in (("basic", cfg.flags_basic), ("aggr", cfg.flags_aggr))
+        ]
+        driver = synthesize_driver([(k, fn)], cfg)
+        binary = compile_variant(driver, cfg.flags_basic, cfg, tmp_path, f"ot_k{k}_driver", link=objects)
+        result = measure(binary, k, cfg)
+        assert result["basic"].checksum == result["aggr"].checksum
+        checksums.append(float(result["basic"].checksum))
+    returning, void = checksums
+    assert returning - void == pytest.approx(1000.0, abs=0.01)
 
 
 def _repeat_fn(name, rounds, path):

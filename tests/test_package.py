@@ -52,7 +52,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         {"numpy", "opttriage.forest", labeler, *front_end}
     )
     assert _loaded_modules(tmp_path, "gen", "--seed", "3", "--count", "8",
-                           "--out", "corpus").isdisjoint({"numpy", labeler})
+                           "--out", "corpus").isdisjoint({"numpy", labeler, "opttriage.minic.parser"})
     assert labeler not in _loaded_modules(tmp_path, "extract", "corpus/manifest.jsonl",
                                           "--fit-schema", "--out", "features.jsonl")
     assert "numpy" not in _loaded_modules(tmp_path, "label", "--manifest", "features.jsonl",

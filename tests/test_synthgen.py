@@ -8,6 +8,8 @@ import pytest
 from opttriage import SourceUnit, compute_max_depth, parse_unit
 from opttriage.features import FeatureSchema, extract
 from opttriage.labeler import LabelerConfig, label_corpus
+from opttriage import synthgen
+from opttriage.minic.parser import Parser
 from opttriage.synthgen import GenConfig, GenConfigError, generate
 
 from conftest import requires_compiler
@@ -97,6 +99,20 @@ def test_config_validation():
         GenConfig(p_symbolic=1.5)
     with pytest.raises(GenConfigError):
         GenConfig(n_arrays_range=(0, 0), n_scalars_range=(0, 0))
+
+
+def test_depth_cap_keeps_the_deepest_kernels_within_the_parsers_nesting(monkeypatch):
+    assert synthgen.MAX_LOOP_DEPTH == (Parser.MAX_NESTING - 10) // 2
+    # every statement a ternary, three a level: the deepest expressions there are
+    deepest = dict(n_functions=25, p_branch=1.0, ops_range=(3, 3))
+    at_cap = GenConfig(depth_range=(45, 45), **deepest)
+    assert all(not parse_unit(unit)[1] for unit in generate(at_cap))
+    with pytest.raises(GenConfigError, match="depth_range must end at 45 or less"):
+        GenConfig(depth_range=(1, 46), **deepest)
+    # one level more and some kernels nest too deep for the parser
+    monkeypatch.setattr(synthgen, "MAX_LOOP_DEPTH", 46)
+    too_deep = generate(GenConfig(depth_range=(46, 46), **deepest))
+    assert any("nesting deeper than" in str(parse_unit(unit)[1]) for unit in too_deep)
 
 
 def test_config_round_trip_and_unknown_keys():
