@@ -27,8 +27,9 @@ if TYPE_CHECKING:  # numpy loads with the first array, so a schema alone costs n
 _COUNT_NAMES = ("logical_ops", "arith_ops", "branches", "arrays", "scalars")
 
 # Up to this population numpy's choice() draws by Floyd's algorithm for every
-# k, the one rule forest/draws.py reproduces; the parser's nesting limit keeps
-# real schemas far narrower. A model or manifest naming a wider schema is
+# k, the one rule forest/draws.py applies to its bounded draws, and every
+# feature fits the int16 its candidate blocks hold; the parser's nesting
+# limit keeps real schemas far narrower. A model or manifest naming a wider schema is
 # refused here, before any row of its width is built.
 MAX_WIDTH = 10_000
 

@@ -83,7 +83,7 @@ def grow_trees(
     stack[:, :, 0] = np.broadcast_arrays(starts, 0, sizes, hard, -1)
     top = np.ones(n_trees, dtype=np.int64)
     log, logged = [], 0  # per step, its popped nodes: (int32[5, m], their thresholds)
-    words = draws.WordBuffer(rngs, width, k)
+    blocks = draws.CandidateBlocks(rngs, width, k, int(sizes.max()))
     ranked, x_flat = kernels.rank_rows(x_rows, y), x_rows.ravel()
     slots, every = np.arange(deepest + 1), np.arange(n_trees)
     # A step calls array methods and ufuncs, which run in C, rather than
@@ -116,7 +116,7 @@ def grow_trees(
         if not len(trees):
             continue
 
-        cands = draws.candidates(words, trees)
+        cands = draws.candidates(blocks, trees)
         lo, n = taken[_LO], taken[_N]
         starts = n.cumsum() - n
         in_pool = np.arange(starts[-1] + n[-1]) + (lo - starts).repeat(n)

@@ -552,7 +552,9 @@ def loads_model(text: str) -> RandomForestModel:
             rng_seed=_int_field(p, "rng_seed"),
         )
         params.validate(schema.width)
-        fingerprint = str(doc["training_fingerprint"])
+        fingerprint = doc["training_fingerprint"]
+        if type(fingerprint) is not str:
+            raise ModelFormatError(f"training_fingerprint must be a string, not {fingerprint!r}")
         nodes = _NODE_READERS[version](doc, params.n_trees)
         nodes.check(schema.width)
     except ModelFormatError:

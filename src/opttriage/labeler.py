@@ -15,6 +15,7 @@ compile-and-run leg so the whole pipeline can run hermetically.
 
 from __future__ import annotations
 
+import os
 import shlex
 import subprocess
 import tempfile
@@ -37,13 +38,20 @@ class DriverError(Exception):
 
 
 class CompileError(Exception):
-    # stderr rides along in the message so quarantine reasons stay actionable
-    def __init__(self, message: str, stderr: str = ""):
-        tail = stderr.strip()
-        if tail:
-            if len(tail) > 400:
-                tail = tail[:400] + "..."
-            message = f"{message}: {tail}"
+    """A compile failed; ``stderr`` holds all the compiler printed.
+
+    The message adds one line of it, so a quarantine reason stays one line:
+    the first that says ``error:``, else the last non-blank one, with the
+    workdir's prefix removed from the paths it names.
+    """
+
+    def __init__(self, message: str, stderr: str = "", workdir: Optional[Path] = None):
+        lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+        if lines:
+            line = next((text for text in lines if "error:" in text), lines[-1])
+            if workdir is not None:
+                line = line.replace(f"{workdir}{os.sep}", "")
+            message = f"{message}: {line}"
         super().__init__(message)
         self.stderr = stderr
 
@@ -344,11 +352,11 @@ def compile_variant(
     except OSError as e:
         raise CompileError(f"cannot run compiler {argv[0]!r}: {e}", "") from e
     if proc.returncode != 0:
-        raise CompileError(
-            f"compiler exited with {proc.returncode}", proc.stderr.strip()
-        )
+        raise CompileError(f"compiler exited with {proc.returncode}", proc.stderr, workdir)
     if not out_path.exists():
-        raise CompileError("compiler reported success but produced no output", proc.stderr)
+        raise CompileError(
+            "compiler reported success but produced no output", proc.stderr, workdir
+        )
     return out_path
 
 
@@ -450,8 +458,7 @@ def _build(tag: str, *args, **kwargs) -> Union[Path, str]:
     try:
         return compile_variant(*args, **kwargs)
     except CompileError as e:
-        detail = f"; {e.stderr.splitlines()[-1]}" if e.stderr else ""
-        return f"compile[{tag}]: {e}{detail}"
+        return f"compile[{tag}]: {e}"
 
 
 def _timed(binary: Path, k: int, cfg: LabelerConfig) -> Samples:

@@ -951,6 +951,8 @@ HEADER_TYPE_MUTATIONS = {
     "rng-seed-string": (("params", "rng_seed"), "4"),
     "bootstrap-fraction-string": (("params", "bootstrap_fraction"), "1.0"),
     "bootstrap-fraction-boolean": (("params", "bootstrap_fraction"), True),
+    "training-fingerprint-null": (("training_fingerprint",), None),
+    "training-fingerprint-number": (("training_fingerprint",), 5),
 }
 
 

@@ -716,10 +716,29 @@ def test_compile_and_measure_real_binary(tmp_path):
 @pytest.mark.integration
 @requires_compiler
 def test_compile_error_carries_stderr(tmp_path):
-    with pytest.raises(CompileError, match="nope_not_defined"):
+    with pytest.raises(CompileError, match="nope_not_defined") as caught:
         compile_variant(
             "int main(void) { return nope_not_defined; }\n", ("-O1",), FAST_CFG, tmp_path
         )
+    message = str(caught.value)
+    assert "\n" not in message and str(tmp_path) not in message, message
+    assert str(tmp_path) in caught.value.stderr  # the full text, paths and all, stays
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_a_compile_quarantine_reason_is_the_first_error_line_without_the_workdir():
+    # the kernel parses, but cc refuses its float subscript; the workdir is
+    # a fresh temporary directory, whose random name the reason must not carry
+    text = (DATA / "literal_subscripts.c").read_text()
+    units, _ = parse_unit(SourceUnit("literal_subscripts.c", text))
+    (fn,) = [unit for unit in units if unit.name == "float_and_negative"]
+    cfg = LabelerConfig(repetitions=3, min_runtime_s=0.01, array_extent=64)
+    (res,) = label_corpus([("literal_subscripts.c::float_and_negative", fn)], cfg)
+    reason = res.quarantine_reason
+    assert reason.startswith("compile[basic]: compiler exited with 1: ot_k0_basic.c:"), reason
+    assert reason.endswith("error: array subscript is not an integer"), reason
+    assert "\n" not in reason
 
 
 @pytest.mark.integration
