@@ -41,14 +41,19 @@ class CompileError(Exception):
     """A compile failed; ``stderr`` holds all the compiler printed.
 
     The message adds one line of it, so a quarantine reason stays one line:
-    the first that says ``error:``, else the last non-blank one, with the
-    workdir's prefix removed from the paths it names.
+    the first that says ``error:`` or ``undefined reference`` (the linker
+    names the missing symbol before its summary error), else the last
+    non-blank one, with the workdir's prefix removed from the paths it
+    names.
     """
 
     def __init__(self, message: str, stderr: str = "", workdir: Optional[Path] = None):
         lines = [line.strip() for line in stderr.splitlines() if line.strip()]
         if lines:
-            line = next((text for text in lines if "error:" in text), lines[-1])
+            line = next(
+                (text for text in lines if "error:" in text or "undefined reference" in text),
+                lines[-1],
+            )
             if workdir is not None:
                 line = line.replace(f"{workdir}{os.sep}", "")
             message = f"{message}: {line}"
@@ -108,16 +113,20 @@ static const char *const ot_variants[2] = {"basic", "aggr"};
 /* Calls per batch of one variant: double while a batch lasts under a
    sixteenth of the target, then jump to 1.1 x the calls the last batch
    predicts for the target; stop at the first batch of at least the
-   target, or at 2^30 calls. */
-static long ot_calibrate(const struct ot_harness *h, int aggr)
+   target, or at 2^30 calls. That last batch ran the returned count on
+   freshly filled buffers, as every repetition does, so its time is
+   stored in *first as repetition 0. */
+static long ot_calibrate(const struct ot_harness *h, int aggr, double *first)
 {
     const double target = %(min_runtime_s)r;
     const long cap = 1L << 30;
     long calls = 1;
     for (;;) {
         double elapsed = h->batch(aggr, calls);
-        if (elapsed >= target || calls >= cap)
+        if (elapsed >= target || calls >= cap) {
+            *first = elapsed;
             return calls;
+        }
         if (elapsed < target / 16.0) {
             calls *= 2;
         } else {
@@ -140,21 +149,24 @@ int main(int argc, char **argv)
         return 2;
     }
     long calls[2];
+    double first[2], first_checksum[2];
     for (int v = 0; v < 2; v++) {
         printf("running %%s\\n", ot_variants[v]);
         printf("checksum %%s %%.6e\\n", ot_variants[v], h->verify(v));
     }
     for (int v = 0; v < 2; v++) {
         printf("running %%s\\n", ot_variants[v]);
-        calls[v] = ot_calibrate(h, v);
+        calls[v] = ot_calibrate(h, v, &first[v]);
+        /* before the other variant refills the shared buffers */
+        first_checksum[v] = h->checksum();
         printf("calls %%s %%ld\\n", ot_variants[v], calls[v]);
     }
     for (int rep = 0; rep < %(repetitions)d; rep++) {
         for (int v = 0; v < 2; v++) {
             printf("running %%s\\n", ot_variants[v]);
-            double elapsed = h->batch(v, calls[v]);
+            double elapsed = rep ? h->batch(v, calls[v]) : first[v];
             printf("per_call_seconds %%s %%.9e\\n", ot_variants[v], elapsed / (double)calls[v]);
-            printf("rep_checksum %%s %%.6e\\n", ot_variants[v], h->checksum());
+            printf("rep_checksum %%s %%.6e\\n", ot_variants[v], rep ? h->checksum() : first_checksum[v]);
         }
     }
     return 0;
@@ -304,11 +316,16 @@ def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerC
     that variant on its own: it doubles the call count while a batch lasts
     under cfg.min_runtime_s/16, then jumps to ceil(calls * 1.1 *
     min_runtime_s / elapsed), and stops at the first batch of at least
-    cfg.min_runtime_s or at 2^30 calls. That calibration is the warm-up. It then times
-    cfg.repetitions batches of each variant, alternating basic and aggr,
-    and prints per batch the per-call seconds and a checksum of the buffers
-    taken after the clock stopped. Raises DriverError when a kernel cannot
-    be wrapped.
+    cfg.min_runtime_s or at 2^30 calls. The shorter batches before it are
+    the warm-up. That last batch runs the calibrated count on freshly
+    filled buffers, as every repetition does, so it is repetition 0: its
+    time is kept, and its buffers' checksum is taken before the other
+    variant calibrates. The driver then times cfg.repetitions - 1 more
+    batches of each variant, alternating basic and aggr, and prints, per
+    repetition in that order (basic's calibration, aggr's, then basic,
+    aggr, ...), the per-call seconds and a checksum of the buffers taken
+    after the clock stopped. Raises DriverError when a kernel cannot be
+    wrapped.
     """
     return _assemble({k: _harness(k, fn, cfg) for k, fn in kernels}, cfg)
 
@@ -317,25 +334,31 @@ def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerC
 
 
 def compile_variant(
-    source: str,
+    source: Optional[str],
     flags: Sequence[str],
     cfg: LabelerConfig,
     workdir: Union[str, Path],
     stem: str = "driver",
     link: Optional[Sequence[Path]] = None,
 ) -> Path:
-    """Write ``<stem>.c`` and compile it; raises CompileError.
+    """Write ``<stem>.c`` and compile it, or only link; raises CompileError.
 
     With ``link`` None the result is the object ``<stem>.o`` (``-c``);
     otherwise it is the binary ``<stem>.bin``, linked with those objects.
+    With ``source`` None nothing is compiled: the binary is linked from
+    ``link`` alone.
     """
     workdir = Path(workdir)
-    src_path = workdir / f"{stem}.c"
-    src_path.write_text(source, encoding="utf-8")
+    inputs = []
+    if source is not None:
+        src_path = workdir / f"{stem}.c"
+        src_path.write_text(source, encoding="utf-8")
+        inputs.append(src_path)
     if link is None:
-        flags, out_path, inputs = (*flags, "-c"), workdir / f"{stem}.o", [src_path]
+        flags, out_path = (*flags, "-c"), workdir / f"{stem}.o"
     else:
-        out_path, inputs = workdir / f"{stem}.bin", [src_path, *link]
+        out_path = workdir / f"{stem}.bin"
+        inputs.extend(link)
     out_path.unlink(missing_ok=True)  # a reused workdir must not pass off an old output
     cmd = cfg.compiler_cmd.format(
         flags=" ".join(flags),
@@ -477,9 +500,11 @@ def _measured_samples(
 ) -> list[Samples]:
     """The real source: every compile of the call first, then one launch per kernel.
 
-    Kernel k is compiled alone per variant, renamed to ``ot_k<k>_<variant>``,
-    and one driver with a harness per kernel is built at cfg.flags_basic and
-    linked with all their objects. When that driver fails to build, each
+    Kernel k is compiled alone per variant, renamed to ``ot_k<k>_<variant>``.
+    One driver with a harness per kernel is compiled at cfg.flags_basic
+    beside those compiles, and linked with all their objects once they
+    exist. When a kernel has no objects, a driver of the others is built
+    instead; when that driver, or the shared one, fails to build, each
     kernel gets a driver of its own, which finds the culprit. A kernel's
     first failure is its quarantine reason, checked in this order: driver,
     compile[basic], compile[aggr], its driver build (compile[basic], the
@@ -501,6 +526,12 @@ def _measured_samples(
     # compiling is not timed, so it runs two at a time; leaving the pool
     # waits for every build, and timing below stays serial
     with ThreadPoolExecutor(max_workers=2) as pool:
+        # the driver is the longest compile: submitted first, it runs beside
+        # the kernels', and only its link waits for their objects
+        if harnesses:
+            shared = pool.submit(
+                _build, "basic", _assemble(harnesses, cfg), cfg.flags_basic, cfg, workdir, "ot_driver"
+            )
         builds = {}
         for k in harnesses:
             fn = functions[k][1]
@@ -524,12 +555,19 @@ def _measured_samples(
             link = [obj for k in kernels for obj in objects[k]]
             return pool.submit(_build, "basic", source, cfg.flags_basic, cfg, workdir, stem, link)
 
+        # read before a driver of fewer kernels rewrites its source
+        driver = shared.result() if harnesses else None
         binaries = {}
         if objects:
-            driver = build_driver(list(objects), "ot_driver").result()
+            if len(objects) < len(harnesses):
+                # the shared driver calls kernels that have no objects
+                driver = build_driver(list(objects), "ot_driver").result()
+            elif not isinstance(driver, str):
+                link = [driver, *(obj for k in objects for obj in objects[k])]
+                driver = _build("basic", None, cfg.flags_basic, cfg, workdir, "ot_driver", link)
             binaries = dict.fromkeys(objects, driver)
             if isinstance(driver, str) and len(objects) > 1:
-                # a harness or an object breaks the link: a driver per kernel finds it
+                # a harness or an object breaks the build: a driver per kernel finds it
                 solo = {k: build_driver([k], f"ot_k{k}_driver") for k in objects}
                 binaries = {k: build.result() for k, build in solo.items()}
     for k, binary in binaries.items():

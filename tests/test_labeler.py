@@ -224,9 +224,19 @@ def test_driver_contains_measurement_guards():
     assert code.count(f"for (int rep = 0; rep < {FAST_CFG.repetitions}; rep++)") == 1
     assert code.count("for (int rep") == 1
     assert code.count('printf("running') == 3  # announced before verify, calibrate, each batch
+    # one print site per field: repetition 0 is the calibration's last batch,
+    # whose checksum is taken before the other variant calibrates
     assert code.count('printf("per_call_seconds') == 1
-    assert code.count('printf("rep_checksum %s %.6e\\n", ot_variants[v], h->checksum());') == 1
+    assert code.count('printf("rep_checksum') == 1
     assert code.count('printf("checksum') == 1
+    assert code.count("h->batch(") == 2  # in the calibration and in repetitions 1 and up
+    assert "double elapsed = rep ? h->batch(v, calls[v]) : first[v];" in code
+    assert "rep ? h->checksum() : first_checksum[v]" in code
+    assert re.search(
+        r"calls\[v\] = ot_calibrate\(h, v, &first\[v\]\);\s*(/\*[^*]*\*/\s*)?"
+        r"first_checksum\[v\] = h->checksum\(\);",
+        code,
+    )
     # verification is a batch of one call: the kernel's calls are written once
     assert code.count("ot_k0_basic(ot_k0_s0, ot_k0_g1, ot_k0_g2);") == 1
     assert "ot_k0_batch(ot_aggr, 1);" in code
@@ -560,11 +570,13 @@ def test_measure_reports_a_binary_that_cannot_start(tmp_path):
 def _fake_toolchain(monkeypatch, outputs=None, fail=()):
     """Stand-ins for compile_variant and measure that record what ran.
 
-    Returns the events: kernel objects and driver builds as ("compile",
-    stem, start, end), launches as ("run", kernel, start, end).
-    A build whose stem is in ``fail``, or whose source contains an entry
-    of it, raises CompileError; a driver prints ``outputs``
-    (per kernel, default: a clean run) through the real ``measure``.
+    Returns the events: objects (``-c``) as ("compile", stem, start, end),
+    driver binaries, linked alone or compiled and linked, as ("link",
+    stem, start, end), and launches as ("run", kernel, start, end).
+    A build whose stem is in ``fail``, or whose source or object list
+    contains an entry of it, raises CompileError; a driver prints
+    ``outputs`` (per kernel, default: a clean run) through the real
+    ``measure``.
     """
     events = []
     real_measure = labeler.measure
@@ -572,14 +584,15 @@ def _fake_toolchain(monkeypatch, outputs=None, fail=()):
 
     def fake_compile(source, flags, cfg, workdir, stem="driver", link=None):
         start = next(clock)
+        text = (source or "") + " ".join(map(str, link or ()))
         try:
-            if any(bad == stem or bad in source for bad in fail):
+            if any(bad == stem or bad in text for bad in fail):
                 raise CompileError(f"{stem} failed")
             if link is None:
                 return Path(workdir) / f"{stem}.o"
             return _fake_binary(Path(workdir), outputs or {"*": _driver_output()}, name=f"{stem}.bin")
         finally:
-            events.append(("compile", stem, start, next(clock)))
+            events.append(("compile" if link is None else "link", stem, start, next(clock)))
 
     def fake_measure(binary, kernel, cfg):
         start = next(clock)
@@ -591,6 +604,10 @@ def _fake_toolchain(monkeypatch, outputs=None, fail=()):
     monkeypatch.setattr(labeler, "compile_variant", fake_compile)
     monkeypatch.setattr(labeler, "measure", fake_measure)
     return events
+
+
+def _steps(events, kind):
+    return [name for k, name, _, _ in events if k == kind]
 
 
 # Quarantine order of one function: compile[basic], compile[aggr], then
@@ -613,12 +630,12 @@ def test_label_quarantine_order(tmp_path, monkeypatch, failing, reason):
     cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
     (result,) = label_corpus([("a.c::f", _simple_fn("f"))], cfg)
     assert result.quarantine_reason.startswith(reason)
-    steps = [(kind, name) for kind, name, _, _ in events]
-    assert sorted(steps[:2]) == [("compile", "ot_k0_aggr"), ("compile", "ot_k0_basic")]
+    # the driver's object compiles beside the kernel's, whatever becomes of them
+    assert sorted(_steps(events, "compile")) == ["ot_driver", "ot_k0_aggr", "ot_k0_basic"]
     if reason.startswith("compile"):
-        assert steps[2:] == []  # no driver for a kernel without objects, no launch
+        assert [e for e in events if e[0] != "compile"] == []  # no driver for a kernel without objects, no launch
     else:
-        assert steps[2:] == [("compile", "ot_driver"), ("run", 0)]
+        assert [(kind, name) for kind, name, _, _ in events[3:]] == [("link", "ot_driver"), ("run", 0)]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), 0.0])
@@ -646,26 +663,85 @@ def test_label_corpus_counts_compiles_and_launches(tmp_path, monkeypatch):
     cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
     results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(n)], cfg)
     assert all(r.quarantine_reason is None for r in results)
-    compiles = [e for e in events if e[0] == "compile"]
+    builds = [e for e in events if e[0] != "run"]
     runs = [e for e in events if e[0] == "run"]
-    assert sorted(name for _, name, _, _ in compiles) == sorted(
+    assert sorted(_steps(events, "compile")) == sorted(
         [f"ot_k{k}_{v}" for k in range(n) for v in VARIANTS] + ["ot_driver"]
     )
+    assert _steps(events, "link") == ["ot_driver"]
     assert [kernel for _, kernel, _, _ in runs] == list(range(n))
-    assert max(end for _, _, _, end in compiles) < min(start for _, _, start, _ in runs)
+    assert max(end for _, _, _, end in builds) < min(start for _, _, start, _ in runs)
     assert all(a[3] < b[2] for a, b in zip(runs, runs[1:]))  # launches one at a time
 
 
-def test_label_corpus_rebuilds_a_failing_driver_per_kernel(tmp_path, monkeypatch):
-    # the harness of kernel 1 breaks any driver it is part of
-    events = _fake_toolchain(monkeypatch, fail=["{1, ot_k1_verify"])
+def test_label_corpus_compiles_the_driver_beside_the_kernels_and_links_it_last(tmp_path, monkeypatch):
+    driver_started = threading.Event()
+    events = _fake_toolchain(monkeypatch)
+    fake_compile = labeler.compile_variant
+
+    def kernels_wait_for_the_driver(source, flags, cfg, workdir, stem="driver", link=None):
+        if stem == "ot_driver" and link is None:
+            driver_started.set()
+        elif link is None:
+            # times out if the driver's compile is only submitted once the kernels' end
+            assert driver_started.wait(timeout=10)
+        return fake_compile(source, flags, cfg, workdir, stem, link)
+
+    monkeypatch.setattr(labeler, "compile_variant", kernels_wait_for_the_driver)
+    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
+    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(3)], cfg)
+    assert [r.quarantine_reason for r in results] == [None] * 3
+    compiles = {name: (start, end) for kind, name, start, end in events if kind == "compile"}
+    ((_, link_start, link_end),) = [(name, s, e) for kind, name, s, e in events if kind == "link"]
+    kernel_ends = [end for name, (_, end) in compiles.items() if name != "ot_driver"]
+    assert compiles["ot_driver"][0] < min(kernel_ends)
+    assert link_start > max(kernel_ends) and link_start > compiles["ot_driver"][1]
+    assert min(start for kind, _, start, _ in events if kind == "run") > link_end
+
+
+def _rebuilt_per_kernel(tmp_path, monkeypatch, breaks):
+    """Label three kernels where ``breaks`` fails every driver build holding kernel 1."""
+    events = _fake_toolchain(monkeypatch, fail=[breaks])
     cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
     results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(3)], cfg)
     assert [r.quarantine_reason for r in results[::2]] == [None, None]
     assert results[1].quarantine_reason == "compile[basic]: ot_k1_driver failed"
-    drivers = [name for kind, name, _, _ in events if kind == "compile" and "driver" in name]
-    assert drivers[0] == "ot_driver"
-    assert sorted(drivers[1:]) == ["ot_k0_driver", "ot_k1_driver", "ot_k2_driver"]
+    assert [kernel for kind, kernel, _, _ in events if kind == "run"] == [0, 2]
+    return _steps(events, "link")
+
+
+def test_label_corpus_rebuilds_a_failing_driver_per_kernel(tmp_path, monkeypatch):
+    # the harness of kernel 1 breaks the shared driver's compile: nothing links it
+    links = _rebuilt_per_kernel(tmp_path, monkeypatch, "{1, ot_k1_verify")
+    assert sorted(links) == ["ot_k0_driver", "ot_k1_driver", "ot_k2_driver"]
+
+
+def test_label_corpus_rebuilds_per_kernel_when_the_shared_link_fails(tmp_path, monkeypatch):
+    # kernel 1's aggr object breaks any link it is part of
+    links = _rebuilt_per_kernel(tmp_path, monkeypatch, "ot_k1_aggr.o")
+    assert links[0] == "ot_driver"
+    assert sorted(links[1:]) == ["ot_k0_driver", "ot_k1_driver", "ot_k2_driver"]
+
+
+def test_label_corpus_builds_a_driver_of_the_kernels_with_objects(tmp_path, monkeypatch):
+    # the shared driver's object calls kernel 1, which has none: it is not linked
+    events = _fake_toolchain(monkeypatch, fail=["ot_k1_aggr"])
+    fake_compile = labeler.compile_variant
+    linked_sources = []
+
+    def recording_compile(source, flags, cfg, workdir, stem="driver", link=None):
+        if link is not None:
+            linked_sources.append(source)
+        return fake_compile(source, flags, cfg, workdir, stem, link)
+
+    monkeypatch.setattr(labeler, "compile_variant", recording_compile)
+    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
+    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(3)], cfg)
+    assert results[1].quarantine_reason == "compile[aggr]: ot_k1_aggr failed"
+    assert [r.quarantine_reason for r in results[::2]] == [None, None]
+    assert _steps(events, "link") == ["ot_driver"]
+    (source,) = linked_sources  # compiled again, without kernel 1's harness
+    assert "{0, ot_k0_verify" in source and "{2, ot_k2_verify" in source and "ot_k1" not in source
     assert [kernel for kind, kernel, _, _ in events if kind == "run"] == [0, 2]
 
 
@@ -675,7 +751,7 @@ def test_label_compiles_both_variants_at_once(tmp_path, monkeypatch):
     fake_compile = labeler.compile_variant
 
     def overlapping_compile(source, flags, cfg, workdir, stem="driver", link=None):
-        if link is None:  # kernel objects meet in pairs; the one driver build comes alone
+        if link is None and stem != "ot_driver":  # kernel objects meet in pairs
             both_compiling.wait()
         return fake_compile(source, flags, cfg, workdir, stem, link)
 
@@ -685,8 +761,8 @@ def test_label_compiles_both_variants_at_once(tmp_path, monkeypatch):
     assert [r.quarantine_reason for r in results] == [None, None]
     assert not both_compiling.broken
     runs = [e for e in events if e[0] == "run"]
-    last_compile = max(end for kind, _, _, end in events if kind == "compile")
-    assert len(runs) == 2 and last_compile < runs[0][2] and runs[0][3] < runs[1][2]
+    last_build = max(end for kind, _, _, end in events if kind != "run")
+    assert len(runs) == 2 and last_build < runs[0][2] and runs[0][3] < runs[1][2]
 
 
 # ---------------------------------------------------------------- integration
@@ -727,6 +803,18 @@ def test_compile_error_carries_stderr(tmp_path):
 
 @pytest.mark.integration
 @requires_compiler
+def test_a_link_failure_names_the_missing_symbol(tmp_path):
+    with pytest.raises(CompileError) as caught:
+        compile_variant(
+            "void nope(void); int main(void) { nope(); return 0; }\n", ("-O1",), FAST_CFG, tmp_path, link=[]
+        )
+    message = str(caught.value)
+    assert re.search(r"compiler exited with 1: driver\.c:.*undefined reference to .nope.$", message), message
+    assert "\n" not in message and str(tmp_path) not in message, message
+
+
+@pytest.mark.integration
+@requires_compiler
 def test_a_compile_quarantine_reason_is_the_first_error_line_without_the_workdir():
     # the kernel parses, but cc refuses its float subscript; the workdir is
     # a fresh temporary directory, whose random name the reason must not carry
@@ -753,6 +841,34 @@ def test_label_corpus_real_compiler_end_to_end(tmp_path):
     assert res.label in ("easy", "hard")
     assert res.timing.ratio > 0.0
     assert len(res.timing.samples_basic) == 3
+
+
+@pytest.mark.integration
+@requires_compiler
+@pytest.mark.parametrize("repetitions", [1, 3])
+def test_label_corpus_times_a_kernel_that_changes_its_buffers(tmp_path, repetitions):
+    # every call adds 1 to each element, so a batch's checksum tells how many
+    # calls ran on its buffers since they were filled: repetition 0's, taken
+    # after the calibration, must not see the other variant's calibration
+    fn = parse_one("void bump(int n, int a[N]) { for (int i = 0; i < n; i++) a[i] = a[i] + 1; }")
+    cfg = LabelerConfig(repetitions=repetitions, min_runtime_s=0.01, array_extent=64, workdir=str(tmp_path))
+    (res,) = label_corpus([("bump.c::bump", fn)], cfg)
+    assert res.quarantine_reason is None, res.quarantine_reason
+    assert len(res.timing.samples_basic) == len(res.timing.samples_aggr) == repetitions
+    out = subprocess.run(
+        [str(tmp_path / "ot_driver.bin"), "0"], capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    fields = {}
+    for line in out.splitlines():
+        key, *rest = line.split()
+        fields.setdefault((key, *rest[:1]), []).append(rest[-1])
+    for v in VARIANTS:
+        (verify,), (calls,) = fields["checksum", v], fields["calls", v]
+        batch_checksums = fields["rep_checksum", v]
+        assert len(batch_checksums) == repetitions and len(set(batch_checksums)) == 1, out
+        # the verification ran one call, each batch `calls` calls, on 64 elements
+        expected = float(verify) + 64 * (int(calls) - 1)
+        assert float(batch_checksums[0]) == pytest.approx(expected, rel=1e-5), out
 
 
 @pytest.mark.integration
