@@ -2,15 +2,16 @@
 
 One call labels a whole corpus. Each function is compiled alone, once
 with basic and once with aggressive flags, into an object whose symbol
-is renamed after the function's position. One driver, with a timing
-harness per function that names the function's parameters and sizes by
-position and value only, is linked with all those objects; one launch per
-function times both variants in alternating batches of one process. The
-ratio rule then applies: the function is easy to optimize when
-aggressive flags barely help, i.e. t_aggr / t_basic > delta. Functions
-that fail anywhere along that path are quarantined with the cause
-instead of aborting the run. An injectable timer replaces the
-compile-and-run leg so the whole pipeline can run hermetically.
+is renamed after the function's position. Its driver, a timing harness
+that names the function's parameters and sizes by position and value
+only, is linked with those objects and one shared ``main``; one launch
+per function times both variants in alternating batches of one process,
+while the next function's driver builds beside it. The ratio rule then
+applies: the function is easy to optimize when aggressive flags barely
+help, i.e. t_aggr / t_basic > delta. Functions that fail anywhere along
+that path are quarantined with the cause instead of aborting the run. An
+injectable timer replaces the compile-and-run leg so the whole pipeline
+can run hermetically.
 """
 
 from __future__ import annotations
@@ -81,15 +82,23 @@ def label_from_ratio(t_basic: float, t_aggr: float, delta: float) -> str:
 
 VARIANTS = ("basic", "aggr")
 
+_HARNESS_STRUCT = """\
+struct ot_harness {
+    long id;
+    double (*verify)(int aggr);
+    double (*batch)(int aggr, long calls);
+    double (*checksum)(void);
+};
+"""
+
 _DRIVER_PRELUDE = """\
-#include <stdio.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <time.h>
 
 static uint64_t ot_rng_state;
 
-static double ot_rng_next(void)
+/* never inlined: a harness's timed code must not depend on its unit */
+static __attribute__((noinline)) double ot_rng_next(void)
 {
     ot_rng_state += 0x9e3779b97f4a7c15ULL;
     uint64_t z = ot_rng_state;
@@ -107,7 +116,14 @@ static double ot_now_seconds(void)
 }
 """
 
-_DRIVER_MAIN = """\
+_MAIN = """\
+#include <stdio.h>
+#include <stdlib.h>
+
+%(struct)s
+extern const struct ot_harness ot_harnesses[];
+extern const size_t ot_harness_count;
+
 static const char *const ot_variants[2] = {"basic", "aggr"};
 
 /* Calls per batch of one variant: double while a batch lasts under a
@@ -141,7 +157,7 @@ int main(int argc, char **argv)
     setvbuf(stdout, NULL, _IOLBF, 0);
     const struct ot_harness *h = NULL;
     long id = argc == 2 ? strtol(argv[1], NULL, 10) : -1;
-    for (size_t i = 0; i < sizeof ot_harnesses / sizeof ot_harnesses[0]; i++)
+    for (size_t i = 0; i < ot_harness_count; i++)
         if (ot_harnesses[i].id == id)
             h = &ot_harnesses[i];
     if (h == NULL) {
@@ -272,41 +288,8 @@ def _harness(k: int, fn: FunctionUnit, cfg: LabelerConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _assemble(harnesses: dict[int, str], cfg: LabelerConfig) -> str:
-    """One driver from harness texts keyed by kernel position."""
-    table = [
-        "struct ot_harness {",
-        "    long id;",
-        "    double (*verify)(int aggr);",
-        "    double (*batch)(int aggr, long calls);",
-        "    double (*checksum)(void);",
-        "};",
-        "",
-        "static const struct ot_harness ot_harnesses[] = {",
-        *(
-            f"    {{{k}, ot_k{k}_verify, ot_k{k}_batch, ot_k{k}_checksum}},"
-            for k in harnesses
-        ),
-        "};",
-        "",
-    ]
-    main = _DRIVER_MAIN % {"min_runtime_s": cfg.min_runtime_s, "repetitions": cfg.repetitions}
-    return "\n".join([_DRIVER_PRELUDE, *harnesses.values(), *table, main])
-
-
-def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerConfig) -> str:
-    """One C program that times both variants of every kernel given.
-
-    Each kernel k is compiled alone, once per variant, as a symbol renamed
-    ``ot_k<k>_basic`` or ``ot_k<k>_aggr``; the driver is linked with those
-    objects. Per kernel it holds one harness, which names the kernel's
-    parameters by position only: every symbolic array extent written as
-    the one concrete size the kernel's objects get as ``-D<name>=<size>``,
-    arrays filled from a seeded generator, scalars passed through
-    ``volatile`` globals, a compiler barrier after every call, and a
-    checksum of the buffers. No identifier of the kernel's source reaches
-    the driver, so kernels whose names clash with the C library's or the
-    driver's own share one driver.
+def synthesize_main(cfg: LabelerConfig) -> str:
+    """The unit every driver of one call links: ``main`` and the calibration.
 
     ``driver <k>`` runs kernel k. Stdout is line-buffered, and the driver
     prints ``running <variant>`` before each step, so a crash or a timeout
@@ -324,41 +307,65 @@ def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerC
     batches of each variant, alternating basic and aggr, and prints, per
     repetition in that order (basic's calibration, aggr's, then basic,
     aggr, ...), the per-call seconds and a checksum of the buffers taken
-    after the clock stopped. Raises DriverError when a kernel cannot be
-    wrapped.
+    after the clock stopped. The harness table it searches is defined by
+    the unit ``synthesize_driver`` writes.
     """
-    return _assemble({k: _harness(k, fn, cfg) for k, fn in kernels}, cfg)
+    fields = {"min_runtime_s": cfg.min_runtime_s, "repetitions": cfg.repetitions}
+    return _MAIN % {"struct": _HARNESS_STRUCT, **fields}
+
+
+def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerConfig) -> str:
+    """The unit that times both variants of every kernel given, with its table.
+
+    Kernel k is compiled alone, once per variant, as a symbol renamed
+    ``ot_k<k>_basic`` or ``ot_k<k>_aggr``; a driver links this unit with
+    those objects and the ``synthesize_main`` object (labeling gives each
+    kernel a unit of its own). Per kernel it holds one harness, which names
+    the kernel's parameters by position only: every symbolic array extent
+    written as the one concrete size the kernel's objects get as
+    ``-D<name>=<size>``, arrays filled from a seeded generator, scalars
+    passed through ``volatile`` globals, a compiler barrier after every
+    call, and a checksum of the buffers. No identifier of the kernel's
+    source reaches the driver, so none can clash with the C library's or
+    the driver's own. The generator is never inlined, so a harness's timed
+    code does not depend on what else shares its unit. Raises DriverError
+    when a kernel cannot be wrapped.
+    """
+    table = [
+        _HARNESS_STRUCT,
+        "const struct ot_harness ot_harnesses[] = {",
+        *(f"    {{{k}, ot_k{k}_verify, ot_k{k}_batch, ot_k{k}_checksum}}," for k, _ in kernels),
+        "};",
+        "const size_t ot_harness_count = sizeof ot_harnesses / sizeof ot_harnesses[0];",
+        "",
+    ]
+    return "\n".join([_DRIVER_PRELUDE, *(_harness(k, fn, cfg) for k, fn in kernels), *table])
 
 
 # ------------------------------------------------------------------ toolchain
 
 
 def compile_variant(
-    source: Optional[str],
+    source: str,
     flags: Sequence[str],
     cfg: LabelerConfig,
     workdir: Union[str, Path],
     stem: str = "driver",
     link: Optional[Sequence[Path]] = None,
 ) -> Path:
-    """Write ``<stem>.c`` and compile it, or only link; raises CompileError.
+    """Write ``<stem>.c`` and compile it; raises CompileError.
 
     With ``link`` None the result is the object ``<stem>.o`` (``-c``);
-    otherwise it is the binary ``<stem>.bin``, linked with those objects.
-    With ``source`` None nothing is compiled: the binary is linked from
-    ``link`` alone.
+    otherwise it is the binary ``<stem>.bin``: the source compiled and
+    linked with those objects in the same compiler call.
     """
     workdir = Path(workdir)
-    inputs = []
-    if source is not None:
-        src_path = workdir / f"{stem}.c"
-        src_path.write_text(source, encoding="utf-8")
-        inputs.append(src_path)
+    src_path = workdir / f"{stem}.c"
+    src_path.write_text(source, encoding="utf-8")
     if link is None:
-        flags, out_path = (*flags, "-c"), workdir / f"{stem}.o"
+        flags, inputs, out_path = (*flags, "-c"), [src_path], workdir / f"{stem}.o"
     else:
-        out_path = workdir / f"{stem}.bin"
-        inputs.extend(link)
+        inputs, out_path = [src_path, *link], workdir / f"{stem}.bin"
     out_path.unlink(missing_ok=True)  # a reused workdir must not pass off an old output
     cmd = cfg.compiler_cmd.format(
         flags=" ".join(flags),
@@ -498,80 +505,69 @@ def _timed(binary: Path, k: int, cfg: LabelerConfig) -> Samples:
 def _measured_samples(
     functions: Sequence[tuple[str, FunctionUnit]], cfg: LabelerConfig, workdir: Path
 ) -> list[Samples]:
-    """The real source: every compile of the call first, then one launch per kernel.
+    """The real source: each kernel builds its own driver, timed one launch at a time.
 
-    Kernel k is compiled alone per variant, renamed to ``ot_k<k>_<variant>``.
-    One driver with a harness per kernel is compiled at cfg.flags_basic
-    beside those compiles, and linked with all their objects once they
-    exist. When a kernel has no objects, a driver of the others is built
-    instead; when that driver, or the shared one, fails to build, each
-    kernel gets a driver of its own, which finds the culprit. A kernel's
-    first failure is its quarantine reason, checked in this order: driver,
-    compile[basic], compile[aggr], its driver build (compile[basic], the
-    flags the driver is built at), run[basic] or run[aggr] (whichever the
-    launch charges), then a checksum mismatch between the variants.
+    ``ot_main.o`` (``synthesize_main``) is compiled once per call. Kernel
+    k's build compiles the kernel alone per variant, renamed to
+    ``ot_k<k>_<variant>``, then compiles its own driver unit and links it
+    with ``ot_main.o`` and both objects in one call, at cfg.flags_basic.
+    Builds run one at a time, one kernel ahead of the serial launches:
+    kernel k+1 builds while kernel k is timed, and kernel 0 beside
+    ``ot_main`` and kernel 1, since nothing is timed yet. With one usable
+    CPU a build would share the launch's core, so builds and launches
+    alternate. A kernel's first failure is its quarantine reason, checked
+    in this order: driver, compile[basic], compile[aggr], its driver build
+    (compile[basic], the flags the driver is built at; a failed
+    ``ot_main`` is this reason too), run[basic] or run[aggr] (whichever
+    the launch charges), then a checksum mismatch between the variants.
     """
     # imported here: only real labeling needs it, and every CLI command
     # imports this module
     from concurrent.futures import ThreadPoolExecutor
 
     samples: dict[int, Samples] = {}
-    harnesses = {}
+    units = {}
     for k, (_, fn) in enumerate(functions):
         try:
-            harnesses[k] = _harness(k, fn, cfg)
+            units[k] = synthesize_driver([(k, fn)], cfg)
         except DriverError as e:
             samples[k] = f"driver: {e}"
     variant_flags = {"basic": cfg.flags_basic, "aggr": cfg.flags_aggr}
-    # compiling is not timed, so it runs two at a time; leaving the pool
-    # waits for every build, and timing below stays serial
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        # the driver is the longest compile: submitted first, it runs beside
-        # the kernels', and only its link waits for their objects
-        if harnesses:
-            shared = pool.submit(
-                _build, "basic", _assemble(harnesses, cfg), cfg.flags_basic, cfg, workdir, "ot_driver"
-            )
-        builds = {}
-        for k in harnesses:
-            fn = functions[k][1]
-            defines = [f"-D{name}={_extent(fn, cfg)}" for name in sorted(fn.bound_symbols)]
-            for tag in VARIANTS:
-                kernel_flags = (*variant_flags[tag], f"-D{fn.name}={_alias(k, tag)}", *defines)
-                builds[k, tag] = pool.submit(
-                    _build, tag, fn.source_text.rstrip() + "\n", kernel_flags, cfg, workdir, _alias(k, tag)
-                )
-        objects = {}
-        for k in harnesses:
-            outputs = [builds[k, tag].result() for tag in VARIANTS]
-            failed = [out for out in outputs if isinstance(out, str)]
-            if failed:
-                samples[k] = failed[0]
-            else:
-                objects[k] = outputs
 
-        def build_driver(kernels: list[int], stem: str):
-            source = _assemble({k: harnesses[k] for k in kernels}, cfg)
-            link = [obj for k in kernels for obj in objects[k]]
-            return pool.submit(_build, "basic", source, cfg.flags_basic, cfg, workdir, stem, link)
+    def build(k: int) -> Union[Path, str]:
+        fn = functions[k][1]
+        defines = [f"-D{name}={_extent(fn, cfg)}" for name in sorted(fn.bound_symbols)]
+        objects = []
+        for tag in VARIANTS:
+            kernel_flags = (*variant_flags[tag], f"-D{fn.name}={_alias(k, tag)}", *defines)
+            obj = _build(tag, fn.source_text.rstrip() + "\n", kernel_flags, cfg, workdir, _alias(k, tag))
+            if isinstance(obj, str):
+                return obj
+            objects.append(obj)
+        main = main_object.result()
+        if isinstance(main, str):
+            return main
+        return _build("basic", units[k], cfg.flags_basic, cfg, workdir, f"ot_k{k}_driver", [main, *objects])
 
-        # read before a driver of fewer kernels rewrites its source
-        driver = shared.result() if harnesses else None
-        binaries = {}
-        if objects:
-            if len(objects) < len(harnesses):
-                # the shared driver calls kernels that have no objects
-                driver = build_driver(list(objects), "ot_driver").result()
-            elif not isinstance(driver, str):
-                link = [driver, *(obj for k in objects for obj in objects[k])]
-                driver = _build("basic", None, cfg.flags_basic, cfg, workdir, "ot_driver", link)
-            binaries = dict.fromkeys(objects, driver)
-            if isinstance(driver, str) and len(objects) > 1:
-                # a harness or an object breaks the build: a driver per kernel finds it
-                solo = {k: build_driver([k], f"ot_k{k}_driver") for k in objects}
-                binaries = {k: build.result() for k, build in solo.items()}
-    for k, binary in binaries.items():
-        samples[k] = binary if isinstance(binary, str) else _timed(binary, k, cfg)
+    try:
+        ahead = len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # not offered on every platform
+        ahead = (os.cpu_count() or 1) > 1
+    order = list(units)
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        if order:
+            main_source = synthesize_main(cfg)
+            main_object = pool.submit(_build, "basic", main_source, cfg.flags_basic, cfg, workdir, "ot_main")
+        queued = {}
+        for i, k in enumerate(order):
+            if ahead and i + 1 < len(order):
+                queued[i + 1] = pool.submit(build, order[i + 1])
+            binary = queued[i].result() if i in queued else build(k)
+            samples[k] = binary if isinstance(binary, str) else _timed(binary, k, cfg)
+    finally:
+        # on an error or an interrupt, builds not yet started never start
+        pool.shutdown(cancel_futures=True)
     return [samples[k] for k in range(len(functions))]
 
 

@@ -9,6 +9,7 @@ import re
 import statistics
 import subprocess
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from opttriage.labeler import (
     label_from_ratio,
     measure,
     synthesize_driver,
+    synthesize_main,
 )
 from opttriage.manifest import (
     CorpusManifest, ManifestRow, TimingRecord, dumps_manifest, loads_manifest,
@@ -204,7 +206,13 @@ def test_config_accepts_int_seconds_and_a_null_workdir():
 
 
 def test_driver_contains_measurement_guards():
-    code = synthesize_driver([(0, _simple_fn())], FAST_CFG)
+    main, unit = synthesize_main(FAST_CFG), synthesize_driver([(0, _simple_fn())], FAST_CFG)
+    # main holds no harness, and the kernel's unit no main
+    assert "ot_k0" not in main and "main" not in _identifiers(unit)
+    assert "extern const struct ot_harness ot_harnesses[];" in main
+    assert "{0, ot_k0_verify, ot_k0_batch, ot_k0_checksum}," in unit
+    assert "static __attribute__((noinline)) double ot_rng_next(void)" in unit
+    code = main + unit
     assert "setvbuf(stdout, NULL, _IOLBF, 0);" in code  # a crash keeps what was printed
     assert "static volatile int ot_k0_s0 = 64;" in code  # scalar args defeat constant folding
     assert '__asm__ __volatile__("" ::: "memory")' in code
@@ -278,7 +286,7 @@ def test_driver_accepts_names_the_driver_uses():
     code = synthesize_driver([(0, fn)], FAST_CFG)
     assert not re.search(r"\bot_n\b", code) and "void ot_k0_basic(float[64]);" in code
     # the kernel's own name never reaches the driver: its objects are renamed
-    assert "int main(int argc" in synthesize_driver([(0, parse_one("void main(int n) { }"))], FAST_CFG)
+    assert "main" not in _identifiers(synthesize_driver([(0, parse_one("void main(int n) { }"))], FAST_CFG))
 
 
 C_KEYWORDS = frozenset(
@@ -567,25 +575,28 @@ def test_measure_reports_a_binary_that_cannot_start(tmp_path):
 # ------------------------------------------------------ label_corpus call shape
 
 
-def _fake_toolchain(monkeypatch, outputs=None, fail=()):
+def _fake_toolchain(monkeypatch, outputs=None, fail=(), cpus=2):
     """Stand-ins for compile_variant and measure that record what ran.
 
     Returns the events: objects (``-c``) as ("compile", stem, start, end),
-    driver binaries, linked alone or compiled and linked, as ("link",
-    stem, start, end), and launches as ("run", kernel, start, end).
-    A build whose stem is in ``fail``, or whose source or object list
-    contains an entry of it, raises CompileError; a driver prints
-    ``outputs`` (per kernel, default: a clean run) through the real
-    ``measure``.
+    driver binaries, compiled and linked, as ("link", stem, start, end),
+    and launches as ("run", kernel, start, end), where start and end are
+    ticks of one counter that every thread reads. A build whose stem is in
+    ``fail``, or whose source or object list contains an entry of it,
+    raises CompileError; a driver prints ``outputs`` (per kernel, default:
+    a clean run) through the real ``measure``. The process sees ``cpus``
+    usable CPUs, whatever the host has.
     """
     events = []
     real_measure = labeler.measure
     clock = itertools.count()
+    monkeypatch.setattr(labeler.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
     def fake_compile(source, flags, cfg, workdir, stem="driver", link=None):
         start = next(clock)
-        text = (source or "") + " ".join(map(str, link or ()))
+        text = source + " ".join(map(str, link or ()))
         try:
+            time.sleep(0.002)  # lasts long enough to overlap a launch, where the schedule lets it
             if any(bad == stem or bad in text for bad in fail):
                 raise CompileError(f"{stem} failed")
             if link is None:
@@ -610,9 +621,41 @@ def _steps(events, kind):
     return [name for k, name, _, _ in events if k == kind]
 
 
-# Quarantine order of one function: compile[basic], compile[aggr], then
-# run[basic] before run[aggr] within its one launch. Every compile ends
-# before the launch.
+def _kernel_of(stem):
+    """The kernel a build step belongs to; None for ot_main, which is every kernel's."""
+    match = re.match(r"ot_k(\d+)_", stem)
+    return int(match.group(1)) if match else None
+
+
+def _overlap(a, b):
+    return a[2] < b[3] and b[2] < a[3]
+
+
+def _check_schedule(events):
+    """What holds for every labeling call: ot_main is compiled once, each
+    launch starts after its driver's link ends, launches never overlap, and
+    every compiler call beside a launch belongs to one kernel's build and
+    runs alone."""
+    runs = sorted((e for e in events if e[0] == "run"), key=lambda e: e[2])
+    builds = [e for e in events if e[0] != "run"]
+    assert _steps(events, "compile").count("ot_main") == 1
+    assert all(a[3] < b[2] for a, b in zip(runs, runs[1:]))
+    links = {name: end for kind, name, _, end in events if kind == "link"}
+    for run in runs:
+        assert run[2] > links[f"ot_k{run[1]}_driver"]
+        beside = [b for b in builds if _overlap(b, run)]
+        assert len({_kernel_of(name) for _, name, _, _ in beside}) <= 1, (run, beside)
+        assert not any(_overlap(a, b) for a, b in itertools.combinations(beside, 2)), (run, beside)
+
+
+def _kernels(n):
+    return [(f"k{i}.c::k", _simple_fn("k")) for i in range(n)]
+
+
+# Quarantine order of one function: compile[basic], compile[aggr], its
+# driver build (compile[basic], also when ot_main fails), then run[basic]
+# before run[aggr] within its one launch. A kernel's build stops at its
+# first failure, and only a linked driver is launched.
 @pytest.mark.parametrize(
     "failing, reason",
     [
@@ -620,22 +663,25 @@ def _steps(events, kind):
         ({"compile aggr", "run basic"}, "compile[aggr]: "),
         ({"run basic", "run aggr"}, "run[basic]: "),
         ({"run aggr"}, "run[aggr]: "),
+        ({"link", "run basic"}, "compile[basic]: ot_k0_driver failed"),
+        ({"main", "compile aggr"}, "compile[aggr]: "),
+        ({"main", "run basic"}, "compile[basic]: ot_main failed"),
     ],
 )
 def test_label_quarantine_order(tmp_path, monkeypatch, failing, reason):
     bad = {"samples": (1e-6, float("nan"), 1e-6)}
     output = _driver_output(**{v: bad for v in VARIANTS if f"run {v}" in failing})
     fail = [f"ot_k0_{v}" for v in VARIANTS if f"compile {v}" in failing]
+    fail += ["ot_k0_driver"] * ("link" in failing) + ["ot_main"] * ("main" in failing)
     events = _fake_toolchain(monkeypatch, outputs={0: output}, fail=fail)
     cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
     (result,) = label_corpus([("a.c::f", _simple_fn("f"))], cfg)
     assert result.quarantine_reason.startswith(reason)
-    # the driver's object compiles beside the kernel's, whatever becomes of them
-    assert sorted(_steps(events, "compile")) == ["ot_driver", "ot_k0_aggr", "ot_k0_basic"]
-    if reason.startswith("compile"):
-        assert [e for e in events if e[0] != "compile"] == []  # no driver for a kernel without objects, no launch
-    else:
-        assert [(kind, name) for kind, name, _, _ in events[3:]] == [("link", "ot_driver"), ("run", 0)]
+    assert _steps(events, "compile").count("ot_main") == 1
+    path = [("compile", "ot_k0_basic"), ("compile", "ot_k0_aggr"), ("link", "ot_k0_driver"), ("run", 0)]
+    stops = (("compile basic", 1), ("compile aggr", 2), ("main", 2), ("link", 3))
+    done = next((n for step, n in stops if step in failing), 4)
+    assert [(kind, name) for kind, name, _, _ in events if name != "ot_main"] == path[:done]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), 0.0])
@@ -660,109 +706,147 @@ def test_label_corpus_quarantines_a_checksum_mismatch(tmp_path, monkeypatch):
 def test_label_corpus_counts_compiles_and_launches(tmp_path, monkeypatch):
     n = 4
     events = _fake_toolchain(monkeypatch)
-    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
-    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(n)], cfg)
+    results = label_corpus(_kernels(n), LabelerConfig(repetitions=3, workdir=str(tmp_path)))
     assert all(r.quarantine_reason is None for r in results)
-    builds = [e for e in events if e[0] != "run"]
-    runs = [e for e in events if e[0] == "run"]
+    # ot_main once, then per kernel its two objects, its driver and one launch
     assert sorted(_steps(events, "compile")) == sorted(
-        [f"ot_k{k}_{v}" for k in range(n) for v in VARIANTS] + ["ot_driver"]
+        [f"ot_k{k}_{v}" for k in range(n) for v in VARIANTS] + ["ot_main"]
     )
-    assert _steps(events, "link") == ["ot_driver"]
-    assert [kernel for _, kernel, _, _ in runs] == list(range(n))
-    assert max(end for _, _, _, end in builds) < min(start for _, _, start, _ in runs)
-    assert all(a[3] < b[2] for a, b in zip(runs, runs[1:]))  # launches one at a time
+    assert sorted(_steps(events, "link")) == [f"ot_k{k}_driver" for k in range(n)]
+    assert _steps(events, "run") == list(range(n))
+    _check_schedule(events)
 
 
 def test_label_corpus_compiles_the_driver_beside_the_kernels_and_links_it_last(tmp_path, monkeypatch):
-    driver_started = threading.Event()
+    # ot_main, the part of the driver every kernel shares, compiles beside
+    # kernel 0's objects; each kernel's driver links after its objects and ot_main
+    both_compiling = threading.Barrier(2, timeout=10)  # broken if they compile one after the other
     events = _fake_toolchain(monkeypatch)
     fake_compile = labeler.compile_variant
 
-    def kernels_wait_for_the_driver(source, flags, cfg, workdir, stem="driver", link=None):
-        if stem == "ot_driver" and link is None:
-            driver_started.set()
-        elif link is None:
-            # times out if the driver's compile is only submitted once the kernels' end
-            assert driver_started.wait(timeout=10)
-        return fake_compile(source, flags, cfg, workdir, stem, link)
-
-    monkeypatch.setattr(labeler, "compile_variant", kernels_wait_for_the_driver)
-    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
-    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(3)], cfg)
-    assert [r.quarantine_reason for r in results] == [None] * 3
-    compiles = {name: (start, end) for kind, name, start, end in events if kind == "compile"}
-    ((_, link_start, link_end),) = [(name, s, e) for kind, name, s, e in events if kind == "link"]
-    kernel_ends = [end for name, (_, end) in compiles.items() if name != "ot_driver"]
-    assert compiles["ot_driver"][0] < min(kernel_ends)
-    assert link_start > max(kernel_ends) and link_start > compiles["ot_driver"][1]
-    assert min(start for kind, _, start, _ in events if kind == "run") > link_end
-
-
-def _rebuilt_per_kernel(tmp_path, monkeypatch, breaks):
-    """Label three kernels where ``breaks`` fails every driver build holding kernel 1."""
-    events = _fake_toolchain(monkeypatch, fail=[breaks])
-    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
-    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(3)], cfg)
-    assert [r.quarantine_reason for r in results[::2]] == [None, None]
-    assert results[1].quarantine_reason == "compile[basic]: ot_k1_driver failed"
-    assert [kernel for kind, kernel, _, _ in events if kind == "run"] == [0, 2]
-    return _steps(events, "link")
-
-
-def test_label_corpus_rebuilds_a_failing_driver_per_kernel(tmp_path, monkeypatch):
-    # the harness of kernel 1 breaks the shared driver's compile: nothing links it
-    links = _rebuilt_per_kernel(tmp_path, monkeypatch, "{1, ot_k1_verify")
-    assert sorted(links) == ["ot_k0_driver", "ot_k1_driver", "ot_k2_driver"]
-
-
-def test_label_corpus_rebuilds_per_kernel_when_the_shared_link_fails(tmp_path, monkeypatch):
-    # kernel 1's aggr object breaks any link it is part of
-    links = _rebuilt_per_kernel(tmp_path, monkeypatch, "ot_k1_aggr.o")
-    assert links[0] == "ot_driver"
-    assert sorted(links[1:]) == ["ot_k0_driver", "ot_k1_driver", "ot_k2_driver"]
-
-
-def test_label_corpus_builds_a_driver_of_the_kernels_with_objects(tmp_path, monkeypatch):
-    # the shared driver's object calls kernel 1, which has none: it is not linked
-    events = _fake_toolchain(monkeypatch, fail=["ot_k1_aggr"])
-    fake_compile = labeler.compile_variant
-    linked_sources = []
-
-    def recording_compile(source, flags, cfg, workdir, stem="driver", link=None):
-        if link is not None:
-            linked_sources.append(source)
-        return fake_compile(source, flags, cfg, workdir, stem, link)
-
-    monkeypatch.setattr(labeler, "compile_variant", recording_compile)
-    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
-    results = label_corpus([(f"k{i}.c::k", _simple_fn("k")) for i in range(3)], cfg)
-    assert results[1].quarantine_reason == "compile[aggr]: ot_k1_aggr failed"
-    assert [r.quarantine_reason for r in results[::2]] == [None, None]
-    assert _steps(events, "link") == ["ot_driver"]
-    (source,) = linked_sources  # compiled again, without kernel 1's harness
-    assert "{0, ot_k0_verify" in source and "{2, ot_k2_verify" in source and "ot_k1" not in source
-    assert [kernel for kind, kernel, _, _ in events if kind == "run"] == [0, 2]
-
-
-def test_label_compiles_both_variants_at_once(tmp_path, monkeypatch):
-    both_compiling = threading.Barrier(2, timeout=10)  # broken if compiles run serially
-    events = _fake_toolchain(monkeypatch)
-    fake_compile = labeler.compile_variant
-
-    def overlapping_compile(source, flags, cfg, workdir, stem="driver", link=None):
-        if link is None and stem != "ot_driver":  # kernel objects meet in pairs
+    def main_meets_kernel_0(source, flags, cfg, workdir, stem="driver", link=None):
+        if stem in ("ot_main", "ot_k0_basic"):
             both_compiling.wait()
         return fake_compile(source, flags, cfg, workdir, stem, link)
 
-    monkeypatch.setattr(labeler, "compile_variant", overlapping_compile)
-    cfg = LabelerConfig(repetitions=3, workdir=str(tmp_path))
-    results = label_corpus([("a.c::f", _simple_fn("f")), ("b.c::g", _simple_fn("g"))], cfg)
-    assert [r.quarantine_reason for r in results] == [None, None]
+    monkeypatch.setattr(labeler, "compile_variant", main_meets_kernel_0)
+    results = label_corpus(_kernels(3), LabelerConfig(repetitions=3, workdir=str(tmp_path)))
+    assert [r.quarantine_reason for r in results] == [None] * 3
     assert not both_compiling.broken
+    compiles = {name: end for kind, name, _, end in events if kind == "compile"}
+    links = {name: start for kind, name, start, _ in events if kind == "link"}
+    for k in range(3):
+        inputs = [compiles["ot_main"]] + [compiles[f"ot_k{k}_{v}"] for v in VARIANTS]
+        assert links[f"ot_k{k}_driver"] > max(inputs)
+    _check_schedule(events)
+
+
+def test_label_corpus_builds_the_next_kernel_while_one_is_timed(tmp_path, monkeypatch):
+    meet = threading.Barrier(2, timeout=10)  # broken if kernel 2 builds only after kernel 1's launch
+    events = _fake_toolchain(monkeypatch)
+    fake_compile, fake_measure = labeler.compile_variant, labeler.measure
+
+    def compile_meets_launch(source, flags, cfg, workdir, stem="driver", link=None):
+        if stem == "ot_k2_basic":
+            meet.wait()
+        return fake_compile(source, flags, cfg, workdir, stem, link)
+
+    def launch_meets_compile(binary, kernel, cfg):
+        if kernel == 1:
+            meet.wait()
+        return fake_measure(binary, kernel, cfg)
+
+    monkeypatch.setattr(labeler, "compile_variant", compile_meets_launch)
+    monkeypatch.setattr(labeler, "measure", launch_meets_compile)
+    results = label_corpus(_kernels(3), LabelerConfig(repetitions=3, workdir=str(tmp_path)))
+    assert [r.quarantine_reason for r in results] == [None] * 3
+    assert not meet.broken
+    _check_schedule(events)
+
+
+def test_label_corpus_alternates_builds_and_launches_on_one_cpu(tmp_path, monkeypatch):
+    n = 4
+    events = _fake_toolchain(monkeypatch, cpus=1)
+    results = label_corpus(_kernels(n), LabelerConfig(repetitions=3, workdir=str(tmp_path)))
+    assert [r.quarantine_reason for r in results] == [None] * n
     runs = [e for e in events if e[0] == "run"]
-    last_build = max(end for kind, _, _, end in events if kind != "run")
-    assert len(runs) == 2 and last_build < runs[0][2] and runs[0][3] < runs[1][2]
+    builds = [e for e in events if e[0] != "run"]
+    assert not any(_overlap(b, r) for b in builds for r in runs)
+    # build kernel k (two objects, its driver), then launch it
+    order = sorted((e for e in events if e[1] != "ot_main"), key=lambda e: e[2])
+    owners = [name if kind == "run" else _kernel_of(name) for kind, name, _, _ in order]
+    assert owners == [k for k in range(n) for _ in range(4)]
+    _check_schedule(events)
+
+
+def test_label_corpus_stops_queued_builds_when_a_launch_raises(tmp_path, monkeypatch):
+    events = _fake_toolchain(monkeypatch)
+    started = []
+    fake_compile, fake_measure = labeler.compile_variant, labeler.measure
+
+    def recording_compile(source, flags, cfg, workdir, stem="driver", link=None):
+        started.append(stem)
+        return fake_compile(source, flags, cfg, workdir, stem, link)
+
+    def interrupted_launch(binary, kernel, cfg):
+        if kernel == 1:
+            raise KeyboardInterrupt
+        return fake_measure(binary, kernel, cfg)
+
+    monkeypatch.setattr(labeler, "compile_variant", recording_compile)
+    monkeypatch.setattr(labeler, "measure", interrupted_launch)
+    with pytest.raises(KeyboardInterrupt):
+        label_corpus(_kernels(6), LabelerConfig(repetitions=3, workdir=str(tmp_path)))
+    assert _steps(events, "run") == [0]
+    assert max(_kernel_of(stem) for stem in started if stem != "ot_main") <= 2
+    # the call ended only after the build that was running did
+    assert sorted(started) == sorted(name for kind, name, _, _ in events if kind != "run")
+
+
+def _one_driver_fails(tmp_path, monkeypatch, breaks):
+    """Label three kernels where ``breaks`` fails kernel 1's driver build, and no other."""
+    events = _fake_toolchain(monkeypatch, fail=[breaks])
+    results = label_corpus(_kernels(3), LabelerConfig(repetitions=3, workdir=str(tmp_path)))
+    assert [r.quarantine_reason for r in results[::2]] == [None, None]
+    assert results[1].quarantine_reason == "compile[basic]: ot_k1_driver failed"
+    assert _steps(events, "run") == [0, 2]
+    # no driver is built twice
+    assert sorted(_steps(events, "link")) == ["ot_k0_driver", "ot_k1_driver", "ot_k2_driver"]
+    _check_schedule(events)
+
+
+def test_label_corpus_a_failing_driver_build_quarantines_only_its_kernel(tmp_path, monkeypatch):
+    # the harness of kernel 1 breaks its driver's compile
+    _one_driver_fails(tmp_path, monkeypatch, "{1, ot_k1_verify")
+
+
+def test_label_corpus_a_failing_link_quarantines_only_its_kernel(tmp_path, monkeypatch):
+    # kernel 1's aggr object breaks any link it is part of, which is its driver's only
+    _one_driver_fails(tmp_path, monkeypatch, "ot_k1_aggr.o")
+
+
+def test_label_corpus_builds_a_driver_of_the_kernels_with_objects(tmp_path, monkeypatch):
+    # kernel 1 has no aggr object: it gets no driver, and no other driver names it
+    events = _fake_toolchain(monkeypatch, fail=["ot_k1_aggr"])
+    fake_compile = labeler.compile_variant
+    linked_sources = {}
+
+    def recording_compile(source, flags, cfg, workdir, stem="driver", link=None):
+        if link is not None:
+            linked_sources[stem] = source
+        return fake_compile(source, flags, cfg, workdir, stem, link)
+
+    monkeypatch.setattr(labeler, "compile_variant", recording_compile)
+    results = label_corpus(_kernels(3), LabelerConfig(repetitions=3, workdir=str(tmp_path)))
+    assert results[1].quarantine_reason == "compile[aggr]: ot_k1_aggr failed"
+    assert [r.quarantine_reason for r in results[::2]] == [None, None]
+    assert sorted(linked_sources) == ["ot_k0_driver", "ot_k2_driver"]
+    for k in (0, 2):
+        source = linked_sources[f"ot_k{k}_driver"]
+        assert f"{{{k}, ot_k{k}_verify" in source and source.count("_verify, ") == 1
+        assert "ot_k1" not in source
+    assert _steps(events, "run") == [0, 2]
+    _check_schedule(events)
 
 
 # ---------------------------------------------------------------- integration
@@ -777,8 +861,9 @@ def test_compile_and_measure_real_binary(tmp_path):
         for tag, flags in (("basic", FAST_CFG.flags_basic), ("aggr", FAST_CFG.flags_aggr))
     ]
     assert [o.suffix for o in objects] == [".o", ".o"]
+    main = compile_variant(synthesize_main(FAST_CFG), FAST_CFG.flags_basic, FAST_CFG, tmp_path, "main")
     driver = synthesize_driver([(0, fn)], FAST_CFG)
-    binary = compile_variant(driver, FAST_CFG.flags_basic, FAST_CFG, tmp_path, "driver", link=objects)
+    binary = compile_variant(driver, FAST_CFG.flags_basic, FAST_CFG, tmp_path, "driver", link=[main, *objects])
     result = measure(binary, 0, FAST_CFG)
     for tag in VARIANTS:
         assert len(result[tag].samples) == FAST_CFG.repetitions
@@ -856,7 +941,7 @@ def test_label_corpus_times_a_kernel_that_changes_its_buffers(tmp_path, repetiti
     assert res.quarantine_reason is None, res.quarantine_reason
     assert len(res.timing.samples_basic) == len(res.timing.samples_aggr) == repetitions
     out = subprocess.run(
-        [str(tmp_path / "ot_driver.bin"), "0"], capture_output=True, text=True, timeout=60, check=True
+        [str(tmp_path / "ot_k0_driver.bin"), "0"], capture_output=True, text=True, timeout=60, check=True
     ).stdout
     fields = {}
     for line in out.splitlines():
@@ -890,10 +975,8 @@ def test_label_corpus_quarantines_a_failing_aggressive_compile(tmp_path):
 
 @pytest.mark.integration
 @requires_compiler
-def test_label_corpus_shares_one_driver_among_kernels_named_like_c_library_or_driver_names(
-    tmp_path, monkeypatch
-):
-    # each name reached the driver once and broke it, or was refused
+def test_label_corpus_times_kernels_named_like_c_library_or_driver_names(tmp_path, monkeypatch):
+    # each name once reached the shared driver and broke it, or was refused
     sources = [
         "void plain(int n, float a[N]) { for (int i = 0; i < n; i++) a[i] = a[i] * 0.5 + 1.0; }",
         "void null_ext(float a[NULL]) { for (int i = 0; i < NULL; i++) a[i] = a[i] + 1.0; }",
@@ -916,7 +999,7 @@ def test_label_corpus_shares_one_driver_among_kernels_named_like_c_library_or_dr
     results = label_corpus(fns, cfg)
     assert [r.quarantine_reason for r in results] == [None] * 5
     assert all(r.label in ("easy", "hard") for r in results)
-    assert drivers == ["ot_driver"]
+    assert drivers == [f"ot_k{k}_driver" for k in range(5)]
 
 
 @pytest.mark.integration
@@ -924,6 +1007,7 @@ def test_label_corpus_shares_one_driver_among_kernels_named_like_c_library_or_dr
 def test_verification_checksum_counts_the_return_value(tmp_path):
     # a kernel that returns K and stores nothing, next to its void twin
     cfg = LabelerConfig(repetitions=1, min_runtime_s=0.0, array_extent=64)
+    main = compile_variant(synthesize_main(cfg), cfg.flags_basic, cfg, tmp_path, "ot_main")
     checksums = []
     for k, text in enumerate((
         "float f(float a[N]) { return 1000.0; }",
@@ -935,7 +1019,7 @@ def test_verification_checksum_counts_the_return_value(tmp_path):
             for tag, flags in (("basic", cfg.flags_basic), ("aggr", cfg.flags_aggr))
         ]
         driver = synthesize_driver([(k, fn)], cfg)
-        binary = compile_variant(driver, cfg.flags_basic, cfg, tmp_path, f"ot_k{k}_driver", link=objects)
+        binary = compile_variant(driver, cfg.flags_basic, cfg, tmp_path, f"ot_k{k}_driver", link=[main, *objects])
         result = measure(binary, k, cfg)
         assert result["basic"].checksum == result["aggr"].checksum
         checksums.append(float(result["basic"].checksum))
@@ -972,13 +1056,48 @@ def test_label_corpus_keeps_kernels_whose_ids_sanitize_alike_apart(tmp_path):
 
 @pytest.mark.integration
 @requires_compiler
-def test_label_corpus_quarantines_only_the_kernel_cc_rejects(tmp_path):
+def test_label_corpus_quarantines_only_the_kernel_cc_rejects(tmp_path, monkeypatch):
     import dataclasses
 
     broken = dataclasses.replace(_simple_fn("g"), source_text="void g(int n) { this is not C }\n")
     fns = [("a.c::f", _simple_fn("f")), ("b.c::g", broken), ("c.c::h", _simple_fn("h"))]
+    built = []
+    real_compile = labeler.compile_variant
+
+    def recording_compile(source, flags, cfg, workdir, stem="driver", link=None):
+        built.append((stem, source))
+        return real_compile(source, flags, cfg, workdir, stem, link)
+
+    monkeypatch.setattr(labeler, "compile_variant", recording_compile)
     cfg = LabelerConfig(repetitions=3, min_runtime_s=0.01, array_extent=64, workdir=str(tmp_path))
     first, bad, last = label_corpus(fns, cfg)
     assert bad.quarantine_reason.startswith("compile[basic]: "), bad.quarantine_reason
     assert first.quarantine_reason is None and first.label in ("easy", "hard")
     assert last.quarantine_reason is None and last.label in ("easy", "hard")
+    # nothing is built twice, and every surviving harness is compiled once, in its own driver
+    assert sorted(stem for stem, _ in built) == sorted(
+        ["ot_main", "ot_k1_basic"] + [f"ot_k{k}_{step}" for k in (0, 2) for step in ("basic", "aggr", "driver")]
+    )
+    harnesses = [re.findall(r"/\* kernel (\d+): ", source) for _, source in built]
+    assert sorted(k for found in harnesses for k in found) == ["0", "2"]
+
+
+@pytest.mark.integration
+@requires_compiler
+def test_batch_code_does_not_depend_on_the_other_harnesses_of_its_unit(tmp_path):
+    # the timed code of kernel 0 is the same alone in its unit and beside
+    # kernel 1's harness, once the generator is never inlined
+    fns = [parse_unit(unit, strict=True)[0][0] for unit in generate(GenConfig(seed=1907, n_functions=2))]
+    bodies = []
+    for kernels in ([(0, fns[0])], list(enumerate(fns))):
+        source = tmp_path / "unit.c"
+        source.write_text(synthesize_driver(kernels, FAST_CFG))
+        subprocess.run(
+            ["cc", "-ffp-contract=off", "-O1", "-S", "-o", str(tmp_path / "unit.s"), str(source)], check=True
+        )
+        text = (tmp_path / "unit.s").read_text()
+        body = text[text.index("ot_k0_batch:"):text.index(".size\tot_k0_batch")]
+        labels = {}
+        bodies.append(re.sub(r"\.L\w+", lambda m: labels.setdefault(m.group(0), f".L{len(labels)}"), body))
+    assert bodies[0] == bodies[1]
+    assert "call\tot_rng_next" in bodies[0]

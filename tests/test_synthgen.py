@@ -132,8 +132,8 @@ def test_branches_appear_when_requested():
 @pytest.mark.integration
 @requires_compiler
 def test_generated_functions_compile(tmp_path):
-    # each kernel alone with its bound symbols defined, and one driver with
-    # all eight harnesses linked against their objects
+    # each kernel alone with its bound symbols defined, and one driver per
+    # kernel linked against its objects and the shared main
     cfg = LabelerConfig(
         repetitions=1, min_runtime_s=0.0, array_extent=16, timeout_s=120.0, workdir=str(tmp_path)
     )
@@ -141,4 +141,5 @@ def test_generated_functions_compile(tmp_path):
     fns = [(unit.path, parse_unit(unit, strict=True)[0][0]) for unit in units]
     results = label_corpus(fns, cfg)
     assert [r.quarantine_reason for r in results] == [None] * len(units)
-    assert (tmp_path / "ot_driver.bin").exists()
+    assert (tmp_path / "ot_main.o").exists()
+    assert all((tmp_path / f"ot_k{k}_driver.bin").exists() for k in range(len(units)))
