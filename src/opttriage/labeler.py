@@ -84,7 +84,6 @@ VARIANTS = ("basic", "aggr")
 
 _HARNESS_STRUCT = """\
 struct ot_harness {
-    long id;
     double (*verify)(int aggr);
     double (*batch)(int aggr, long calls);
     double (*checksum)(void);
@@ -97,7 +96,7 @@ _DRIVER_PRELUDE = """\
 
 static uint64_t ot_rng_state;
 
-/* never inlined: a harness's timed code must not depend on its unit */
+/* never inlined: keeps the timed code that earlier labels measured */
 static __attribute__((noinline)) double ot_rng_next(void)
 {
     ot_rng_state += 0x9e3779b97f4a7c15ULL;
@@ -118,11 +117,9 @@ static double ot_now_seconds(void)
 
 _MAIN = """\
 #include <stdio.h>
-#include <stdlib.h>
 
 %(struct)s
-extern const struct ot_harness ot_harnesses[];
-extern const size_t ot_harness_count;
+extern const struct ot_harness ot_harness;
 
 static const char *const ot_variants[2] = {"basic", "aggr"};
 
@@ -152,18 +149,10 @@ static long ot_calibrate(const struct ot_harness *h, int aggr, double *first)
     }
 }
 
-int main(int argc, char **argv)
+int main(void)
 {
     setvbuf(stdout, NULL, _IOLBF, 0);
-    const struct ot_harness *h = NULL;
-    long id = argc == 2 ? strtol(argv[1], NULL, 10) : -1;
-    for (size_t i = 0; i < ot_harness_count; i++)
-        if (ot_harnesses[i].id == id)
-            h = &ot_harnesses[i];
-    if (h == NULL) {
-        fprintf(stderr, "usage: %%s KERNEL, where this driver has no harness for that kernel\\n", argv[0]);
-        return 2;
-    }
+    const struct ot_harness *h = &ot_harness;
     long calls[2];
     double first[2], first_checksum[2];
     for (int v = 0; v < 2; v++) {
@@ -291,7 +280,8 @@ def _harness(k: int, fn: FunctionUnit, cfg: LabelerConfig) -> str:
 def synthesize_main(cfg: LabelerConfig) -> str:
     """The unit every driver of one call links: ``main`` and the calibration.
 
-    ``driver <k>`` runs kernel k. Stdout is line-buffered, and the driver
+    A driver takes no argument: it runs ``ot_harness``, the one harness its
+    ``synthesize_driver`` unit defines. Stdout is line-buffered, and it
     prints ``running <variant>`` before each step, so a crash or a timeout
     is charged to the variant that was running. Per variant it prints the
     checksum of one verification call (a batch of one call on fresh data:
@@ -307,39 +297,31 @@ def synthesize_main(cfg: LabelerConfig) -> str:
     batches of each variant, alternating basic and aggr, and prints, per
     repetition in that order (basic's calibration, aggr's, then basic,
     aggr, ...), the per-call seconds and a checksum of the buffers taken
-    after the clock stopped. The harness table it searches is defined by
-    the unit ``synthesize_driver`` writes.
+    after the clock stopped.
     """
     fields = {"min_runtime_s": cfg.min_runtime_s, "repetitions": cfg.repetitions}
     return _MAIN % {"struct": _HARNESS_STRUCT, **fields}
 
 
-def synthesize_driver(kernels: Sequence[tuple[int, FunctionUnit]], cfg: LabelerConfig) -> str:
-    """The unit that times both variants of every kernel given, with its table.
+def synthesize_driver(k: int, fn: FunctionUnit, cfg: LabelerConfig) -> str:
+    """The unit that times both variants of kernel k, the kernel at position k.
 
     Kernel k is compiled alone, once per variant, as a symbol renamed
     ``ot_k<k>_basic`` or ``ot_k<k>_aggr``; a driver links this unit with
-    those objects and the ``synthesize_main`` object (labeling gives each
-    kernel a unit of its own). Per kernel it holds one harness, which names
-    the kernel's parameters by position only: every symbolic array extent
-    written as the one concrete size the kernel's objects get as
+    those objects and the ``synthesize_main`` object. The unit ends with
+    ``ot_harness``, the one harness ``main`` runs, which names the kernel's
+    parameters by position only: every symbolic array extent written as
+    the one concrete size the kernel's objects get as
     ``-D<name>=<size>``, arrays filled from a seeded generator, scalars
     passed through ``volatile`` globals, a compiler barrier after every
     call, and a checksum of the buffers. No identifier of the kernel's
     source reaches the driver, so none can clash with the C library's or
-    the driver's own. The generator is never inlined, so a harness's timed
-    code does not depend on what else shares its unit. Raises DriverError
-    when a kernel cannot be wrapped.
+    the driver's own. The generator is never inlined, so the timed code
+    stays what earlier labels measured. Raises DriverError when the kernel
+    cannot be wrapped.
     """
-    table = [
-        _HARNESS_STRUCT,
-        "const struct ot_harness ot_harnesses[] = {",
-        *(f"    {{{k}, ot_k{k}_verify, ot_k{k}_batch, ot_k{k}_checksum}}," for k, _ in kernels),
-        "};",
-        "const size_t ot_harness_count = sizeof ot_harnesses / sizeof ot_harnesses[0];",
-        "",
-    ]
-    return "\n".join([_DRIVER_PRELUDE, *(_harness(k, fn, cfg) for k, fn in kernels), *table])
+    harness = f"const struct ot_harness ot_harness = {{ot_k{k}_verify, ot_k{k}_batch, ot_k{k}_checksum}};"
+    return "\n".join([_DRIVER_PRELUDE, _harness(k, fn, cfg), _HARNESS_STRUCT, harness, ""])
 
 
 # ------------------------------------------------------------------ toolchain
@@ -408,8 +390,8 @@ def _running(stdout: Union[str, bytes, None]) -> str:
     return last
 
 
-def measure(binary: Union[str, Path], kernel: int, cfg: LabelerConfig) -> dict[str, MeasureResult]:
-    """One launch, ``binary <kernel>``: both variants of one kernel, one result each.
+def measure(binary: Union[str, Path], cfg: LabelerConfig) -> dict[str, MeasureResult]:
+    """One launch of a driver, no argument: both variants of its kernel, one result each.
 
     Raises RunError, with ``variant`` set to the variant it is charged to,
     when the launch fails or times out (the variant that was running), when
@@ -419,7 +401,7 @@ def measure(binary: Union[str, Path], kernel: int, cfg: LabelerConfig) -> dict[s
     """
     try:
         proc = subprocess.run(
-            [str(binary), str(kernel)], capture_output=True, text=True, timeout=cfg.timeout_s
+            [str(binary)], capture_output=True, text=True, timeout=cfg.timeout_s
         )
     except subprocess.TimeoutExpired as e:
         raise RunError(f"run timed out after {cfg.timeout_s}s", _running(e.stdout)) from e
@@ -491,9 +473,9 @@ def _build(tag: str, *args, **kwargs) -> Union[Path, str]:
         return f"compile[{tag}]: {e}"
 
 
-def _timed(binary: Path, k: int, cfg: LabelerConfig) -> Samples:
+def _timed(binary: Path, cfg: LabelerConfig) -> Samples:
     try:
-        results = measure(binary, k, cfg)
+        results = measure(binary, cfg)
     except RunError as e:
         return f"run[{e.variant}]: {e}"
     basic, aggr = (results[tag] for tag in VARIANTS)
@@ -529,7 +511,7 @@ def _measured_samples(
     units = {}
     for k, (_, fn) in enumerate(functions):
         try:
-            units[k] = synthesize_driver([(k, fn)], cfg)
+            units[k] = synthesize_driver(k, fn, cfg)
         except DriverError as e:
             samples[k] = f"driver: {e}"
     variant_flags = {"basic": cfg.flags_basic, "aggr": cfg.flags_aggr}
@@ -564,7 +546,7 @@ def _measured_samples(
             if ahead and i + 1 < len(order):
                 queued[i + 1] = pool.submit(build, order[i + 1])
             binary = queued[i].result() if i in queued else build(k)
-            samples[k] = binary if isinstance(binary, str) else _timed(binary, k, cfg)
+            samples[k] = binary if isinstance(binary, str) else _timed(binary, cfg)
     finally:
         # on an error or an interrupt, builds not yet started never start
         pool.shutdown(cancel_futures=True)

@@ -17,6 +17,7 @@ import math
 import shlex
 import statistics
 import string
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -58,6 +59,8 @@ class LabelerConfig:
             value = getattr(self, key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{key} must be a number, not {value!r}")
+            if not abs(value) <= sys.float_info.max:  # nan, inf, or an int no float holds
+                raise ValueError(f"{key} must be finite, not {value!r}")
         if not isinstance(self.compiler_cmd, str):
             raise ValueError(f"compiler_cmd must be a string, not {self.compiler_cmd!r}")
         if self.workdir is not None and not isinstance(self.workdir, str):
@@ -72,6 +75,10 @@ class LabelerConfig:
             raise ValueError("min_runtime_s must be non-negative")
         if self.array_extent < 1:
             raise ValueError("array_extent must be positive")
+        for key in ("flags_basic", "flags_aggr"):
+            flags = getattr(self, key)
+            if not isinstance(flags, tuple) or not all(isinstance(f, str) for f in flags):
+                raise ValueError(f"{key} must be a tuple of strings, not {flags!r}")
         try:  # the labeler fills in exactly these fields, then splits the command
             fields = {f[1:] for f in string.Formatter().parse(self.compiler_cmd) if f[1] is not None}
             if fields != {(name, "", None) for name in ("flags", "source", "output")}:
@@ -80,9 +87,11 @@ class LabelerConfig:
         except ValueError as e:
             raise ValueError(f"compiler_cmd {self.compiler_cmd!r}: {e}") from None
         for key in ("flags_basic", "flags_aggr"):
-            flags = getattr(self, key)
-            if not isinstance(flags, tuple) or not all(isinstance(f, str) for f in flags):
-                raise ValueError(f"{key} must be a tuple of strings, not {flags!r}")
+            try:  # joined and split as the labeler does: "-O3 -march=native" is two flags
+                flags = " ".join(getattr(self, key))
+                shlex.split(self.compiler_cmd.format(flags=flags, source="a.c", output="a.o"))
+            except ValueError as e:
+                raise ValueError(f"{key} {getattr(self, key)!r}: {e}") from None
 
     def to_dict(self) -> dict:
         doc = asdict(self)

@@ -540,6 +540,21 @@ def test_labeler_config_field_of_the_wrong_type_is_a_bad_config(
     assert not report.exists()
 
 
+# Each config once loaded, then ended `label` with a traceback, or wrote
+# nothing after every kernel was compiled and launched.
+@pytest.mark.parametrize(
+    "key, value",
+    [("timeout_s", float("inf")), ("min_runtime_s", float("nan")), ("flags_aggr", ["-O3", "-DX='"])],
+    ids=["infinite-timeout", "nan-runtime", "unsplittable-flag"],
+)
+def test_labeler_config_that_cannot_run_is_a_bad_config(tmp_path, labeled, capsys, key, value):
+    cfg = _write_json(tmp_path / "labeler.json", {key: value})  # json writes Infinity and NaN
+    out = tmp_path / "relabeled.jsonl"
+    assert main(["label", "--manifest", str(labeled), "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: bad labeler config: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_report_shape(tmp_path, labeled, corpus):
     model = tmp_path / "model.json"
     main(["train", "--manifest", str(labeled), "--out", str(model)])

@@ -195,6 +195,36 @@ def test_config_rejects_a_field_of_the_wrong_type(key):
         LabelerConfig(**{key: BAD_FIELD_TYPES[key]})
 
 
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("-inf"), float("nan"), 10**400], ids=["inf", "-inf", "nan", "huge-int"]
+)
+@pytest.mark.parametrize("key", ["delta", "timeout_s", "min_runtime_s"])
+def test_config_rejects_a_non_finite_number(key, value):
+    # timeout_s and min_runtime_s once loaded; the run then crashed, or its manifest digest did
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        LabelerConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("key", ["flags_basic", "flags_aggr"])
+def test_config_rejects_flags_the_command_cannot_split(key):
+    with pytest.raises(ValueError, match=f"{key} .*No closing quotation"):
+        LabelerConfig.from_dict({key: ["-O3", "-DX='"]})
+
+
+def test_a_flag_element_holding_a_space_is_two_flags(tmp_path, monkeypatch):
+    cfg = LabelerConfig.from_dict({"flags_aggr": ["-O3 -march=native"]})
+    argvs = []
+
+    def fake_run(argv, **kwargs):
+        argvs.append(argv)
+        Path(argv[argv.index("-o") + 1]).write_text("")
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr("opttriage.labeler.subprocess.run", fake_run)
+    compile_variant("void f(void) { }\n", cfg.flags_aggr, cfg, tmp_path)
+    assert argvs[0][:5] == ["cc", "-ffp-contract=off", "-O3", "-march=native", "-c"]
+
+
 def test_config_accepts_int_seconds_and_a_null_workdir():
     cfg = LabelerConfig.from_dict(
         {"delta": 1, "timeout_s": 5, "min_runtime_s": 0, "workdir": None}
@@ -206,11 +236,14 @@ def test_config_accepts_int_seconds_and_a_null_workdir():
 
 
 def test_driver_contains_measurement_guards():
-    main, unit = synthesize_main(FAST_CFG), synthesize_driver([(0, _simple_fn())], FAST_CFG)
+    main, unit = synthesize_main(FAST_CFG), synthesize_driver(0, _simple_fn(), FAST_CFG)
     # main holds no harness, and the kernel's unit no main
     assert "ot_k0" not in main and "main" not in _identifiers(unit)
-    assert "extern const struct ot_harness ot_harnesses[];" in main
-    assert "{0, ot_k0_verify, ot_k0_batch, ot_k0_checksum}," in unit
+    # main takes no argument: it runs the one harness its driver links
+    assert "int main(void)" in main and "argv" not in main and "stdlib" not in main
+    assert "extern const struct ot_harness ot_harness;" in main
+    assert "const struct ot_harness *h = &ot_harness;" in main
+    assert unit.endswith("const struct ot_harness ot_harness = {ot_k0_verify, ot_k0_batch, ot_k0_checksum};\n")
     assert "static __attribute__((noinline)) double ot_rng_next(void)" in unit
     code = main + unit
     assert "setvbuf(stdout, NULL, _IOLBF, 0);" in code  # a crash keeps what was printed
@@ -252,18 +285,19 @@ def test_driver_contains_measurement_guards():
 
 def test_driver_holds_one_harness_per_kernel_with_literal_sizes():
     wide = parse_one("void g(float a[M][N]) { for (int i = 0; i < M; i++) a[i][0] = 1.0; }")
-    code = synthesize_driver([(0, _simple_fn()), (3, wide)], FAST_CFG)
-    assert "{0, ot_k0_verify, ot_k0_batch, ot_k0_checksum}," in code
-    assert "{3, ot_k3_verify, ot_k3_batch, ot_k3_checksum}," in code
-    first, second = code.split("/* kernel 3: g */")
-    assert "#define" not in code and "#undef" not in code
+    first, second = synthesize_driver(0, _simple_fn(), FAST_CFG), synthesize_driver(3, wide, FAST_CFG)
+    for k, code in ((0, first), (3, second)):
+        assert code.count("/* kernel ") == 1 and code.count("ot_harness = {") == 1
+        assert f"ot_harness = {{ot_k{k}_verify, ot_k{k}_batch, ot_k{k}_checksum}};" in code
+        assert "#define" not in code and "#undef" not in code
+    assert "ot_k3" not in first and "ot_k0" not in second
     assert "void ot_k0_basic(int, float[64], float[64]);" in first
     assert "void ot_k3_basic(float[64][64]);" in second
     assert "static float ot_k3_g0[64][64];" in second
 
 
 def test_driver_writes_symbolic_extent_as_its_size():
-    code = synthesize_driver([(0, _simple_fn())], FAST_CFG)
+    code = synthesize_driver(0, _simple_fn(), FAST_CFG)
     assert "for (long ot_i0 = 0; ot_i0 < 64; ot_i0++) ot_k0_g1[ot_i0] = (float)ot_rng_next();" in code
     assert "N" not in code.split("/* kernel 0: saxpy */")[1].split("struct ot_harness")[0]
 
@@ -274,7 +308,7 @@ def test_driver_respects_minimum_extent():
         "  for (int i = 0; i < 100; i++) a[i] = a[i] + 1.0;\n"
         "}"
     )
-    code = synthesize_driver([(0, fn)], FAST_CFG)  # cfg extent 64 is too small
+    code = synthesize_driver(0, fn, FAST_CFG)  # cfg extent 64 is too small
     assert "void ot_k0_basic(int, float[100]);" in code
     assert "static volatile int ot_k0_s0 = 100;" in code
     assert "static float ot_k0_g1[100];" in code
@@ -283,10 +317,10 @@ def test_driver_respects_minimum_extent():
 def test_driver_accepts_names_the_driver_uses():
     # no name of the kernel reaches the driver, so none can collide with one of its own
     fn = parse_one("void f(float a[ot_n]) { for (int i = 0; i < ot_n; i++) a[i] = 1.0; }")
-    code = synthesize_driver([(0, fn)], FAST_CFG)
+    code = synthesize_driver(0, fn, FAST_CFG)
     assert not re.search(r"\bot_n\b", code) and "void ot_k0_basic(float[64]);" in code
     # the kernel's own name never reaches the driver: its objects are renamed
-    assert "main" not in _identifiers(synthesize_driver([(0, parse_one("void main(int n) { }"))], FAST_CFG))
+    assert "main" not in _identifiers(synthesize_driver(0, parse_one("void main(int n) { }"), FAST_CFG))
 
 
 C_KEYWORDS = frozenset(
@@ -320,7 +354,7 @@ def test_driver_rejects_functions_without_source():
 
     bare = dataclasses.replace(_simple_fn(), source_text="")
     with pytest.raises(DriverError):
-        synthesize_driver([(0, bare)], FAST_CFG)
+        synthesize_driver(0, bare, FAST_CFG)
 
 
 # ----------------------------------------------------------------- fake timers
@@ -414,15 +448,9 @@ def test_label_corpus_delta_changes_labels():
 
 
 def _fake_binary(tmp_path, stdout, exit_code=0, name="fake.bin"):
-    """An executable shell script standing in for a compiled driver.
-
-    ``stdout`` is what it prints for every kernel, or a dict of what it
-    prints per kernel argument.
-    """
-    outputs = stdout if isinstance(stdout, dict) else {"*": stdout}
-    cases = "".join(f"{k}) cat <<'EOF'\n{text}EOF\n;;\n" for k, text in outputs.items())
+    """An executable shell script standing in for a compiled driver: it prints ``stdout``."""
     script = tmp_path / name
-    script.write_text(f'#!/bin/sh\ncase "$1" in\n{cases}esac\nexit {exit_code}\n')
+    script.write_text(f"#!/bin/sh\ncat <<'EOF'\n{stdout}EOF\nexit {exit_code}\n")
     script.chmod(0o755)
     return script
 
@@ -459,11 +487,11 @@ def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monk
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr("opttriage.labeler.subprocess.run", counting_run)
-    result = measure(binary, 7, FAST_CFG)
+    result = measure(binary, FAST_CFG)
     assert result["basic"].samples == (1e-6, 2e-6, 3e-6)
     assert result["aggr"].samples == (4e-6, 5e-6, 6e-6)
     assert result["basic"].checksum == result["aggr"].checksum == "1.5e+01"
-    assert launches == [[str(binary), "7"]]  # both variants of kernel 7 in one launch
+    assert launches == [[str(binary)]]  # both variants in one launch, with no argument
 
 
 @pytest.mark.parametrize(
@@ -504,21 +532,21 @@ def test_measure_parses_one_sample_per_repetition_from_one_launch(tmp_path, monk
 )
 def test_measure_rejects_bad_driver_runs(tmp_path, stdout, exit_code, message, variant):
     with pytest.raises(RunError, match=message) as caught:
-        measure(_fake_binary(tmp_path, stdout, exit_code), 0, FAST_CFG)
+        measure(_fake_binary(tmp_path, stdout, exit_code), FAST_CFG)
     assert caught.value.variant == variant
 
 
 def test_measure_checks_basic_before_aggr(tmp_path):
     both_bad = _driver_output(basic={"samples": (1e-6,)}, aggr={"samples": (1e-6,)})
     with pytest.raises(RunError, match="basic printed 1 checksums, 1 samples") as caught:
-        measure(_fake_binary(tmp_path, both_bad), 0, FAST_CFG)
+        measure(_fake_binary(tmp_path, both_bad), FAST_CFG)
     assert caught.value.variant == "basic"
 
 
 def test_measure_rejects_a_short_sample_count_of_one_variant(tmp_path):
     short = _driver_output(aggr={"samples": (1e-6, 2e-6), "rep_checksums": ("4.0e+02",) * 2})
     with pytest.raises(RunError) as caught:
-        measure(_fake_binary(tmp_path, short), 0, FAST_CFG)
+        measure(_fake_binary(tmp_path, short), FAST_CFG)
     assert caught.value.variant == "aggr"
     assert str(caught.value) == (
         "malformed driver output: aggr printed 1 checksums, 2 samples and 2 batch checksums, "
@@ -539,7 +567,7 @@ def test_measure_charges_a_crash_to_the_variant_running(tmp_path):
     )
     script.chmod(0o755)
     with pytest.raises(RunError, match="binary exited with -11") as caught:
-        measure(script, 0, FAST_CFG)
+        measure(script, FAST_CFG)
     assert caught.value.variant == "aggr"
 
 
@@ -551,7 +579,7 @@ def test_measure_charges_a_timeout_to_the_variant_running(tmp_path):
     script.chmod(0o755)
     cfg = LabelerConfig(repetitions=3, timeout_s=0.5)
     with pytest.raises(RunError, match="run timed out after 0.5s") as caught:
-        measure(script, 0, cfg)
+        measure(script, cfg)
     assert caught.value.variant == "aggr"
 
 
@@ -561,7 +589,7 @@ def test_measure_times_out_the_one_launch(tmp_path):
     script.chmod(0o755)
     cfg = LabelerConfig(repetitions=3, timeout_s=0.2)
     with pytest.raises(RunError, match="run timed out after 0.2s") as caught:
-        measure(script, 0, cfg)
+        measure(script, cfg)
     assert caught.value.variant == "basic"  # nothing announced: charged to the first
 
 
@@ -569,7 +597,7 @@ def test_measure_reports_a_binary_that_cannot_start(tmp_path):
     not_executable = tmp_path / "plain.bin"
     not_executable.write_text(_driver_output())
     with pytest.raises(RunError, match="cannot run binary"):
-        measure(not_executable, 0, FAST_CFG)
+        measure(not_executable, FAST_CFG)
 
 
 # ------------------------------------------------------ label_corpus call shape
@@ -581,11 +609,12 @@ def _fake_toolchain(monkeypatch, outputs=None, fail=(), cpus=2):
     Returns the events: objects (``-c``) as ("compile", stem, start, end),
     driver binaries, compiled and linked, as ("link", stem, start, end),
     and launches as ("run", kernel, start, end), where start and end are
-    ticks of one counter that every thread reads. A build whose stem is in
-    ``fail``, or whose source or object list contains an entry of it,
-    raises CompileError; a driver prints ``outputs`` (per kernel, default:
-    a clean run) through the real ``measure``. The process sees ``cpus``
-    usable CPUs, whatever the host has.
+    ticks of one counter that every thread reads, and a launch's kernel is
+    the one its binary's stem names (``ot_k<k>_driver``). A build whose
+    stem is in ``fail``, or whose source or object list contains an entry
+    of it, raises CompileError; kernel k's driver prints ``outputs[k]``
+    (default: a clean run) through the real ``measure``. The process sees
+    ``cpus`` usable CPUs, whatever the host has.
     """
     events = []
     real_measure = labeler.measure
@@ -601,16 +630,17 @@ def _fake_toolchain(monkeypatch, outputs=None, fail=(), cpus=2):
                 raise CompileError(f"{stem} failed")
             if link is None:
                 return Path(workdir) / f"{stem}.o"
-            return _fake_binary(Path(workdir), outputs or {"*": _driver_output()}, name=f"{stem}.bin")
+            output = (outputs or {}).get(_kernel_of(stem), _driver_output())
+            return _fake_binary(Path(workdir), output, name=f"{stem}.bin")
         finally:
             events.append(("compile" if link is None else "link", stem, start, next(clock)))
 
-    def fake_measure(binary, kernel, cfg):
+    def fake_measure(binary, cfg):
         start = next(clock)
         try:
-            return real_measure(binary, kernel, cfg)
+            return real_measure(binary, cfg)
         finally:
-            events.append(("run", kernel, start, next(clock)))
+            events.append(("run", _kernel_of(Path(binary).stem), start, next(clock)))
 
     monkeypatch.setattr(labeler, "compile_variant", fake_compile)
     monkeypatch.setattr(labeler, "measure", fake_measure)
@@ -751,10 +781,10 @@ def test_label_corpus_builds_the_next_kernel_while_one_is_timed(tmp_path, monkey
             meet.wait()
         return fake_compile(source, flags, cfg, workdir, stem, link)
 
-    def launch_meets_compile(binary, kernel, cfg):
-        if kernel == 1:
+    def launch_meets_compile(binary, cfg):
+        if _kernel_of(Path(binary).stem) == 1:
             meet.wait()
-        return fake_measure(binary, kernel, cfg)
+        return fake_measure(binary, cfg)
 
     monkeypatch.setattr(labeler, "compile_variant", compile_meets_launch)
     monkeypatch.setattr(labeler, "measure", launch_meets_compile)
@@ -788,10 +818,10 @@ def test_label_corpus_stops_queued_builds_when_a_launch_raises(tmp_path, monkeyp
         started.append(stem)
         return fake_compile(source, flags, cfg, workdir, stem, link)
 
-    def interrupted_launch(binary, kernel, cfg):
-        if kernel == 1:
+    def interrupted_launch(binary, cfg):
+        if _kernel_of(Path(binary).stem) == 1:
             raise KeyboardInterrupt
-        return fake_measure(binary, kernel, cfg)
+        return fake_measure(binary, cfg)
 
     monkeypatch.setattr(labeler, "compile_variant", recording_compile)
     monkeypatch.setattr(labeler, "measure", interrupted_launch)
@@ -817,7 +847,7 @@ def _one_driver_fails(tmp_path, monkeypatch, breaks):
 
 def test_label_corpus_a_failing_driver_build_quarantines_only_its_kernel(tmp_path, monkeypatch):
     # the harness of kernel 1 breaks its driver's compile
-    _one_driver_fails(tmp_path, monkeypatch, "{1, ot_k1_verify")
+    _one_driver_fails(tmp_path, monkeypatch, "{ot_k1_verify")
 
 
 def test_label_corpus_a_failing_link_quarantines_only_its_kernel(tmp_path, monkeypatch):
@@ -843,7 +873,7 @@ def test_label_corpus_builds_a_driver_of_the_kernels_with_objects(tmp_path, monk
     assert sorted(linked_sources) == ["ot_k0_driver", "ot_k2_driver"]
     for k in (0, 2):
         source = linked_sources[f"ot_k{k}_driver"]
-        assert f"{{{k}, ot_k{k}_verify" in source and source.count("_verify, ") == 1
+        assert f"ot_harness = {{ot_k{k}_verify, " in source and source.count("_verify, ") == 1
         assert "ot_k1" not in source
     assert _steps(events, "run") == [0, 2]
     _check_schedule(events)
@@ -862,16 +892,14 @@ def test_compile_and_measure_real_binary(tmp_path):
     ]
     assert [o.suffix for o in objects] == [".o", ".o"]
     main = compile_variant(synthesize_main(FAST_CFG), FAST_CFG.flags_basic, FAST_CFG, tmp_path, "main")
-    driver = synthesize_driver([(0, fn)], FAST_CFG)
+    driver = synthesize_driver(0, fn, FAST_CFG)
     binary = compile_variant(driver, FAST_CFG.flags_basic, FAST_CFG, tmp_path, "driver", link=[main, *objects])
-    result = measure(binary, 0, FAST_CFG)
+    result = measure(binary, FAST_CFG)
     for tag in VARIANTS:
         assert len(result[tag].samples) == FAST_CFG.repetitions
         assert all(s > 0 for s in result[tag].samples)
         assert "e" in result[tag].checksum  # scientific notation
     assert result["basic"].checksum == result["aggr"].checksum
-    with pytest.raises(RunError, match="binary exited with 2: usage"):
-        measure(binary, 1, FAST_CFG)  # no harness for kernel 1
 
 
 @pytest.mark.integration
@@ -941,7 +969,7 @@ def test_label_corpus_times_a_kernel_that_changes_its_buffers(tmp_path, repetiti
     assert res.quarantine_reason is None, res.quarantine_reason
     assert len(res.timing.samples_basic) == len(res.timing.samples_aggr) == repetitions
     out = subprocess.run(
-        [str(tmp_path / "ot_k0_driver.bin"), "0"], capture_output=True, text=True, timeout=60, check=True
+        [str(tmp_path / "ot_k0_driver.bin")], capture_output=True, text=True, timeout=60, check=True
     ).stdout
     fields = {}
     for line in out.splitlines():
@@ -1018,9 +1046,9 @@ def test_verification_checksum_counts_the_return_value(tmp_path):
             compile_variant(fn.source_text, (*flags, f"-Df=ot_k{k}_{tag}", "-DN=64"), cfg, tmp_path, f"ot_k{k}_{tag}")
             for tag, flags in (("basic", cfg.flags_basic), ("aggr", cfg.flags_aggr))
         ]
-        driver = synthesize_driver([(k, fn)], cfg)
+        driver = synthesize_driver(k, fn, cfg)
         binary = compile_variant(driver, cfg.flags_basic, cfg, tmp_path, f"ot_k{k}_driver", link=[main, *objects])
-        result = measure(binary, k, cfg)
+        result = measure(binary, cfg)
         assert result["basic"].checksum == result["aggr"].checksum
         checksums.append(float(result["basic"].checksum))
     returning, void = checksums
@@ -1084,20 +1112,15 @@ def test_label_corpus_quarantines_only_the_kernel_cc_rejects(tmp_path, monkeypat
 
 @pytest.mark.integration
 @requires_compiler
-def test_batch_code_does_not_depend_on_the_other_harnesses_of_its_unit(tmp_path):
-    # the timed code of kernel 0 is the same alone in its unit and beside
-    # kernel 1's harness, once the generator is never inlined
-    fns = [parse_unit(unit, strict=True)[0][0] for unit in generate(GenConfig(seed=1907, n_functions=2))]
-    bodies = []
-    for kernels in ([(0, fns[0])], list(enumerate(fns))):
+def test_batch_code_calls_the_generator_it_never_inlines(tmp_path):
+    # an inlined generator would change the timed code that earlier labels measured
+    fns = [parse_unit(unit, strict=True)[0][0] for unit in generate(GenConfig(seed=1907, n_functions=8))]
+    for k, fn in enumerate(fns):
         source = tmp_path / "unit.c"
-        source.write_text(synthesize_driver(kernels, FAST_CFG))
+        source.write_text(synthesize_driver(k, fn, FAST_CFG))
         subprocess.run(
             ["cc", "-ffp-contract=off", "-O1", "-S", "-o", str(tmp_path / "unit.s"), str(source)], check=True
         )
         text = (tmp_path / "unit.s").read_text()
-        body = text[text.index("ot_k0_batch:"):text.index(".size\tot_k0_batch")]
-        labels = {}
-        bodies.append(re.sub(r"\.L\w+", lambda m: labels.setdefault(m.group(0), f".L{len(labels)}"), body))
-    assert bodies[0] == bodies[1]
-    assert "call\tot_rng_next" in bodies[0]
+        body = text[text.index(f"ot_k{k}_batch:"):text.index(f".size\tot_k{k}_batch")]
+        assert "call\tot_rng_next" in body, k
